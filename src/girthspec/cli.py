@@ -15,7 +15,7 @@ import time
 
 from .counts import CycleCounts, Route
 from .cycle_count import brute_force_counts, counts_from_spectrum, g_plus_4_cross_check
-from .edge_matrix import edge_spectrum_direct, trace_power_counts
+from .edge_matrix import DEFAULT_DIRECT_CAP, edge_spectrum_direct, trace_power_counts
 from .errors import (
     GirthspecError,
     NumericalError,
@@ -30,7 +30,7 @@ from .graph_core import (
     profile,
     random_biregular,
 )
-from .spectra import adjacency_spectrum
+from .spectra import DEFAULT_DENSE_CAP, adjacency_spectrum
 from .spectral_transfer import TransferParameters, derive_edge_spectrum
 
 EXIT_OK = 0
@@ -95,25 +95,27 @@ def run_route(route: str, g: BipartiteGraph, prof: GraphProfile,
     max_k = args.max_k
     spectra = {}
     if route == "transfer":
+        cap = big if args.force else _dense_cap(DEFAULT_DENSE_CAP)
         spec = adjacency_spectrum(g, zero_tolerance=args.zero_tol,
                                   cluster_tolerance=args.cluster_tol,
-                                  dense_cap=big if args.force else _dense_cap(4096))
+                                  dense_cap=cap)
         params = TransferParameters.from_graph(g, spec, prof)
         es = derive_edge_spectrum(spec, params)
         spectra = {"adjacency": spec, "edge": es}
         return counts_from_spectrum(es, prof.girth, max_k,
                                     route=Route.SPECTRAL_TRANSFER), spectra
     if route == "trace":
-        return trace_power_counts(g, max_k), spectra
+        return trace_power_counts(g, max_k, prof), spectra
     if route == "direct":
         es = edge_spectrum_direct(
-            g, dense_cap=big if args.force else _dense_cap(6000))
+            g, dense_cap=big if args.force else _dense_cap(DEFAULT_DIRECT_CAP))
         spectra = {"edge": es}
         return counts_from_spectrum(es, prof.girth, max_k,
                                     route=Route.DIRECT_EDGE_SPECTRUM), spectra
     if route == "brute":
         return brute_force_counts(g, max_k if max_k else 2 * prof.girth - 2,
-                                  edge_cap=big if args.force else 200), spectra
+                                  edge_cap=big if args.force else 200,
+                                  prof=prof), spectra
     raise RouteInapplicableError(f"unknown route {route!r}")
 
 
@@ -178,7 +180,7 @@ def cmd_verify(args) -> int:
     candidates = ["trace"]
     if _transfer_applicable(prof):
         candidates.insert(0, "transfer")
-    if 2 * g.edge_count <= (10 ** 9 if args.force else _dense_cap(6000)):
+    if 2 * g.edge_count <= (10 ** 9 if args.force else _dense_cap(DEFAULT_DIRECT_CAP)):
         candidates.append("direct")
     if g.edge_count <= (10 ** 9 if args.force else 200):
         candidates.append("brute")
@@ -208,7 +210,7 @@ def cmd_verify(args) -> int:
             adj_spec = adjacency_spectrum(g, zero_tolerance=args.zero_tol,
                                           cluster_tolerance=args.cluster_tol)
         if prof.girth + 4 <= 2 * prof.girth - 2:
-            cross = g_plus_4_cross_check(g, adj_spec, reference)
+            cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
             spectral = reference.counts.get(prof.girth + 4)
             if spectral is not None and cross != spectral:
                 diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,

@@ -14,7 +14,7 @@ from math import comb
 from .counts import CycleCounts, Route
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import BipartiteGraph, profile
+from .graph_core import BipartiteGraph, GraphProfile, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -72,8 +72,8 @@ def counts_from_spectrum(es: EdgeSpectrum, girth: int, max_k: int | None = None,
                        residuals=residuals)
 
 
-def brute_force_counts(g: BipartiteGraph, max_k: int,
-                       edge_cap: int = 200) -> CycleCounts:
+def brute_force_counts(g: BipartiteGraph, max_k: int, edge_cap: int = 200,
+                       prof: GraphProfile | None = None) -> CycleCounts:
     """Exact cycle counts by canonical-rooted DFS enumeration.
 
     Paths grow from each root s through nodes with larger combined id only,
@@ -85,7 +85,8 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         raise SizeCapError(f"|E| = {g.edge_count} exceeds brute-force cap {edge_cap}")
     if max_k < 4 or max_k % 2:
         raise RouteInapplicableError(f"max_k={max_k} must be an even integer >= 4")
-    prof = profile(g)
+    if prof is None:
+        prof = profile(g)
     if prof.girth is None:
         raise RouteInapplicableError("forest input: no cycles to count")
 
@@ -181,13 +182,15 @@ def _psi_g_plus_4_over_2i(g: int, d_v: int, d_c: int, n_g: int,
 
 
 def g_plus_4_cross_check(g_graph: BipartiteGraph, spec: AdjacencySpectrum,
-                         n4_counts: CycleCounts) -> int:
+                         n4_counts: CycleCounts,
+                         prof: GraphProfile | None = None) -> int:
     """N_{g+4} from the adjacency power sum, tree walks, and N_g, N_{g+2}.
 
     Independent of the edge spectrum entirely; only defined when
     g + 4 <= 2g - 2, i.e. girth >= 6.
     """
-    prof = profile(g_graph)
+    if prof is None:
+        prof = profile(g_graph)
     if not (prof.is_biregular and prof.is_connected):
         raise RouteInapplicableError("cross-check needs a connected bi-regular graph")
     g = prof.girth

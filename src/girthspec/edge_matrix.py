@@ -1,10 +1,20 @@
-"""Directed edge (non-backtracking) matrix and the trace-power route.
+"""Exact trace powers via Ihara-Bass, and the directed edge matrix A_e.
 
-Arcs are numbered so that arc i and arc |E| + i are mutual inverses, with
-all U -> W arcs first; edges are taken in lexicographic (u, w) order, so
-the construction is deterministic. Trace powers are computed in exact
-integer arithmetic: entries grow like (d - 1)^k, so the int64 fast path is
-guarded by an exact bound and falls back to Python big integers.
+No counting route builds the 2|E| x 2|E| directed edge matrix A_e.
+The ``trace`` route uses the Ihara-Bass identity (Bass 1992; Kotani &
+Sunada 2000), tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k), with the sparse
+2|V| x 2|V| integer matrix M = [[A, I - D], [I, 0]]. Powers of M are
+multiplied to depth ceil(k/2) only, and each trace is read off two half
+powers. Traces are exact: the int64 fast path is guarded by a proven bound
+and falls back to Python big integers.
+
+``build_edge_matrix`` constructs A_e itself, the reference the tests
+compare against. Arcs are numbered so that arc i and arc |E| + i are
+mutual inverses, with all U -> W arcs first; edges are taken in
+lexicographic (u, w) order, so the construction is deterministic. With
+that order A_e = [[0, X], [Y, 0]], and the ``direct`` baseline gets its
+eigenvalues as the square roots, with both signs, of the eigenvalues of
+the |E| x |E| product XY.
 """
 
 from __future__ import annotations
@@ -16,18 +26,21 @@ import scipy.sparse as sp
 
 from .counts import CycleCounts, Route
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import BipartiteGraph, profile
+from .graph_core import BipartiteGraph, GraphProfile, profile
 
 __all__ = [
     "DirectedEdgeMatrix",
     "EdgeSpectrum",
     "build_edge_matrix",
+    "ihara_bass_matrix",
+    "trace_powers",
     "trace_power_counts",
     "edge_spectrum_direct",
     "multiset_matching_distance",
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
+INT64_LIMIT = 2 ** 62  # int64 traces run only while 1^T |M|^K 1 stays below
 
 
 @dataclass(frozen=True)
@@ -49,16 +62,6 @@ class DirectedEdgeMatrix:
             for j in row:
                 a[i, j] = 1.0
         return a
-
-    def to_sparse_int64(self) -> sp.csr_matrix:
-        indptr = np.zeros(self.arc_count + 1, dtype=np.int64)
-        indices = []
-        for i, row in enumerate(self.rows):
-            indptr[i + 1] = indptr[i] + len(row)
-            indices.extend(row)
-        data = np.ones(len(indices), dtype=np.int64)
-        return sp.csr_matrix((data, np.array(indices, dtype=np.int64), indptr),
-                             shape=(self.arc_count, self.arc_count))
 
 
 @dataclass(frozen=True)
@@ -99,58 +102,94 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def _int64_safe(rows: tuple[tuple[int, ...], ...], max_k: int) -> bool:
-    """True if every entry of A_e^j, j <= max_k, fits comfortably in int64.
+def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_matrix:
+    """M = [[A, I - D], [I, 0]], the 2|V| x 2|V| int64 Ihara-Bass matrix.
 
-    Entries of A_e^j are bounded by the exact big-int vector A_e^j @ 1.
+    A is the adjacency matrix and D the degree matrix over combined node
+    ids (left node u is id u, right node w is id left_count + w), so
+    isolated nodes take part; ``trace_powers`` corrects for all of them.
     """
-    bound = [1] * len(rows)
-    limit = 2 ** 62
+    n, v = g.left_count, g.node_count
+    edges = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2)
+    left, right = edges[:, 0], n + edges[:, 1]
+    ids = np.arange(v, dtype=np.int64)
+    loss = 1 - np.bincount(np.concatenate([left, right]), minlength=v)  # 1 - d
+    rows = np.concatenate([left, right, ids, v + ids])
+    cols = np.concatenate([right, left, v + ids, ids])
+    data = np.concatenate([np.ones(2 * len(edges), dtype=np.int64), loss,
+                           np.ones(v, dtype=np.int64)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
+
+
+def _int64_safe(m: sp.csr_matrix, max_k: int) -> bool:
+    """True if the int64 half-power traces of M up to max_k cannot overflow.
+
+    Every row of |M| sums to at least 1, so 1^T |M|^k 1 grows with k; at
+    k = max_k it bounds every entry of M^j (j <= max_k), every partial sum
+    of their products and every trace. It is computed in float64, and the
+    factor 2 covers its rounding.
+    """
+    a = abs(m).astype(np.float64)
+    bound = np.ones(m.shape[0])
     for _ in range(max_k):
-        bound = [sum(bound[j] for j in row) for row in rows]
-        if max(bound, default=0) >= limit:
-            return False
-    return True
+        bound = a @ bound
+    return 2 * float(bound.sum()) < INT64_LIMIT
 
 
-def _traces_int64(em: DirectedEdgeMatrix, max_k: int) -> dict[int, int]:
-    a = em.to_sparse_int64()
-    traces = {}
-    p = a.copy()
-    traces[1] = int(p.diagonal().sum())
-    for k in range(2, max_k + 1):
-        p = p @ a
-        traces[k] = int(p.diagonal().sum())
-    return traces
+def _traces_int64(m: sp.csr_matrix, max_k: int) -> dict[int, int]:
+    """tr(M^k) = sum(P_a o P_b^T), P_j = M^j, a = ceil(k/2), b = floor(k/2)."""
+    powers = [sp.identity(m.shape[0], dtype=np.int64, format="csr"), m]
+    while len(powers) <= (max_k + 1) // 2:
+        powers.append(powers[-1] @ m)
+    transposed = [p.T.tocsr() for p in powers[:max_k // 2 + 1]]
+    return {k: int(powers[(k + 1) // 2].multiply(transposed[k // 2]).sum())
+            for k in range(1, max_k + 1)}
 
 
-def _traces_bigint(em: DirectedEdgeMatrix, max_k: int) -> dict[int, int]:
-    rows = em.rows
-    size = em.arc_count
-    traces = {k: 0 for k in range(1, max_k + 1)}
-    for start in range(size):
-        v = [0] * size
-        v[start] = 1
-        for k in range(1, max_k + 1):
-            v = [sum(v[j] for j in row) for row in rows]
-            traces[k] += v[start]
-    return traces
+def _traces_bigint(m: sp.csr_matrix, max_k: int) -> dict[int, int]:
+    """``_traces_int64`` in Python integers, over the weighted rows of M."""
+    rows = [dict(zip(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist(),
+                     m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
+            for i in range(m.shape[0])]
+    powers = [[{i: 1} for i in range(len(rows))]]
+    for _ in range((max_k + 1) // 2):
+        product = []
+        for row in powers[-1]:
+            acc: dict[int, int] = {}
+            for t, x in row.items():
+                for j, y in rows[t].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            product.append(acc)
+        powers.append(product)
+    return {k: sum(x * powers[k // 2][j].get(i, 0)
+                   for i, row in enumerate(powers[(k + 1) // 2])
+                   for j, x in row.items())
+            for k in range(1, max_k + 1)}
 
 
-def trace_powers(em: DirectedEdgeMatrix, max_k: int) -> dict[int, int]:
-    """Exact tr(A_e^k) for k = 1 .. max_k."""
-    if _int64_safe(em.rows, max_k):
-        return _traces_int64(em, max_k)
-    return _traces_bigint(em, max_k)
+def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
+    """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e.
+
+    Ihara-Bass: tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k).
+    """
+    m = ihara_bass_matrix(g)
+    if _int64_safe(m, max_k):
+        traces = _traces_int64(m, max_k)
+    else:
+        traces = _traces_bigint(m, max_k)
+    shift = 2 * (g.edge_count - g.node_count)
+    return {k: t + (0 if k % 2 else shift) for k, t in traces.items()}
 
 
-def trace_power_counts(g: BipartiteGraph, max_k: int | None = None) -> CycleCounts:
+def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
+                       prof: GraphProfile | None = None) -> CycleCounts:
     """Exact N_k = tr(A_e^k) / 2k for even k in [g, max_k].
 
     Valid for any bipartite graph (irregular included); the window is
     capped at 2g - 2 because TBC walks and cycles part ways at length 2g.
     """
-    prof = profile(g)
+    if prof is None:
+        prof = profile(g)
     if prof.girth is None:
         raise RouteInapplicableError("forest input: no cycles to count")
     girth = prof.girth
@@ -163,8 +202,7 @@ def trace_power_counts(g: BipartiteGraph, max_k: int | None = None) -> CycleCoun
             f"max_k={max_k} exceeds 2g-2={2 * girth - 2}: TBC walks no longer "
             "coincide with cycles at length 2g")
 
-    em = build_edge_matrix(g)
-    traces = trace_powers(em, max_k)
+    traces = trace_powers(g, max_k)
     counts = {}
     for k in range(girth, max_k + 1, 2):
         t = traces[k]
@@ -202,19 +240,30 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[tuple[complex, int]
 def edge_spectrum_direct(g: BipartiteGraph,
                          cluster_tolerance: float = 1e-6,
                          dense_cap: int = DEFAULT_DIRECT_CAP) -> EdgeSpectrum:
-    """Complex eigenvalues of the dense A_e; the O(|E|^3) baseline.
+    """Complex eigenvalues of A_e; the O(|E|^3) baseline.
 
+    A_e = [[0, X], [Y, 0]] has characteristic polynomial det(lambda^2 I - XY),
+    so the dense eigensolve runs on the |E| x |E| product XY, built from the
+    edge list without A_e, and each of its eigenvalues mu gives +/- sqrt(mu).
     Exists for verification and benchmarking of the transfer route; the
     default cluster tolerance is looser than the symmetric case because
     nonsymmetric eigenproblems are less well conditioned.
     """
-    em = build_edge_matrix(g)
-    if em.arc_count > dense_cap:
-        raise SizeCapError(f"2|E| = {em.arc_count} exceeds dense cap {dense_cap}")
-    raw = np.linalg.eigvals(em.to_dense())
-    clusters = _cluster_complex(raw, cluster_tolerance)
+    e = g.edge_count
+    if 2 * e > dense_cap:
+        raise SizeCapError(f"2|E| = {2 * e} exceeds dense cap {dense_cap}")
+    u, w = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2).T
+    linked = np.zeros((g.left_count, g.right_count), dtype=bool)
+    linked[u, w] = True
+    # XY is the U -> W corner of A_e^2: arc u_i -> w_i reaches arc u_j -> w_j
+    # through arc w_i -> u_j, so XY[i, j] = 1 iff (u_j, w_i) is an edge
+    # other than edges i and j.
+    xy = (linked[u[None, :], w[:, None]] & (u[:, None] != u[None, :])
+          & (w[:, None] != w[None, :])).astype(np.float64)
+    roots = np.sqrt(np.linalg.eigvals(xy).astype(complex))
+    clusters = _cluster_complex(np.concatenate([roots, -roots]), cluster_tolerance)
     total = sum(m for _, m in clusters)
-    if total != em.arc_count:
+    if total != 2 * e:
         raise NumericalError("edge spectrum clustering lost eigenvalues")
     return EdgeSpectrum(eigenvalues=tuple(clusters), total=total)
 

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
@@ -13,8 +16,16 @@ from girthspec import (
     profile,
     tesseract,
     trace_power_counts,
+    write_edge_list,
 )
-from girthspec.edge_matrix import trace_powers, _traces_bigint, _traces_int64
+from girthspec import edge_matrix
+from girthspec.cli import main
+from girthspec.edge_matrix import (
+    _traces_bigint,
+    _traces_int64,
+    ihara_bass_matrix,
+    trace_powers,
+)
 
 from conftest import random_bipartite
 
@@ -72,25 +83,69 @@ class TestBuildEdgeMatrix:
                 assert (i < e) != (j < e)
 
 
+@st.composite
+def bipartite_graphs(draw):
+    """Any simple bipartite graph on up to 6 + 6 nodes: irregular,
+    disconnected, with leaves, isolated nodes or no edges at all."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    cells = [(u, w) for u in range(n) for w in range(m)]
+    return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
 class TestTracePowers:
+    @given(bipartite_graphs())
+    @example(BipartiteGraph.from_edges(  # two 4-cycles, a leaf, isolated nodes
+        5, 6, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+               (3, 4)]))
+    @example(BipartiteGraph.from_edges(  # 6-cycle with a pendant path
+        4, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0), (3, 2), (3, 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_edge_matrix_traces(self, g):
+        a = build_edge_matrix(g).to_dense().astype(np.int64)
+        expect = {k: int(np.trace(np.linalg.matrix_power(a, k)))
+                  for k in range(1, 11)}
+        assert trace_powers(g, 10) == expect
+
     def test_low_traces_vanish(self):
         rng = random.Random(4)
         for _ in range(10):
             g = random_bipartite(rng)
-            em = build_edge_matrix(g)
-            traces = trace_powers(em, 3)
+            traces = trace_powers(g, 3)
             assert traces[1] == 0 and traces[2] == 0
             assert traces[3] == 0  # odd, bipartite
 
     def test_odd_traces_vanish(self):
-        g = tesseract()
-        traces = trace_powers(build_edge_matrix(g), 7)
+        traces = trace_powers(tesseract(), 7)
         assert traces[3] == traces[5] == traces[7] == 0
 
     def test_bigint_matches_int64(self):
-        g = complete_bipartite(4, 5)
-        em = build_edge_matrix(g)
-        assert _traces_bigint(em, 6) == _traces_int64(em, 6)
+        m = ihara_bass_matrix(complete_bipartite(4, 5))
+        assert _traces_bigint(m, 6) == _traces_int64(m, 6)
+
+    def test_guard_diverts_to_bigint(self, monkeypatch):
+        rng = random.Random(7)
+        graphs = [random_bipartite(rng) for _ in range(10)] + [tesseract()]
+        expect = [trace_power_counts(g).counts for g in graphs]
+
+        def overflow(m, max_k):
+            raise AssertionError("int64 path ran past the guard")
+
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1)
+        monkeypatch.setattr(edge_matrix, "_traces_int64", overflow)
+        assert [trace_power_counts(g).counts for g in graphs] == expect
+
+    def test_trace_route_never_builds_edge_matrix(self, monkeypatch, tmp_path,
+                                                  capsys):
+        def refuse(g):
+            raise AssertionError("trace route built A_e")
+
+        monkeypatch.setattr(edge_matrix, "build_edge_matrix", refuse)
+        assert trace_power_counts(tesseract(), max_k=4).counts == {4: 24}
+        path = tmp_path / "k34.el"
+        path.write_text(write_edge_list(complete_bipartite(3, 4)))
+        assert main(["count", "--input", str(path), "--route", "trace"]) == 0
+        assert '"4": 18' in capsys.readouterr().out
 
 
 class TestTracePowerCounts:
@@ -139,6 +194,14 @@ class TestEdgeSpectrumDirect:
     def test_dense_cap(self):
         with pytest.raises(SizeCapError):
             edge_spectrum_direct(complete_bipartite(3, 3), dense_cap=4)
+
+    def test_power_sums_match_exact_traces(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            g = random_bipartite(rng, require_cycle=False)
+            es = edge_spectrum_direct(g)
+            for k, t in trace_powers(g, 8).items():
+                assert abs(es.power_sum(k) - t) < 1e-6 * max(1, abs(t))
 
     def test_conjugation_closed(self):
         es = edge_spectrum_direct(tesseract())
