@@ -206,15 +206,12 @@ def cmd_verify(args) -> int:
 
     cross = None
     if prof.girth >= 6 and _transfer_applicable(prof):
-        if adj_spec is None:
-            adj_spec = adjacency_spectrum(g, zero_tolerance=args.zero_tol,
-                                          cluster_tolerance=args.cluster_tol)
-        if prof.girth + 4 <= 2 * prof.girth - 2:
-            cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
-            spectral = reference.counts.get(prof.girth + 4)
-            if spectral is not None and cross != spectral:
-                diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,
-                                              "spectral": spectral}
+        # transfer ran first among the candidates, so adj_spec is set
+        cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
+        spectral = reference.counts.get(prof.girth + 4)
+        if spectral is not None and cross != spectral:
+            diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,
+                                          "spectral": spectral}
 
     agreement = not diffs
     report = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from girthspec import BipartiteGraph, profile, random_biregular
 
@@ -40,3 +41,13 @@ def biregular_girth6_graphs(count: int, max_seed: int = 4000):
     if len(out) < count:
         pytest.fail(f"only found {len(out)} girth>=6 bi-regular graphs")
     return out
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Any simple bipartite graph on up to 6 + 6 nodes: irregular,
+    disconnected, with leaves, isolated nodes or no edges at all."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    cells = [(u, w) for u in range(n) for w in range(m)]
+    return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))

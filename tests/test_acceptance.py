@@ -161,7 +161,7 @@ def test_criterion_5_appendix_facts(biregular_sample):
     detail = ""
     for g in biregular_sample[:60] + [tesseract(), complete_bipartite(3, 4)]:
         spec = adjacency_spectrum(g)
-        if spec.rank != 2 * rank_of_biadjacency(g, spec.zero_tolerance):
+        if spec.rank != 2 * rank_of_biadjacency(g):
             ok, detail = False, "rank identity failed"
             break
         prof = profile(g)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestCount:
         code, _ = run_json(capsys, ["count", "--input", q4_el,
                                     "--route", "transfer"])
         assert code == 0
+
+    def test_zero_tol_swallowing_a_singular_value_exits_3(self, capsys, q4_el):
+        # the tesseract's D has singular values 4, 2 (x4), 0 (x3)
+        code, report = run_json(capsys, ["count", "--input", q4_el,
+                                         "--route", "transfer",
+                                         "--zero-tol", "2.5"])
+        assert code == 3
+        assert report["error"]["code"] == 3
+        message = report["error"]["message"]
+        assert "1 singular values of D exceed zero_tolerance = 2.5" in message
+        assert "exact rank 5" in message
+        below = re.search(r"at or below the tolerance: ([0-9.e+-]+)", message)
+        above = re.search(r"smallest above: ([0-9.e+-]+)", message)
+        assert float(below.group(1)) == pytest.approx(2.0, abs=1e-9)
+        assert float(above.group(1)) == pytest.approx(4.0, abs=1e-9)
 
 
 class TestVerify:

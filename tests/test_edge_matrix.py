@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
@@ -27,7 +26,7 @@ from girthspec.edge_matrix import (
     trace_powers,
 )
 
-from conftest import random_bipartite
+from conftest import bipartite_graphs, random_bipartite
 
 # the 8x8 directed edge matrix of the 4-cycle as printed for the
 # bipartite arc ordering (u1v1, u1v2, u2v2, u2v1, then inverses)
@@ -81,16 +80,6 @@ class TestBuildEdgeMatrix:
         for i, row in enumerate(em.rows):
             for j in row:
                 assert (i < e) != (j < e)
-
-
-@st.composite
-def bipartite_graphs(draw):
-    """Any simple bipartite graph on up to 6 + 6 nodes: irregular,
-    disconnected, with leaves, isolated nodes or no edges at all."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    cells = [(u, w) for u in range(n) for w in range(m)]
-    return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))
 
 
 class TestTracePowers:
