@@ -11,14 +11,8 @@ one row per graph plus ensemble means.
 import argparse
 from collections import defaultdict
 
-from girthspec import (
-    adjacency_spectrum,
-    counts_from_spectrum,
-    derive_edge_spectrum,
-    profile,
-    random_biregular,
-)
-from girthspec.spectral_transfer import TransferParameters
+from girthspec import counts_from_spectrum, profile, random_biregular
+from girthspec.cli import transfer_spectra
 
 
 def run(args: argparse.Namespace) -> None:
@@ -28,9 +22,8 @@ def run(args: argparse.Namespace) -> None:
         g = random_biregular(args.n, args.m, args.dv, args.dc,
                              seed=args.seed + trial)
         prof = profile(g)
-        spec = adjacency_spectrum(g)
-        params = TransferParameters.from_graph(g, spec, prof)
-        cc = counts_from_spectrum(derive_edge_spectrum(spec, params), prof.girth)
+        _, edge_spec = transfer_spectra(g, prof)
+        cc = counts_from_spectrum(edge_spec, prof.girth)
         per_girth[prof.girth] += 1
         row = " ".join(f"N_{k}={v}" for k, v in sorted(cc.counts.items()))
         print(f"seed={args.seed + trial} girth={prof.girth} {row}")

@@ -48,8 +48,8 @@ from .spectral_transfer import (
     TransferParameters,
     XiRoots,
     derive_edge_spectrum,
-    derive_with_step_totals,
     solve_transfer_quadratic,
+    transfer_inapplicable,
 )
 
 __version__ = "0.1.0"

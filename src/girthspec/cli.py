@@ -14,8 +14,18 @@ import sys
 import time
 
 from .counts import CycleCounts, Route
-from .cycle_count import brute_force_counts, counts_from_spectrum, g_plus_4_cross_check
-from .edge_matrix import DEFAULT_DIRECT_CAP, edge_spectrum_direct, trace_power_counts
+from .cycle_count import (
+    DEFAULT_BRUTE_CAP,
+    brute_force_counts,
+    counts_from_spectrum,
+    g_plus_4_cross_check,
+)
+from .edge_matrix import (
+    DEFAULT_DIRECT_CAP,
+    EdgeSpectrum,
+    edge_spectrum_direct,
+    trace_power_counts,
+)
 from .errors import (
     GirthspecError,
     NumericalError,
@@ -30,8 +40,12 @@ from .graph_core import (
     profile,
     random_biregular,
 )
-from .spectra import DEFAULT_DENSE_CAP, adjacency_spectrum
-from .spectral_transfer import TransferParameters, derive_edge_spectrum
+from .spectra import DEFAULT_DENSE_CAP, AdjacencySpectrum, adjacency_spectrum
+from .spectral_transfer import (
+    TransferParameters,
+    derive_edge_spectrum,
+    transfer_inapplicable,
+)
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -41,10 +55,9 @@ EXIT_IO = 4
 
 SCHEMA = "girthspec/1"
 
-
-def _dense_cap(default: int) -> int:
-    value = os.environ.get("GIRTHSPEC_DENSE_CAP")
-    return int(value) if value else default
+# Checked in this order; other GirthspecErrors exit with EXIT_IO.
+EXIT_CODES = ((ParseError, EXIT_IO), (NumericalError, EXIT_NUMERICAL),
+              (RouteInapplicableError, EXIT_INAPPLICABLE))
 
 
 def load_graph(path: str, fmt: str) -> tuple[BipartiteGraph, str]:
@@ -60,24 +73,6 @@ def load_graph(path: str, fmt: str) -> tuple[BipartiteGraph, str]:
     return parse_edge_list(data), "edgelist"
 
 
-def _profile_dict(g: BipartiteGraph, prof: GraphProfile) -> dict:
-    return {
-        "n": g.left_count,
-        "m": g.right_count,
-        "edges": g.edge_count,
-        "d_v": prof.d_v,
-        "d_c": prof.d_c,
-        "girth": prof.girth,
-        "connected": prof.is_connected,
-        "biregular": prof.is_biregular,
-    }
-
-
-def _transfer_applicable(prof: GraphProfile) -> bool:
-    return (prof.is_biregular and prof.is_connected and prof.girth is not None
-            and max(prof.d_v, prof.d_c) >= 3 and min(prof.d_v, prof.d_c) >= 2)
-
-
 def _spectra_dict(adj_spec, edge_spec) -> dict:
     out = {}
     if adj_spec is not None:
@@ -88,35 +83,71 @@ def _spectra_dict(adj_spec, edge_spec) -> dict:
     return out
 
 
-def run_route(route: str, g: BipartiteGraph, prof: GraphProfile,
-              args) -> tuple[CycleCounts, dict]:
-    """Run one counting route; returns counts and any spectra produced."""
-    big = 10 ** 9
-    max_k = args.max_k
-    spectra = {}
-    if route == "transfer":
-        cap = big if args.force else _dense_cap(DEFAULT_DENSE_CAP)
-        spec = adjacency_spectrum(g, zero_tolerance=args.zero_tol,
-                                  cluster_tolerance=args.cluster_tol,
-                                  dense_cap=cap)
-        params = TransferParameters.from_graph(g, spec, prof)
-        es = derive_edge_spectrum(spec, params)
-        spectra = {"adjacency": spec, "edge": es}
-        return counts_from_spectrum(es, prof.girth, max_k,
-                                    route=Route.SPECTRAL_TRANSFER), spectra
-    if route == "trace":
-        return trace_power_counts(g, max_k, prof), spectra
-    if route == "direct":
-        es = edge_spectrum_direct(
-            g, dense_cap=big if args.force else _dense_cap(DEFAULT_DIRECT_CAP))
-        spectra = {"edge": es}
-        return counts_from_spectrum(es, prof.girth, max_k,
-                                    route=Route.DIRECT_EDGE_SPECTRUM), spectra
-    if route == "brute":
-        return brute_force_counts(g, max_k if max_k else 2 * prof.girth - 2,
-                                  edge_cap=big if args.force else 200,
-                                  prof=prof), spectra
-    raise RouteInapplicableError(f"unknown route {route!r}")
+def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
+                     zero_tolerance: float | None = None,
+                     cluster_tolerance: float | None = None,
+                     dense_cap: int = DEFAULT_DENSE_CAP,
+                     ) -> tuple[AdjacencySpectrum, EdgeSpectrum]:
+    """Adjacency and edge spectra by the transfer, refusing a graph outside
+    its hypothesis before any eigenvalue work. Layer functions are called
+    through this module's names, so patching them here sees every call."""
+    reason = transfer_inapplicable(prof)
+    if reason:
+        raise RouteInapplicableError(reason)
+    spec = adjacency_spectrum(g, zero_tolerance=zero_tolerance,
+                              cluster_tolerance=cluster_tolerance,
+                              dense_cap=dense_cap)
+    params = TransferParameters.from_graph(g, spec, prof)
+    return spec, derive_edge_spectrum(spec, params)
+
+
+def _caps(args) -> dict[str, int]:
+    """Size cap of each capped route: |V| for transfer, 2|E| for direct,
+    |E| for brute. GIRTHSPEC_DENSE_CAP sets both dense caps; --force lifts
+    all three."""
+    if args.force:
+        return dict.fromkeys(("transfer", "direct", "brute"), 10 ** 9)
+    env = os.environ.get("GIRTHSPEC_DENSE_CAP")
+    return {"transfer": int(env) if env else DEFAULT_DENSE_CAP,
+            "direct": int(env) if env else DEFAULT_DIRECT_CAP,
+            "brute": DEFAULT_BRUTE_CAP}
+
+
+def _run_transfer(g, prof, args):
+    spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
+                                _caps(args)["transfer"])
+    spectra = {"adjacency": spec, "edge": es}
+    return counts_from_spectrum(es, prof.girth, args.max_k), spectra
+
+
+def _run_trace(g, prof, args):
+    return trace_power_counts(g, args.max_k, prof), {}
+
+
+def _run_direct(g, prof, args):
+    es = edge_spectrum_direct(g, dense_cap=_caps(args)["direct"])
+    return (counts_from_spectrum(es, prof.girth, args.max_k,
+                                 route=Route.DIRECT_EDGE_SPECTRUM),
+            {"edge": es})
+
+
+def _run_brute(g, prof, args):
+    return brute_force_counts(g, args.max_k or 2 * prof.girth - 2,
+                              edge_cap=_caps(args)["brute"], prof=prof), {}
+
+
+# name -> (run(g, prof, args) -> (CycleCounts, spectra),
+#          applicable(g, prof, caps) -> bool). Table order is the order
+# verify runs the routes in; the first route that runs is its reference.
+ROUTES = {
+    "transfer": (_run_transfer, lambda g, prof, caps: (
+        transfer_inapplicable(prof) is None
+        and g.node_count <= caps["transfer"])),
+    "trace": (_run_trace, lambda g, prof, caps: True),
+    "direct": (_run_direct,
+               lambda g, prof, caps: 2 * g.edge_count <= caps["direct"]),
+    "brute": (_run_brute, lambda g, prof, caps: g.edge_count <= caps["brute"]),
+}
 
 
 def _emit(report: dict, as_table: bool) -> None:
@@ -132,38 +163,53 @@ def _emit(report: dict, as_table: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _error_report(args, code: int, message: str) -> int:
-    report = {
-        "schema": SCHEMA,
-        "input": {"path": getattr(args, "input", None), "format": args.format},
-        "error": {"code": code, "message": message},
-    }
-    _emit(report, args.table)
-    return code
-
-
-def cmd_count(args) -> int:
+def _load(args) -> tuple[BipartiteGraph, str, GraphProfile]:
     g, fmt = load_graph(args.input, args.format)
     prof = profile(g)
     if prof.girth is None:
-        return _error_report(args, EXIT_INAPPLICABLE,
-                             "forest input: infinite girth, nothing to count")
-    route = args.route
-    if route == "auto":
-        route = "transfer" if _transfer_applicable(prof) else "trace"
+        raise RouteInapplicableError(
+            f"forest input: infinite girth, nothing to {args.command}")
+    return g, fmt, prof
+
+
+def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args):
+    """Run one route: its counts, its spectra and its "routes" entry."""
     t0 = time.perf_counter()
-    cc, spectra = run_route(route, g, prof, args)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = {
+    cc, spectra = ROUTES[route][0](g, prof, args)
+    return cc, spectra, {"name": route, "ms": (time.perf_counter() - t0) * 1e3}
+
+
+def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
+            timings: list[dict], cc: CycleCounts, diffs: dict) -> dict:
+    return {
         "schema": SCHEMA,
         "input": {"path": args.input, "format": fmt},
-        "profile": _profile_dict(g, prof),
-        "routes": [{"name": route, "ms": elapsed}],
+        "profile": {
+            "n": g.left_count,
+            "m": g.right_count,
+            "edges": g.edge_count,
+            "d_v": prof.d_v,
+            "d_c": prof.d_c,
+            "girth": prof.girth,
+            "connected": prof.is_connected,
+            "biregular": prof.is_biregular,
+        },
+        "routes": timings,
         "counts": {str(k): v for k, v in sorted(cc.counts.items())},
-        "agreement": {"ok": True, "diffs": {}},
+        "agreement": {"ok": not diffs, "diffs": diffs},
         "residuals": {str(k): v for k, v in sorted(cc.residuals.items())},
         "error": None,
     }
+
+
+def cmd_count(args) -> int:
+    g, fmt, prof = _load(args)
+    route = args.route
+    if route == "auto":
+        transfer_applies = ROUTES["transfer"][1](g, prof, _caps(args))
+        route = "transfer" if transfer_applies else "trace"
+    cc, spectra, timing = _timed(route, g, prof, args)
+    report = _report(args, fmt, g, prof, [timing], cc, {})
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
                                           spectra.get("edge"))
@@ -172,59 +218,35 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, fmt = load_graph(args.input, args.format)
-    prof = profile(g)
-    if prof.girth is None:
-        return _error_report(args, EXIT_INAPPLICABLE,
-                             "forest input: infinite girth, nothing to verify")
-    candidates = ["trace"]
-    if _transfer_applicable(prof):
-        candidates.insert(0, "transfer")
-    if 2 * g.edge_count <= (10 ** 9 if args.force else _dense_cap(DEFAULT_DIRECT_CAP)):
-        candidates.append("direct")
-    if g.edge_count <= (10 ** 9 if args.force else 200):
-        candidates.append("brute")
-
+    g, fmt, prof = _load(args)
+    caps = _caps(args)
     results: dict[str, CycleCounts] = {}
     timings = []
     adj_spec = None
-    for route in candidates:
-        t0 = time.perf_counter()
-        cc, spectra = run_route(route, g, prof, args)
-        timings.append({"name": route, "ms": (time.perf_counter() - t0) * 1e3})
-        results[route] = cc
-        if "adjacency" in spectra:
-            adj_spec = spectra["adjacency"]
+    for route, (_, applicable) in ROUTES.items():
+        if applicable(g, prof, caps):
+            results[route], spectra, timing = _timed(route, g, prof, args)
+            timings.append(timing)
+            adj_spec = spectra.get("adjacency", adj_spec)
 
     ks = sorted(set().union(*(cc.counts for cc in results.values())))
     diffs: dict[str, dict[str, int]] = {}
-    reference = results[candidates[0]]
+    reference = next(iter(results.values()))
     for k in ks:
         values = {r: cc.counts.get(k) for r, cc in results.items()}
         if len(set(values.values())) > 1:
             diffs[str(k)] = values
 
     cross = None
-    if prof.girth >= 6 and _transfer_applicable(prof):
-        # transfer ran first among the candidates, so adj_spec is set
+    if prof.girth >= 6 and "transfer" in results:
         cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
         spectral = reference.counts.get(prof.girth + 4)
         if spectral is not None and cross != spectral:
             diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,
                                           "spectral": spectral}
 
-    agreement = not diffs
-    report = {
-        "schema": SCHEMA,
-        "input": {"path": args.input, "format": fmt},
-        "profile": _profile_dict(g, prof),
-        "routes": timings,
-        "counts": {str(k): reference.counts[k] for k in reference.counts},
-        "agreement": {"ok": agreement, "diffs": diffs},
-        "residuals": {str(k): v for k, v in sorted(reference.residuals.items())},
-        "cross_check_g_plus_4": cross,
-        "error": None,
-    }
+    report = _report(args, fmt, g, prof, timings, reference, diffs)
+    report["cross_check_g_plus_4"] = cross
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(adj_spec, None)
     _emit(report, args.table)
@@ -235,7 +257,7 @@ def cmd_verify(args) -> int:
             row = f"{k:<4} " + "  ".join(
                 f"{results[r].counts.get(k, '-')!s:>10}" for r in results)
             print(row)
-    return EXIT_OK if agreement else EXIT_DISAGREE
+    return EXIT_DISAGREE if diffs else EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -250,14 +272,11 @@ def cmd_bench(args) -> int:
         g = random_biregular(n, m, d_v, d_c, seed=args.seed)
         prof = profile(g)
 
-        if _transfer_applicable(prof):
+        t_transfer = "n/a"
+        if transfer_inapplicable(prof) is None:
             t0 = time.perf_counter()
-            spec = adjacency_spectrum(g, dense_cap=10 ** 9)
-            params = TransferParameters.from_graph(g, spec, prof)
-            derive_edge_spectrum(spec, params)
+            transfer_spectra(g, prof, dense_cap=10 ** 9)
             t_transfer = f"{(time.perf_counter() - t0) * 1e3:.3f}"
-        else:
-            t_transfer = "n/a"
 
         t0 = time.perf_counter()
         edge_spectrum_direct(g, dense_cap=10 ** 9)
@@ -291,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count short cycles via one route")
     add_common(p_count)
     p_count.add_argument("--route",
-                         choices=["auto", "transfer", "trace", "direct", "brute"],
+                         choices=["auto", *ROUTES],
                          default="auto")
     p_count.set_defaults(func=cmd_count)
 
@@ -316,24 +335,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        if hasattr(args, "format"):
-            return _error_report(args, EXIT_IO, str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericalError as exc:
-        if hasattr(args, "format"):
-            return _error_report(args, EXIT_NUMERICAL, str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RouteInapplicableError as exc:
-        if hasattr(args, "format"):
-            return _error_report(args, EXIT_INAPPLICABLE, str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
     except GirthspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = next((c for kind, c in EXIT_CODES if isinstance(exc, kind)), None)
+        if code is None or not hasattr(args, "format"):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO if code is None else code
+        _emit({"schema": SCHEMA,
+               "input": {"path": args.input, "format": args.format},
+               "error": {"code": code, "message": str(exc)}}, args.table)
+        return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .counts import CycleCounts, Route
+from .counts import CycleCounts, Route, cycle_window_end
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, GraphProfile, profile
@@ -27,6 +27,7 @@ __all__ = [
     "g_plus_4_cross_check",
 ]
 
+DEFAULT_BRUTE_CAP = 200  # cap on |E| for the DFS enumeration
 RESIDUAL_TOL = 1e-4
 IMAG_RTOL = 1e-6
 
@@ -39,14 +40,7 @@ def counts_from_spectrum(es: EdgeSpectrum, girth: int, max_k: int | None = None,
     imaginary part must be relatively tiny; anything else is reported as a
     numerical failure rather than rounded over.
     """
-    if max_k is None:
-        max_k = 2 * girth - 2
-    if max_k % 2 or max_k < girth or girth % 2:
-        raise RouteInapplicableError(f"need even girth <= max_k, got g={girth}, "
-                                     f"max_k={max_k}")
-    if max_k > 2 * girth - 2:
-        raise RouteInapplicableError(
-            f"max_k={max_k} exceeds 2g-2={2 * girth - 2}")
+    max_k = cycle_window_end(girth, max_k)
     if es.total % 2:
         raise NumericalError("edge spectrum size must be even (2|E|)")
 
@@ -72,7 +66,8 @@ def counts_from_spectrum(es: EdgeSpectrum, girth: int, max_k: int | None = None,
                        residuals=residuals)
 
 
-def brute_force_counts(g: BipartiteGraph, max_k: int, edge_cap: int = 200,
+def brute_force_counts(g: BipartiteGraph, max_k: int,
+                       edge_cap: int = DEFAULT_BRUTE_CAP,
                        prof: GraphProfile | None = None) -> CycleCounts:
     """Exact cycle counts by canonical-rooted DFS enumeration.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import CycleCounts, Route
+from .counts import CycleCounts, Route, cycle_window_end
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, GraphProfile, profile
 
@@ -193,14 +193,7 @@ def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
     if prof.girth is None:
         raise RouteInapplicableError("forest input: no cycles to count")
     girth = prof.girth
-    if max_k is None:
-        max_k = 2 * girth - 2
-    if max_k % 2 or max_k < girth:
-        raise RouteInapplicableError(f"max_k={max_k} must be even and >= girth {girth}")
-    if max_k > 2 * girth - 2:
-        raise RouteInapplicableError(
-            f"max_k={max_k} exceeds 2g-2={2 * girth - 2}: TBC walks no longer "
-            "coincide with cycles at length 2g")
+    max_k = cycle_window_end(girth, max_k)
 
     traces = trace_powers(g, max_k)
     counts = {}

@@ -31,12 +31,27 @@ __all__ = [
     "XiRoots",
     "solve_transfer_quadratic",
     "derive_edge_spectrum",
-    "derive_with_step_totals",
+    "transfer_inapplicable",
 ]
 
 XI_ONE_TOL = 1e-6          # |xi - 1| below this means the excluded root
 LAMBDA_MAX_TOL = 1e-5      # cross-check |lambda^2 - d_v d_c| for that root
 VIETA_RTOL = 1e-9
+
+
+def transfer_inapplicable(prof: GraphProfile) -> str | None:
+    """Why the transfer cannot run on a graph with this profile, or None.
+    It needs a connected (d_v, d_c)-regular graph with d_v <= d_c sorted,
+    q1 = d_v - 1 >= 1 and q2 = d_c - 1 >= 2."""
+    if not prof.is_biregular:
+        return "graph is not bi-regular"
+    if not prof.is_connected:
+        return "graph is not connected"
+    d_v, d_c = sorted((prof.d_v, prof.d_c))
+    if d_c < 3 or d_v < 2:
+        return (f"degrees (d_v={d_v}, d_c={d_c}) outside the q2 >= 2, q1 >= 1 "
+                "hypothesis; use the trace route instead")
+    return None
 
 
 @dataclass(frozen=True)
@@ -61,20 +76,15 @@ class TransferParameters:
                    prof: GraphProfile | None = None) -> "TransferParameters":
         if prof is None:
             prof = profile(g)
-        if not prof.is_biregular:
-            raise RouteInapplicableError("graph is not bi-regular")
-        if not prof.is_connected:
-            raise RouteInapplicableError("graph is not connected")
+        reason = transfer_inapplicable(prof)
+        if reason:
+            raise RouteInapplicableError(reason)
         d_v, d_c = prof.d_v, prof.d_c
         n, m = g.left_count, g.right_count
         if d_v > d_c:
             d_v, d_c = d_c, d_v
             n, m = m, n
         q1, q2 = d_v - 1, d_c - 1
-        if q2 < 2 or q1 < 1:
-            raise RouteInapplicableError(
-                f"degrees (d_v={d_v}, d_c={d_c}) outside the q2 >= 2, q1 >= 1 "
-                "hypothesis; use the trace route instead")
         if spec.total != n + m:
             raise NumericalError("spectrum size disagrees with |V|")
         if spec.rank % 2:
@@ -127,14 +137,6 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
     total 2|E| are asserted, so a corrupted input spectrum cannot pass
     silently.
     """
-    return derive_with_step_totals(spec, params)[0]
-
-
-def derive_with_step_totals(
-        spec: AdjacencySpectrum,
-        params: TransferParameters) -> tuple[EdgeSpectrum, tuple[int, int, int]]:
-    """Like :func:`derive_edge_spectrum` but also reports the per-step
-    eigenvalue totals (quadratic roots, lambda = 0 roots, +/- 1)."""
     d_prod = (params.q1 + 1) * (params.q2 + 1)  # d_v * d_c
     entries: list[tuple[complex, int]] = []
 
@@ -188,9 +190,7 @@ def derive_with_step_totals(
             f"derived spectrum has {total} eigenvalues, expected "
             f"{2 * params.edge_count}")
 
-    merged = _merge_equal(entries)
-    spectrum = EdgeSpectrum(eigenvalues=tuple(merged), total=total)
-    return spectrum, (step1, step2, 2 * cyclomatic)
+    return EdgeSpectrum(eigenvalues=tuple(_merge_equal(entries)), total=total)
 
 
 def _merge_equal(entries: list[tuple[complex, int]],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -41,6 +42,20 @@ def biregular_girth6_graphs(count: int, max_seed: int = 4000):
     if len(out) < count:
         pytest.fail(f"only found {len(out)} girth>=6 bi-regular graphs")
     return out
+
+
+def step_totals(es, prof) -> tuple[int, int, int]:
+    """Eigenvalue totals of a transferred edge spectrum per transfer step:
+    (quadratic roots, lambda = 0 roots +/- i sqrt(q), +/- 1).
+
+    A quadratic root equals +/- i sqrt(q) only if lambda = 0 and +/- 1 only
+    if lambda^2 = d_v d_c, both excluded from step 1, so steps 2 and 3 can
+    be read off by value and step 1 is the rest of es.total = 2|E|.
+    """
+    s3 = es.multiplicity_of(1.0) + es.multiplicity_of(-1.0)
+    s2 = sum(es.multiplicity_of(sign * 1j * math.sqrt(d - 1))
+             for d in {prof.d_v, prof.d_c} for sign in (1, -1))
+    return es.total - s2 - s3, s2, s3
 
 
 @st.composite

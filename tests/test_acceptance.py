@@ -10,12 +10,9 @@ import time
 import pytest
 
 from girthspec import (
-    adjacency_spectrum,
     brute_force_counts,
     complete_bipartite,
     counts_from_spectrum,
-    derive_edge_spectrum,
-    derive_with_step_totals,
     edge_spectrum_direct,
     g_plus_4_cross_check,
     multiset_matching_distance,
@@ -26,9 +23,9 @@ from girthspec import (
     trace_power_counts,
     tree_walk_count,
 )
-from girthspec.spectral_transfer import TransferParameters
+from girthspec.cli import transfer_spectra
 
-from conftest import biregular_girth6_graphs, random_bipartite
+from conftest import biregular_girth6_graphs, random_bipartite, step_totals
 
 RESIDUAL_TOL = 1e-4
 MATCH_TOL = 1e-5
@@ -42,9 +39,7 @@ def announce(num: int, ok: bool, detail: str = "") -> None:
 
 
 def transfer_pipeline(g, prof=None):
-    spec = adjacency_spectrum(g)
-    params = TransferParameters.from_graph(g, spec, prof)
-    return spec, derive_edge_spectrum(spec, params)
+    return transfer_spectra(g, profile(g) if prof is None else prof)
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +112,9 @@ def test_criterion_3_step_bookkeeping(biregular_sample):
     ok = True
     detail = ""
     for g in biregular_sample:
-        spec = adjacency_spectrum(g)
-        params = TransferParameters.from_graph(g, spec)
-        es, (s1, s2, s3) = derive_with_step_totals(spec, params)
+        prof = profile(g)
+        spec, es = transfer_pipeline(g, prof)
+        s1, s2, s3 = step_totals(es, prof)
         e, v = g.edge_count, g.node_count
         expect = (2 * v - 2 * spec.nullity - 2, 2 * spec.nullity, 2 * e - 2 * v + 2)
         if (s1, s2, s3) != expect or s1 + s2 + s3 != 2 * e:
@@ -160,15 +155,10 @@ def test_criterion_5_appendix_facts(biregular_sample):
     ok = True
     detail = ""
     for g in biregular_sample[:60] + [tesseract(), complete_bipartite(3, 4)]:
-        spec = adjacency_spectrum(g)
+        spec, es = transfer_pipeline(g)
         if spec.rank != 2 * rank_of_biadjacency(g):
             ok, detail = False, "rank identity failed"
             break
-        prof = profile(g)
-        if not prof.is_biregular:
-            continue
-        params = TransferParameters.from_graph(g, spec, prof)
-        es = derive_edge_spectrum(spec, params)
         cyclomatic = g.edge_count - g.node_count + 1
         if es.multiplicity_of(1.0) != cyclomatic or \
                 es.multiplicity_of(-1.0) != cyclomatic:

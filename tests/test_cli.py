@@ -1,17 +1,22 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from girthspec import (
     BipartiteGraph,
     complete_bipartite,
+    profile,
     random_biregular,
     tesseract,
     write_alist,
     write_edge_list,
 )
 from girthspec.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.fixture
@@ -35,6 +40,20 @@ def irregular_el(tmp_path):
     path = tmp_path / "irregular.el"
     path.write_text(write_edge_list(g))
     return str(path)
+
+
+@pytest.fixture
+def girth6_el(tmp_path):
+    """A random (2,3)-regular graph with girth >= 6, and its girth."""
+    seed = 0
+    while True:
+        g = random_biregular(9, 6, 2, 3, seed=seed)
+        if (gi := profile(g).girth) is not None and gi >= 6:
+            break
+        seed += 1
+    path = tmp_path / "g6.el"
+    path.write_text(write_edge_list(g))
+    return str(path), gi
 
 
 def run_json(capsys, argv):
@@ -65,6 +84,16 @@ class TestCount:
                                          "--route", "transfer"])
         assert code == 2
         assert "bi-regular" in report["error"]["message"]
+
+    def test_transfer_refuses_before_the_svd(self, capsys, irregular_el,
+                                             monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("adjacency spectrum computed")
+        monkeypatch.setattr("girthspec.cli.adjacency_spectrum", no_spectrum)
+        code, report = run_json(capsys, ["count", "--input", irregular_el,
+                                         "--route", "transfer"])
+        assert code == 2
+        assert report["error"]["message"] == "graph is not bi-regular"
 
     def test_auto_falls_back_to_trace(self, capsys, irregular_el):
         code, report = run_json(capsys, ["count", "--input", irregular_el,
@@ -123,6 +152,14 @@ class TestCount:
                                     "--route", "transfer"])
         assert code == 0
 
+    def test_auto_falls_back_to_trace_over_the_dense_cap(self, capsys, q4_el,
+                                                         monkeypatch):
+        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 16
+        code, report = run_json(capsys, ["count", "--input", q4_el])
+        assert code == 0
+        assert report["routes"][0]["name"] == "trace"
+        assert report["counts"]["4"] == 24
+
     def test_zero_tol_swallowing_a_singular_value_exits_3(self, capsys, q4_el):
         # the tesseract's D has singular values 4, 2 (x4), 0 (x3)
         code, report = run_json(capsys, ["count", "--input", q4_el,
@@ -154,19 +191,27 @@ class TestVerify:
         code, report = run_json(capsys, ["verify", "--input", str(path)])
         assert code == 0 and report["agreement"]["ok"]
 
-    def test_girth6_includes_cross_check(self, capsys, tmp_path):
-        seed = 0
-        from girthspec import profile
-        while True:
-            g = random_biregular(9, 6, 2, 3, seed=seed)
-            if (gi := profile(g).girth) is not None and gi >= 6:
-                break
-            seed += 1
-        path = tmp_path / "g6.el"
-        path.write_text(write_edge_list(g))
-        code, report = run_json(capsys, ["verify", "--input", str(path)])
+    def test_girth6_includes_cross_check(self, capsys, girth6_el):
+        path, gi = girth6_el
+        code, report = run_json(capsys, ["verify", "--input", path])
         assert code == 0
         assert report["cross_check_g_plus_4"] == report["counts"][str(gi + 4)]
+
+    def test_skips_transfer_over_the_dense_cap(self, capsys, q4_el,
+                                               monkeypatch):
+        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 16, 2|E| = 64
+        code, report = run_json(capsys, ["verify", "--input", q4_el])
+        assert code == 0 and report["agreement"]["ok"]
+        assert [r["name"] for r in report["routes"]] == ["trace", "brute"]
+        assert report["counts"]["4"] == 24
+
+    def test_no_cross_check_without_transfer(self, capsys, girth6_el,
+                                             monkeypatch):
+        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 15
+        code, report = run_json(capsys, ["verify", "--input", girth6_el[0]])
+        assert code == 0 and report["agreement"]["ok"]
+        assert "transfer" not in {r["name"] for r in report["routes"]}
+        assert report["cross_check_g_plus_4"] is None
 
     def test_corrupted_input_fixture(self, capsys, tmp_path):
         # edge list whose declared shape cannot parse
@@ -194,3 +239,34 @@ class TestBench:
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
         assert out[1].split(",")[3] == "n/a"
+
+    def test_infeasible_size_exits_2(self, capsys):
+        code = main(["bench", "--dv", "3", "--dc", "6", "--sizes", "13"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "infeasible family member" in captured.err
+        assert "{" not in captured.out  # no JSON report
+
+
+class TestTracedLayers:
+    """The benchmark's traced pass times layers by patching module
+    attributes; a renamed binding would silently drop its layer."""
+
+    @pytest.fixture(scope="class")
+    def tracing(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                      TRACING)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_layer_has_a_target(self, tracing):
+        for metric, targets in tracing.LAYER_TARGETS.items():
+            assert any(tracing._resolve(t) for t in targets), metric
+
+    def test_every_cli_target_resolves(self, tracing):
+        cli_targets = [t for targets in tracing.LAYER_TARGETS.values()
+                       for t in targets if t.startswith("girthspec.cli:")]
+        assert cli_targets
+        for target in cli_targets:
+            assert tracing._resolve(target) is not None, target

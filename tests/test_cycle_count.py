@@ -16,7 +16,6 @@ from girthspec import (
     complete_bipartite,
     complete_bipartite_closed_form,
     counts_from_spectrum,
-    derive_edge_spectrum,
     edge_spectrum_direct,
     even_cycle,
     g_plus_4_cross_check,
@@ -26,18 +25,16 @@ from girthspec import (
     trace_power_counts,
     tree_walk_count,
 )
+from girthspec.cli import transfer_spectra
 from girthspec.edge_matrix import EdgeSpectrum
-from girthspec.spectral_transfer import TransferParameters
 
 from conftest import biregular_girth6_graphs, random_bipartite
 
 
 def transfer_counts(g, prof=None):
-    spec = adjacency_spectrum(g)
-    params = TransferParameters.from_graph(g, spec, prof)
-    es = derive_edge_spectrum(spec, params)
-    girth = profile(g).girth if prof is None else prof.girth
-    return counts_from_spectrum(es, girth)
+    prof = profile(g) if prof is None else prof
+    _, es = transfer_spectra(g, prof)
+    return counts_from_spectrum(es, prof.girth)
 
 
 class TestCountsFromSpectrum:
@@ -60,6 +57,16 @@ class TestCountsFromSpectrum:
         es = edge_spectrum_direct(complete_bipartite(3, 3))
         with pytest.raises(RouteInapplicableError):
             counts_from_spectrum(es, girth=4, max_k=8)
+
+    @pytest.mark.parametrize("max_k", [2, 5, 8])
+    def test_window_check_shared_with_trace(self, max_k):
+        g = complete_bipartite(3, 3)
+        es = edge_spectrum_direct(g)
+        with pytest.raises(RouteInapplicableError) as spectral:
+            counts_from_spectrum(es, girth=4, max_k=max_k)
+        with pytest.raises(RouteInapplicableError) as trace:
+            trace_power_counts(g, max_k=max_k)
+        assert str(spectral.value) == str(trace.value)
 
     def test_residual_gate(self):
         # a spectrum that cannot produce integers: single eigenvalue pair

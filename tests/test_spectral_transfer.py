@@ -11,7 +11,6 @@ from girthspec import (
     adjacency_spectrum,
     complete_bipartite,
     derive_edge_spectrum,
-    derive_with_step_totals,
     edge_spectrum_direct,
     even_cycle,
     multiset_matching_distance,
@@ -20,12 +19,16 @@ from girthspec import (
     solve_transfer_quadratic,
     tesseract,
 )
+from girthspec.cli import transfer_spectra
 from girthspec.spectral_transfer import TransferParameters
+
+from conftest import step_totals
 
 
 def params_for(g):
-    spec = adjacency_spectrum(g)
-    return spec, TransferParameters.from_graph(g, spec)
+    """Adjacency spectrum, edge spectrum and transfer parameters of g."""
+    spec, es = transfer_spectra(g, profile(g))
+    return spec, es, TransferParameters.from_graph(g, spec)
 
 
 def root_set(roots, digits=9):
@@ -37,7 +40,7 @@ class TestTransferParameters:
     def test_side_swap_normalization(self):
         # left side has the larger degree; sides must swap so q2 >= q1
         g = complete_bipartite(3, 4)  # left degree 4, right degree 3
-        spec, params = params_for(g)
+        _, _, params = params_for(g)
         assert params.q2 >= params.q1
         assert params.n * (params.q1 + 1) == params.edge_count
         assert params.m * (params.q2 + 1) == params.edge_count
@@ -65,24 +68,24 @@ class TestTransferParameters:
 
 class TestTransferQuadratic:
     def test_extreme_eigenvalue_gives_one_and_q1q2(self):
-        _, params = params_for(complete_bipartite(3, 4))
+        _, _, params = params_for(complete_bipartite(3, 4))
         lam = -math.sqrt((params.q1 + 1) * (params.q2 + 1))
         assert root_set(solve_transfer_quadratic(lam, params)) == {
             complex(1.0), complex(params.q1 * params.q2)}
 
     def test_zero_gives_minus_q1_minus_q2(self):
-        _, params = params_for(complete_bipartite(3, 4))
+        _, _, params = params_for(complete_bipartite(3, 4))
         assert root_set(solve_transfer_quadratic(0.0, params)) == {
             complex(-params.q1), complex(-params.q2)}
 
     def test_tesseract_complex_pair(self):
-        _, params = params_for(tesseract())
+        _, _, params = params_for(tesseract())
         roots = root_set(solve_transfer_quadratic(-2.0, params), digits=9)
         expect = {complex(-1.0, 2 * math.sqrt(2)), complex(-1.0, -2 * math.sqrt(2))}
         assert all(min(abs(r - e) for e in expect) < 1e-9 for r in roots)
 
     def test_vieta_holds_over_lambda_range(self):
-        _, params = params_for(random_biregular(8, 6, 3, 4, seed=1))
+        _, _, params = params_for(random_biregular(8, 6, 3, 4, seed=1))
         for lam in (-3.3, -2.0, -1.0, -0.5, 0.0, 1.7):
             roots = solve_transfer_quadratic(lam, params)
             assert abs(roots.xi1 * roots.xi2 - params.q1 * params.q2) < 1e-9
@@ -98,8 +101,7 @@ class TestDeriveEdgeSpectrum:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 4), (5, 3), (7, 6)])
     def test_complete_bipartite_closed_form_spectrum(self, m, n):
         g = complete_bipartite(m, n)
-        spec, params = params_for(g)
-        es = derive_edge_spectrum(spec, params)
+        _, es, _ = params_for(g)
         got = spectrum_as_dict(es)
         r = round(math.sqrt((m - 1) * (n - 1)), 6)
         expect = {
@@ -115,9 +117,9 @@ class TestDeriveEdgeSpectrum:
         assert got == expect
 
     def test_tesseract_exact(self):
-        spec, params = params_for(tesseract())
-        es, steps = derive_with_step_totals(spec, params)
-        assert steps == (18, 12, 34)
+        g = tesseract()
+        _, es, _ = params_for(g)
+        assert step_totals(es, profile(g)) == (18, 12, 34)
         got = spectrum_as_dict(es)
         s = round(2 * math.sqrt(2), 6)
         xi_pos = cmath.sqrt(complex(-1, 2 * math.sqrt(2)))
@@ -139,15 +141,13 @@ class TestDeriveEdgeSpectrum:
     def test_total_is_two_edge_count(self):
         for seed in range(5):
             g = random_biregular(8, 6, 3, 4, seed=seed)
-            spec, params = params_for(g)
-            es = derive_edge_spectrum(spec, params)
+            _, es, _ = params_for(g)
             assert es.total == 2 * g.edge_count
             assert sum(m for _, m in es.eigenvalues) == es.total
 
     def test_symmetric_and_conjugation_closed(self):
         g = random_biregular(10, 6, 3, 5, seed=0)
-        spec, params = params_for(g)
-        es = derive_edge_spectrum(spec, params)
+        _, es, _ = params_for(g)
         d = spectrum_as_dict(es)
         for v, m in d.items():
             assert d.get(-v) == m
@@ -156,8 +156,7 @@ class TestDeriveEdgeSpectrum:
     def test_plus_one_multiplicity_is_cyclomatic(self):
         for seed in range(5):
             g = random_biregular(9, 6, 2, 3, seed=seed)
-            spec, params = params_for(g)
-            es = derive_edge_spectrum(spec, params)
+            _, es, _ = params_for(g)
             assert es.multiplicity_of(1.0) == g.edge_count - g.node_count + 1
 
     @pytest.mark.parametrize("n,m,dv,dc,seed", [
@@ -166,23 +165,21 @@ class TestDeriveEdgeSpectrum:
     ])
     def test_oracle_equivalence(self, n, m, dv, dc, seed):
         g = random_biregular(n, m, dv, dc, seed=seed)
-        spec, params = params_for(g)
-        es = derive_edge_spectrum(spec, params)
+        _, es, _ = params_for(g)
         direct = edge_spectrum_direct(g)
         tol = 1e-5 * max(1.0, es.max_abs())
         assert multiset_matching_distance(es, direct) < tol
 
     def test_odd_power_sums_vanish(self):
         g = random_biregular(8, 6, 3, 4, seed=9)
-        spec, params = params_for(g)
-        es = derive_edge_spectrum(spec, params)
+        _, es, _ = params_for(g)
         scale = max(es.max_abs(), 1.0)
         for k in (1, 3, 5, 7):
             assert abs(es.power_sum(k)) < 1e-6 * scale ** k * es.total
 
     def test_corrupted_spectrum_fails_loudly(self):
         g = complete_bipartite(3, 4)
-        spec, params = params_for(g)
+        spec, _, params = params_for(g)
         # tamper with the negative eigenvalue's multiplicity: step 1 must notice
         bad = spec.__class__(
             eigenvalues=spec.eigenvalues[:-1] + ((spec.eigenvalues[-1][0], 2),),
