@@ -88,11 +88,10 @@ def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
                      cluster_tolerance: float | None = None,
                      dense_cap: int = DEFAULT_DENSE_CAP,
                      ) -> tuple[AdjacencySpectrum, EdgeSpectrum]:
-    """Adjacency and edge spectra by the transfer, refusing a graph outside
-    its hypothesis before any eigenvalue work. Layer functions are called
-    through this module's names, so patching them here sees every call."""
-    reason = transfer_inapplicable(prof)
-    if reason:
+    """Adjacency and edge spectra by the transfer; a graph outside its hypothesis
+    is refused before any eigenvalue work. Layers are called by this module's
+    names, so patching them here sees every call."""
+    if reason := transfer_inapplicable(prof):
         raise RouteInapplicableError(reason)
     spec = adjacency_spectrum(g, zero_tolerance=zero_tolerance,
                               cluster_tolerance=cluster_tolerance,
@@ -102,9 +101,8 @@ def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
 
 
 def _caps(args) -> dict[str, int]:
-    """Size cap of each capped route: |V| for transfer, 2|E| for direct,
-    |E| for brute. GIRTHSPEC_DENSE_CAP sets both dense caps; --force lifts
-    all three."""
+    """Size cap of each capped route: |V| for transfer, 2|E| for direct, |E|
+    for brute. GIRTHSPEC_DENSE_CAP sets both dense caps; --force lifts all."""
     if args.force:
         return dict.fromkeys(("transfer", "direct", "brute"), 10 ** 9)
     env = os.environ.get("GIRTHSPEC_DENSE_CAP")
@@ -113,39 +111,37 @@ def _caps(args) -> dict[str, int]:
             "brute": DEFAULT_BRUTE_CAP}
 
 
-def _run_transfer(g, prof, args):
+def _run_transfer(g, prof, args, caps):
     spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
-                                _caps(args)["transfer"])
-    spectra = {"adjacency": spec, "edge": es}
-    return counts_from_spectrum(es, prof.girth, args.max_k), spectra
+                                caps["transfer"])
+    return (counts_from_spectrum(es, prof.girth, args.max_k),
+            {"adjacency": spec, "edge": es})
 
 
-def _run_trace(g, prof, args):
+def _run_trace(g, prof, args, caps):
     return trace_power_counts(g, args.max_k, prof), {}
 
 
-def _run_direct(g, prof, args):
-    es = edge_spectrum_direct(g, dense_cap=_caps(args)["direct"])
+def _run_direct(g, prof, args, caps):
+    es = edge_spectrum_direct(g, dense_cap=caps["direct"])
     return (counts_from_spectrum(es, prof.girth, args.max_k,
                                  route=Route.DIRECT_EDGE_SPECTRUM),
             {"edge": es})
 
 
-def _run_brute(g, prof, args):
+def _run_brute(g, prof, args, caps):
     return brute_force_counts(g, args.max_k or 2 * prof.girth - 2,
-                              edge_cap=_caps(args)["brute"], prof=prof), {}
+                              edge_cap=caps["brute"], prof=prof), {}
 
 
-# name -> (run(g, prof, args) -> (CycleCounts, spectra),
+# name -> (run(g, prof, args, caps) -> (CycleCounts, spectra),
 #          applicable(g, prof, caps) -> bool). Table order is the order
 # verify runs the routes in; the first route that runs is its reference.
 ROUTES = {
     "transfer": (_run_transfer, lambda g, prof, caps: (
-        transfer_inapplicable(prof) is None
-        and g.node_count <= caps["transfer"])),
+        transfer_inapplicable(prof) is None and g.node_count <= caps["transfer"])),
     "trace": (_run_trace, lambda g, prof, caps: True),
-    "direct": (_run_direct,
-               lambda g, prof, caps: 2 * g.edge_count <= caps["direct"]),
+    "direct": (_run_direct, lambda g, prof, caps: 2 * g.edge_count <= caps["direct"]),
     "brute": (_run_brute, lambda g, prof, caps: g.edge_count <= caps["brute"]),
 }
 
@@ -172,10 +168,11 @@ def _load(args) -> tuple[BipartiteGraph, str, GraphProfile]:
     return g, fmt, prof
 
 
-def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args):
+def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args,
+           caps: dict[str, int]):
     """Run one route: its counts, its spectra and its "routes" entry."""
     t0 = time.perf_counter()
-    cc, spectra = ROUTES[route][0](g, prof, args)
+    cc, spectra = ROUTES[route][0](g, prof, args, caps)
     return cc, spectra, {"name": route, "ms": (time.perf_counter() - t0) * 1e3}
 
 
@@ -204,11 +201,10 @@ def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
 
 def cmd_count(args) -> int:
     g, fmt, prof = _load(args)
-    route = args.route
+    caps, route = _caps(args), args.route
     if route == "auto":
-        transfer_applies = ROUTES["transfer"][1](g, prof, _caps(args))
-        route = "transfer" if transfer_applies else "trace"
-    cc, spectra, timing = _timed(route, g, prof, args)
+        route = "transfer" if ROUTES["transfer"][1](g, prof, caps) else "trace"
+    cc, spectra, timing = _timed(route, g, prof, args, caps)
     report = _report(args, fmt, g, prof, [timing], cc, {})
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
@@ -225,7 +221,7 @@ def cmd_verify(args) -> int:
     adj_spec = None
     for route, (_, applicable) in ROUTES.items():
         if applicable(g, prof, caps):
-            results[route], spectra, timing = _timed(route, g, prof, args)
+            results[route], spectra, timing = _timed(route, g, prof, args, caps)
             timings.append(timing)
             adj_spec = spectra.get("adjacency", adj_spec)
 
@@ -251,12 +247,10 @@ def cmd_verify(args) -> int:
         report["spectra"] = _spectra_dict(adj_spec, None)
     _emit(report, args.table)
     if args.table:
-        header = "k    " + "  ".join(f"{r:>10}" for r in results)
-        print(header)
+        print("k    " + "  ".join(f"{r:>10}" for r in results))
         for k in ks:
-            row = f"{k:<4} " + "  ".join(
-                f"{results[r].counts.get(k, '-')!s:>10}" for r in results)
-            print(row)
+            print(f"{k:<4} " + "  ".join(
+                f"{results[r].counts.get(k, '-')!s:>10}" for r in results))
     return EXIT_DISAGREE if diffs else EXIT_OK
 
 

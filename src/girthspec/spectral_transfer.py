@@ -76,8 +76,7 @@ class TransferParameters:
                    prof: GraphProfile | None = None) -> "TransferParameters":
         if prof is None:
             prof = profile(g)
-        reason = transfer_inapplicable(prof)
-        if reason:
+        if reason := transfer_inapplicable(prof):
             raise RouteInapplicableError(reason)
         d_v, d_c = prof.d_v, prof.d_c
         n, m = g.left_count, g.right_count

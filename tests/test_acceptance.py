@@ -4,11 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.
 """
 
-import json
-import os
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -197,14 +193,6 @@ def test_criterion_6_tree_walk_cross_check():
 
 
 def test_criterion_7_complexity_ladder():
-    ratios = _single_threaded_ladder()
-    ok = ratios[0] < ratios[1] < ratios[2]
-    announce(7, ok, "ratios " + ", ".join(f"{r:.1f}" for r in ratios))
-
-
-def ladder_ratios() -> list[float]:
-    """t_direct / t_transfer on random (3,6) graphs with |V| = 96, 192, 384,
-    each the least CPU time of three calls."""
     ratios = []
     for total_nodes in (96, 192, 384):
         m = total_nodes // 3
@@ -217,36 +205,14 @@ def ladder_ratios() -> list[float]:
         t_direct = min(_time_once(lambda: edge_spectrum_direct(g, dense_cap=10 ** 9))
                        for _ in range(3))
         ratios.append(t_direct / t_transfer)
-    return ratios
-
-
-def _single_threaded_ladder() -> list[float]:
-    """:func:`ladder_ratios` in a child interpreter whose BLAS runs on one
-    thread, so that its CPU time is the work of the call itself. The
-    thread count is fixed when numpy loads, hence the child. Wall-clock
-    timings of threaded eigensolves swing with whatever else holds the
-    cores: on a 2-vCPU host with one core kept busy, the ratio at
-    |V| = 192 ran from 6.9 to 28.6 and the order failed 2 runs in 10.
-    Single-threaded CPU time held the order in 26 runs of 26, idle and
-    with one or both cores kept busy (ratio at 192: 7.9 to 13.1)."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in sys.path
-                                          if p))
-    code = ("import json, test_acceptance; "
-            "print(json.dumps(test_acceptance.ladder_ratios()))")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         cwd=os.path.dirname(os.path.abspath(__file__)),
-                         capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
+    ok = ratios[0] < ratios[1] < ratios[2]
+    announce(7, ok, "ratios " + ", ".join(f"{r:.1f}" for r in ratios))
 
 
 def _time_once(fn):
-    """CPU seconds one call spends in this process."""
-    t0 = time.process_time()
+    t0 = time.perf_counter()
     fn()
-    return time.process_time() - t0
+    return time.perf_counter() - t0
 
 
 def test_criterion_8_numerical_hygiene(biregular_sample):
