@@ -6,7 +6,7 @@ the adjacency spectrum via a quadratic eigenvalue transfer. Brute-force
 and closed-form oracles are included for verification.
 """
 
-from .counts import CycleCounts, Route
+from .counts import CycleCounts
 from .cycle_count import (
     brute_force_counts,
     complete_bipartite_closed_form,

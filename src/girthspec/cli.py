@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from .counts import CycleCounts, Route
+from .counts import CycleCounts, cycle_window_end
 from .cycle_count import (
     DEFAULT_BRUTE_CAP,
     brute_force_counts,
@@ -100,50 +99,39 @@ def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
     return spec, derive_edge_spectrum(spec, params)
 
 
-def _caps(args) -> dict[str, int]:
-    """Size cap of each capped route: |V| for transfer, 2|E| for direct, |E|
-    for brute. GIRTHSPEC_DENSE_CAP sets both dense caps; --force lifts all."""
-    if args.force:
-        return dict.fromkeys(("transfer", "direct", "brute"), 10 ** 9)
-    env = os.environ.get("GIRTHSPEC_DENSE_CAP")
-    return {"transfer": int(env) if env else DEFAULT_DENSE_CAP,
-            "direct": int(env) if env else DEFAULT_DIRECT_CAP,
-            "brute": DEFAULT_BRUTE_CAP}
+def _cap(args, cap: int) -> int:
+    """A route's size cap, lifted by --force."""
+    return 10 ** 9 if args.force else cap
 
 
-def _run_transfer(g, prof, args, caps):
+def _run_transfer(g, prof, args):
     spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
-                                caps["transfer"])
+                                _cap(args, DEFAULT_DENSE_CAP))
     return (counts_from_spectrum(es, prof.girth, args.max_k),
             {"adjacency": spec, "edge": es})
 
 
-def _run_trace(g, prof, args, caps):
+def _run_trace(g, prof, args):
     return trace_power_counts(g, args.max_k, prof), {}
 
 
-def _run_direct(g, prof, args, caps):
-    es = edge_spectrum_direct(g, dense_cap=caps["direct"])
-    return (counts_from_spectrum(es, prof.girth, args.max_k,
-                                 route=Route.DIRECT_EDGE_SPECTRUM),
-            {"edge": es})
+def _run_direct(g, prof, args):
+    es = edge_spectrum_direct(g, dense_cap=_cap(args, DEFAULT_DIRECT_CAP))
+    return counts_from_spectrum(es, prof.girth, args.max_k), {"edge": es}
 
 
-def _run_brute(g, prof, args, caps):
-    return brute_force_counts(g, args.max_k or 2 * prof.girth - 2,
-                              edge_cap=caps["brute"], prof=prof), {}
+def _run_brute(g, prof, args):
+    max_k = 2 * prof.girth - 2 if args.max_k is None else args.max_k
+    return brute_force_counts(g, max_k, edge_cap=_cap(args, DEFAULT_BRUTE_CAP),
+                              prof=prof), {}
 
 
-# name -> (run(g, prof, args, caps) -> (CycleCounts, spectra),
-#          applicable(g, prof, caps) -> bool). Table order is the order
-# verify runs the routes in; the first route that runs is its reference.
-ROUTES = {
-    "transfer": (_run_transfer, lambda g, prof, caps: (
-        transfer_inapplicable(prof) is None and g.node_count <= caps["transfer"])),
-    "trace": (_run_trace, lambda g, prof, caps: True),
-    "direct": (_run_direct, lambda g, prof, caps: 2 * g.edge_count <= caps["direct"]),
-    "brute": (_run_brute, lambda g, prof, caps: g.edge_count <= caps["brute"]),
-}
+# name -> run(g, prof, args) -> (CycleCounts, spectra). A route that cannot
+# take a graph raises RouteInapplicableError before any work. Table order is
+# the order verify runs the routes in; the first route that runs is its
+# reference.
+ROUTES = {"transfer": _run_transfer, "trace": _run_trace,
+          "direct": _run_direct, "brute": _run_brute}
 
 
 def _emit(report: dict, as_table: bool) -> None:
@@ -168,11 +156,10 @@ def _load(args) -> tuple[BipartiteGraph, str, GraphProfile]:
     return g, fmt, prof
 
 
-def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args,
-           caps: dict[str, int]):
+def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args):
     """Run one route: its counts, its spectra and its "routes" entry."""
     t0 = time.perf_counter()
-    cc, spectra = ROUTES[route][0](g, prof, args, caps)
+    cc, spectra = ROUTES[route](g, prof, args)
     return cc, spectra, {"name": route, "ms": (time.perf_counter() - t0) * 1e3}
 
 
@@ -201,10 +188,13 @@ def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
 
 def cmd_count(args) -> int:
     g, fmt, prof = _load(args)
-    caps, route = _caps(args), args.route
-    if route == "auto":
-        route = "transfer" if ROUTES["transfer"][1](g, prof, caps) else "trace"
-    cc, spectra, timing = _timed(route, g, prof, args, caps)
+    route = "transfer" if args.route == "auto" else args.route
+    try:
+        cc, spectra, timing = _timed(route, g, prof, args)
+    except RouteInapplicableError:
+        if args.route != "auto":
+            raise
+        cc, spectra, timing = _timed("trace", g, prof, args)
     report = _report(args, fmt, g, prof, [timing], cc, {})
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
@@ -215,15 +205,19 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     g, fmt, prof = _load(args)
-    caps = _caps(args)
+    # up front, so that a refusal below is the route's own: brute has no
+    # window and would otherwise count alone
+    cycle_window_end(prof.girth, args.max_k)
     results: dict[str, CycleCounts] = {}
     timings = []
     adj_spec = None
-    for route, (_, applicable) in ROUTES.items():
-        if applicable(g, prof, caps):
-            results[route], spectra, timing = _timed(route, g, prof, args, caps)
-            timings.append(timing)
-            adj_spec = spectra.get("adjacency", adj_spec)
+    for route in ROUTES:
+        try:
+            results[route], spectra, timing = _timed(route, g, prof, args)
+        except RouteInapplicableError:
+            continue
+        timings.append(timing)
+        adj_spec = spectra.get("adjacency", adj_spec)
 
     ks = sorted(set().union(*(cc.counts for cc in results.values())))
     diffs: dict[str, dict[str, int]] = {}
@@ -234,7 +228,8 @@ def cmd_verify(args) -> int:
             diffs[str(k)] = values
 
     cross = None
-    if prof.girth >= 6 and "transfer" in results:
+    if (prof.girth >= 6 and "transfer" in results
+            and prof.girth + 2 in reference.counts):
         cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
         spectral = reference.counts.get(prof.girth + 4)
         if spectral is not None and cross != spectral:
@@ -266,11 +261,12 @@ def cmd_bench(args) -> int:
         g = random_biregular(n, m, d_v, d_c, seed=args.seed)
         prof = profile(g)
 
-        t_transfer = "n/a"
-        if transfer_inapplicable(prof) is None:
+        try:
             t0 = time.perf_counter()
             transfer_spectra(g, prof, dense_cap=10 ** 9)
             t_transfer = f"{(time.perf_counter() - t0) * 1e3:.3f}"
+        except RouteInapplicableError:
+            t_transfer = "n/a"
 
         t0 = time.perf_counter()
         edge_spectrum_direct(g, dense_cap=10 ** 9)
@@ -292,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zero-tol", type=float, default=None, dest="zero_tol")
         p.add_argument("--cluster-tol", type=float, default=None,
                        dest="cluster_tol")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--emit-spectra", action="store_true")
         p.add_argument("--force", action="store_true",
                        help="lift dense/enumeration size caps")

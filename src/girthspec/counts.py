@@ -3,19 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import RouteInapplicableError
 
-__all__ = ["Route", "CycleCounts", "cycle_window_end"]
-
-
-class Route(str, Enum):
-    SPECTRAL_TRANSFER = "transfer"
-    TRACE_POWER = "trace"
-    DIRECT_EDGE_SPECTRUM = "direct"
-    BRUTE_FORCE = "brute"
-    CLOSED_FORM = "closed_form"
+__all__ = ["CycleCounts", "cycle_window_end"]
 
 
 @dataclass(frozen=True)
@@ -28,7 +19,6 @@ class CycleCounts:
 
     girth: int
     counts: dict[int, int]
-    route: Route
     residuals: dict[int, float] = field(default_factory=dict)
 
 

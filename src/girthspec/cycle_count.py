@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .counts import CycleCounts, Route, cycle_window_end
+from .counts import CycleCounts, cycle_window_end
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, GraphProfile, profile
@@ -19,7 +19,6 @@ from .spectra import AdjacencySpectrum
 
 __all__ = [
     "CycleCounts",
-    "Route",
     "counts_from_spectrum",
     "brute_force_counts",
     "complete_bipartite_closed_form",
@@ -32,8 +31,8 @@ RESIDUAL_TOL = 1e-4
 IMAG_RTOL = 1e-6
 
 
-def counts_from_spectrum(es: EdgeSpectrum, girth: int, max_k: int | None = None,
-                         route: Route = Route.SPECTRAL_TRANSFER) -> CycleCounts:
+def counts_from_spectrum(es: EdgeSpectrum, girth: int,
+                         max_k: int | None = None) -> CycleCounts:
     """N_k = sum eta_i^k / (2k) for even k in [girth, max_k].
 
     The raw value must land within RESIDUAL_TOL of an integer and its
@@ -62,8 +61,7 @@ def counts_from_spectrum(es: EdgeSpectrum, girth: int, max_k: int | None = None,
             raise NumericalError(f"N_{k} rounded to a negative value {nearest}")
         counts[k] = int(nearest)
         residuals[k] = residual
-    return CycleCounts(girth=girth, counts=counts, route=route,
-                       residuals=residuals)
+    return CycleCounts(girth=girth, counts=counts, residuals=residuals)
 
 
 def brute_force_counts(g: BipartiteGraph, max_k: int,
@@ -109,7 +107,7 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         if raw[k] % 2:
             raise NumericalError("cycle enumeration parity broken")
         counts[k] = raw[k] // 2
-    return CycleCounts(girth=prof.girth, counts=counts, route=Route.BRUTE_FORCE)
+    return CycleCounts(girth=prof.girth, counts=counts)
 
 
 def complete_bipartite_closed_form(m: int, n: int, k: int) -> int:

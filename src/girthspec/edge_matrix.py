@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import CycleCounts, Route, cycle_window_end
+from .counts import CycleCounts, cycle_window_end
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, GraphProfile, profile
 
@@ -202,7 +202,7 @@ def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
         if t % (2 * k):
             raise NumericalError(f"tr(A_e^{k}) = {t} is not divisible by 2k")
         counts[k] = t // (2 * k)
-    return CycleCounts(girth=girth, counts=counts, route=Route.TRACE_POWER)
+    return CycleCounts(girth=girth, counts=counts)
 
 
 def _cluster_complex(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,30 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_json_calls(capsys, argv):
+    """run_json, plus the (file name, function name) of every Python
+    function the run entered."""
+    calls = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            calls.add((Path(frame.f_code.co_filename).name,
+                       frame.f_code.co_name))
+    sys.setprofile(record)
+    try:
+        code, report = run_json(capsys, argv)
+    finally:
+        sys.setprofile(None)
+    return code, report, calls
+
+
+def reached(calls):
+    """Which of the SVD, the XY eigensolve and the brute DFS a run entered."""
+    names = {name for _, name in calls}
+    return {"svd": "svd" in names, "eigvals": "eigvals" in names,
+            "dfs": ("cycle_count.py", "extend") in calls}
 
 
 class TestCount:
@@ -143,22 +168,48 @@ class TestCount:
         assert "N_4 = 18" in out
 
     def test_dense_cap_env(self, capsys, q4_el, monkeypatch):
-        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "4")
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 4)
         code, report = run_json(capsys, ["count", "--input", q4_el,
                                          "--route", "transfer"])
         assert code == 2
-        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "8000")
         code, _ = run_json(capsys, ["count", "--input", q4_el,
-                                    "--route", "transfer"])
+                                    "--route", "transfer", "--force"])
         assert code == 0
 
     def test_auto_falls_back_to_trace_over_the_dense_cap(self, capsys, q4_el,
                                                          monkeypatch):
-        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 16
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 16
         code, report = run_json(capsys, ["count", "--input", q4_el])
         assert code == 0
         assert report["routes"][0]["name"] == "trace"
         assert report["counts"]["4"] == 24
+
+    def test_auto_refuses_transfer_before_the_svd(self, capsys, q4_el,
+                                                  irregular_el, monkeypatch):
+        _, _, calls = run_json_calls(capsys, ["count", "--input", q4_el])
+        assert reached(calls)["svd"]  # the probe sees the SVD when it runs
+        _, report, calls = run_json_calls(capsys, ["count", "--input",
+                                                   irregular_el])
+        assert report["routes"][0]["name"] == "trace"
+        assert not reached(calls)["svd"]
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)
+        _, report, calls = run_json_calls(capsys, ["count", "--input", q4_el])
+        assert report["routes"][0]["name"] == "trace"
+        assert not reached(calls)["svd"]
+
+    @pytest.mark.parametrize("route", ["auto", "transfer", "trace", "direct",
+                                       "brute"])
+    def test_max_k_zero_exits_2(self, capsys, k34_alist, route):
+        code, report = run_json(capsys, ["count", "--input", k34_alist,
+                                         "--route", route, "--max-k", "0"])
+        assert code == 2
+        assert "max_k=0" in report["error"]["message"]
+
+    def test_brute_counts_past_the_window(self, capsys, k34_alist):
+        code, report = run_json(capsys, ["count", "--input", k34_alist,
+                                         "--route", "brute", "--max-k", "8"])
+        assert code == 0
+        assert report["counts"] == {"4": 18, "6": 24, "8": 0}  # 7 nodes
 
     def test_zero_tol_swallowing_a_singular_value_exits_3(self, capsys, q4_el):
         # the tesseract's D has singular values 4, 2 (x4), 0 (x3)
@@ -199,7 +250,8 @@ class TestVerify:
 
     def test_skips_transfer_over_the_dense_cap(self, capsys, q4_el,
                                                monkeypatch):
-        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 16, 2|E| = 64
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 16
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DIRECT_CAP", 10)  # 2|E| = 64
         code, report = run_json(capsys, ["verify", "--input", q4_el])
         assert code == 0 and report["agreement"]["ok"]
         assert [r["name"] for r in report["routes"]] == ["trace", "brute"]
@@ -207,11 +259,40 @@ class TestVerify:
 
     def test_no_cross_check_without_transfer(self, capsys, girth6_el,
                                              monkeypatch):
-        monkeypatch.setenv("GIRTHSPEC_DENSE_CAP", "10")  # |V| = 15
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 15
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DIRECT_CAP", 10)  # 2|E| = 36
         code, report = run_json(capsys, ["verify", "--input", girth6_el[0]])
         assert code == 0 and report["agreement"]["ok"]
         assert "transfer" not in {r["name"] for r in report["routes"]}
         assert report["cross_check_g_plus_4"] is None
+
+    def test_cross_check_needs_n_g_plus_2(self, capsys, girth6_el):
+        path, gi = girth6_el
+        code, report = run_json(capsys, ["verify", "--input", path,
+                                         "--max-k", str(gi)])
+        assert code == 0 and report["agreement"]["ok"]
+        assert [r["name"] for r in report["routes"]] == [
+            "transfer", "trace", "direct", "brute"]
+        assert list(report["counts"]) == [str(gi)]
+        assert report["cross_check_g_plus_4"] is None
+
+    def test_bad_max_k_exits_2_before_any_route(self, capsys, q4_el):
+        # brute has no window; it must not count alone
+        code, report = run_json(capsys, ["verify", "--input", q4_el,
+                                         "--max-k", "0"])
+        assert code == 2
+        assert "max_k=0" in report["error"]["message"]
+
+    def test_refused_routes_do_no_work(self, capsys, q4_el, monkeypatch):
+        _, _, calls = run_json_calls(capsys, ["verify", "--input", q4_el])
+        assert reached(calls) == {"svd": True, "eigvals": True, "dfs": True}
+        monkeypatch.setattr("girthspec.cli.DEFAULT_DIRECT_CAP", 10)
+        monkeypatch.setattr("girthspec.cli.DEFAULT_BRUTE_CAP", 10)
+        code, report, calls = run_json_calls(capsys, ["verify", "--input",
+                                                      q4_el])
+        assert code == 0 and report["agreement"]["ok"]
+        assert [r["name"] for r in report["routes"]] == ["transfer", "trace"]
+        assert reached(calls) == {"svd": True, "eigvals": False, "dfs": False}
 
     def test_corrupted_input_fixture(self, capsys, tmp_path):
         # edge list whose declared shape cannot parse

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from girthspec import (
     BipartiteGraph,
     NumericalError,
-    Route,
     RouteInapplicableError,
     SizeCapError,
     adjacency_spectrum,
@@ -73,10 +72,6 @@ class TestCountsFromSpectrum:
         es = EdgeSpectrum(eigenvalues=((complex(1.1), 1), (complex(-1.1), 1)), total=2)
         with pytest.raises(NumericalError, match="residual"):
             counts_from_spectrum(es, girth=4, max_k=4)
-
-    def test_route_annotation(self):
-        cc = transfer_counts(complete_bipartite(3, 4))
-        assert cc.route is Route.SPECTRAL_TRANSFER
 
 
 class TestBruteForce:
@@ -179,8 +174,7 @@ class TestGPlus4CrossCheck:
     def test_needs_lower_counts(self):
         for g, prof in biregular_girth6_graphs(1):
             cc = transfer_counts(g, prof)
-            partial = type(cc)(girth=cc.girth, counts={prof.girth: cc.counts[prof.girth]},
-                               route=cc.route)
+            partial = type(cc)(girth=cc.girth, counts={prof.girth: cc.counts[prof.girth]})
             with pytest.raises(RouteInapplicableError, match="N_g"):
                 g_plus_4_cross_check(g, adjacency_spectrum(g), partial)
 
@@ -193,8 +187,7 @@ class TestRouteAgreement:
             prof = profile(g)
             a = transfer_counts(g, prof).counts
             b = trace_power_counts(g).counts
-            c = counts_from_spectrum(edge_spectrum_direct(g), prof.girth,
-                                     route=Route.DIRECT_EDGE_SPECTRUM).counts
+            c = counts_from_spectrum(edge_spectrum_direct(g), prof.girth).counts
             d = brute_force_counts(g, max_k=max(a)).counts
             assert a == b == c == {k: d[k] for k in a}
 
