@@ -2,7 +2,7 @@
 """Cycle-count statistics over an ensemble of random bi-regular graphs.
 
 For each seed, samples a connected (d_v, d_c)-regular bipartite graph,
-counts cycles of length g .. 2g-2 through the transfer route, and prints
+counts cycles of length g .. 2g-2 by the exact transfer, and prints
 one row per graph plus ensemble means.
 
     python3 scripts/count_random_ensemble.py --n 30 --m 20 --dv 2 --dc 3 --trials 50
@@ -11,8 +11,7 @@ one row per graph plus ensemble means.
 import argparse
 from collections import defaultdict
 
-from girthspec import counts_from_spectrum, profile, random_biregular
-from girthspec.cli import transfer_spectra
+from girthspec import profile, random_biregular, transfer_counts
 
 
 def run(args: argparse.Namespace) -> None:
@@ -22,8 +21,7 @@ def run(args: argparse.Namespace) -> None:
         g = random_biregular(args.n, args.m, args.dv, args.dc,
                              seed=args.seed + trial)
         prof = profile(g)
-        _, edge_spec = transfer_spectra(g, prof)
-        cc = counts_from_spectrum(edge_spec, prof.girth)
+        cc = transfer_counts(g, prof=prof)
         per_girth[prof.girth] += 1
         row = " ".join(f"N_{k}={v}" for k, v in sorted(cc.counts.items()))
         print(f"seed={args.seed + trial} girth={prof.girth} {row}")

@@ -1,8 +1,8 @@
 """Short-cycle counting in bipartite graphs.
 
-Counts cycles of length g through 2g-2 either directly from the directed
-edge (non-backtracking) matrix or, for connected bi-regular graphs, from
-the adjacency spectrum via a quadratic eigenvalue transfer. Brute-force
+Counts cycles of length g through 2g-2 exactly, from traces of the directed
+edge (non-backtracking) matrix or, for bi-regular graphs, from the paper's
+quadratic eigenvalue transfer taken to integer traces of D^T D. Brute-force
 and closed-form oracles are included for verification.
 """
 
@@ -49,6 +49,7 @@ from .spectral_transfer import (
     XiRoots,
     derive_edge_spectrum,
     solve_transfer_quadratic,
+    transfer_counts,
     transfer_inapplicable,
 )
 

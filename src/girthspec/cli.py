@@ -1,4 +1,4 @@
-"""Command-line front end: count, verify, and bench subcommands.
+"""Command-line front end: count and verify subcommands.
 
 JSON output follows the stable "girthspec/1" schema. Exit codes:
 0 ok, 1 verification disagreement, 2 route inapplicable, 3 numerical
@@ -37,12 +37,12 @@ from .graph_core import (
     parse_alist,
     parse_edge_list,
     profile,
-    random_biregular,
 )
 from .spectra import DEFAULT_DENSE_CAP, AdjacencySpectrum, adjacency_spectrum
 from .spectral_transfer import (
     TransferParameters,
     derive_edge_spectrum,
+    transfer_counts,
     transfer_inapplicable,
 )
 
@@ -105,9 +105,21 @@ def _cap(args, cap: int) -> int:
 
 
 def _run_transfer(g, prof, args):
-    spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
-                                _cap(args, DEFAULT_DENSE_CAP))
-    return (counts_from_spectrum(es, prof.girth, args.max_k),
+    """Exact counts; for --emit-spectra and verify also the float spectra."""
+    cc = transfer_counts(g, args.max_k, prof)
+    if not (args.emit_spectra or args.command == "verify"):
+        return cc, {}
+    try:
+        spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
+                                    _cap(args, DEFAULT_DENSE_CAP))
+    except RouteInapplicableError:
+        return cc, {}
+    floats = counts_from_spectrum(es, prof.girth, args.max_k)
+    for k, exact in cc.counts.items():
+        if floats.counts[k] != exact:
+            raise NumericalError(f"N_{k}: float transfer gives "
+                                 f"{floats.counts[k]}, exact transfer {exact}")
+    return (CycleCounts(cc.girth, cc.counts, floats.residuals),
             {"adjacency": spec, "edge": es})
 
 
@@ -116,6 +128,7 @@ def _run_trace(g, prof, args):
 
 
 def _run_direct(g, prof, args):
+    cycle_window_end(prof.girth, args.max_k)  # before the eigensolve
     es = edge_spectrum_direct(g, dense_cap=_cap(args, DEFAULT_DIRECT_CAP))
     return counts_from_spectrum(es, prof.girth, args.max_k), {"edge": es}
 
@@ -228,7 +241,7 @@ def cmd_verify(args) -> int:
             diffs[str(k)] = values
 
     cross = None
-    if (prof.girth >= 6 and "transfer" in results
+    if (prof.girth >= 6 and adj_spec is not None
             and prof.girth + 2 in reference.counts):
         cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
         spectral = reference.counts.get(prof.girth + 4)
@@ -249,32 +262,6 @@ def cmd_verify(args) -> int:
     return EXIT_DISAGREE if diffs else EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    d_v, d_c = args.dv, args.dc
-    print("n,m,edges,t_transfer_ms,t_direct_ms")
-    for n in sizes:
-        if (n * d_v) % d_c:
-            raise RouteInapplicableError(
-                f"infeasible family member: {n}*{d_v} not divisible by {d_c}")
-        m = n * d_v // d_c
-        g = random_biregular(n, m, d_v, d_c, seed=args.seed)
-        prof = profile(g)
-
-        try:
-            t0 = time.perf_counter()
-            transfer_spectra(g, prof, dense_cap=10 ** 9)
-            t_transfer = f"{(time.perf_counter() - t0) * 1e3:.3f}"
-        except RouteInapplicableError:
-            t_transfer = "n/a"
-
-        t0 = time.perf_counter()
-        edge_spectrum_direct(g, dense_cap=10 ** 9)
-        t_direct = f"{(time.perf_counter() - t0) * 1e3:.3f}"
-        print(f"{n},{m},{g.edge_count},{t_transfer},{t_direct}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="girthspec",
                                      description=__doc__.splitlines()[0])
@@ -285,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["alist", "edgelist", "auto"],
                        default="auto")
         p.add_argument("--max-k", type=int, default=None, dest="max_k")
-        p.add_argument("--zero-tol", type=float, default=None, dest="zero_tol")
-        p.add_argument("--cluster-tol", type=float, default=None,
-                       dest="cluster_tol")
+        for flag in ("--zero-tol", "--cluster-tol"):
+            p.add_argument(flag, type=float, default=None,
+                           help="float transfer only (--emit-spectra, verify)")
         p.add_argument("--emit-spectra", action="store_true")
         p.add_argument("--force", action="store_true",
                        help="lift dense/enumeration size caps")
@@ -308,14 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench",
-                             help="time transfer vs direct on a random family")
-    p_bench.add_argument("--dv", type=int, required=True)
-    p_bench.add_argument("--dc", type=int, required=True)
-    p_bench.add_argument("--sizes", required=True,
-                         help="comma-separated left-side sizes")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

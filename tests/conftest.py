@@ -8,7 +8,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from girthspec import BipartiteGraph, profile, random_biregular
+from girthspec import (
+    BipartiteGraph,
+    complete_bipartite,
+    even_cycle,
+    profile,
+    random_biregular,
+)
 
 
 def random_bipartite(rng: random.Random, max_side: int = 8,
@@ -66,3 +72,37 @@ def bipartite_graphs(draw):
     m = draw(st.integers(1, 6))
     cells = [(u, w) for u in range(n) for w in range(m)]
     return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:
+    """The graphs side by side, left sides joined and right sides joined."""
+    edges, n, m = set(), 0, 0
+    for g in graphs:
+        edges |= {(n + u, m + w) for u, w in g.edges}
+        n, m = n + g.left_count, m + g.right_count
+    return BipartiteGraph(n, m, frozenset(edges))
+
+
+# (left degree, right degree); the left side has the larger degree in some
+BIREGULAR_DEGREES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4),
+                     (4, 3)]
+
+
+@st.composite
+def biregular_graphs(draw):
+    """Bi-regular graphs, often disconnected: a disjoint union of one to
+    three components of the same degrees, each an even cycle, a K_{m,n} or
+    a random connected bi-regular graph."""
+    d_left, d_right = draw(st.sampled_from(BIREGULAR_DEGREES))
+    kinds = ["complete", "random"] + (["cycle"] if d_left == d_right == 2 else [])
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "cycle":
+            parts.append(even_cycle(2 * draw(st.integers(2, 7))))
+        elif kind == "complete":
+            parts.append(complete_bipartite(d_right, d_left))
+        else:
+            t = draw(st.integers(1, 3))
+            parts.append(random_biregular(d_right * t, d_left * t, d_left,
+                                          d_right, seed=draw(st.integers(0, 999))))
+    return disjoint_union(*parts)

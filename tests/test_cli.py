@@ -8,14 +8,19 @@ import pytest
 
 from girthspec import (
     BipartiteGraph,
+    CycleCounts,
     complete_bipartite,
+    even_cycle,
     profile,
     random_biregular,
     tesseract,
     write_alist,
     write_edge_list,
 )
+from girthspec import cli
 from girthspec.cli import main
+
+from conftest import disjoint_union
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -168,34 +173,83 @@ class TestCount:
         assert "N_4 = 18" in out
 
     def test_dense_cap_env(self, capsys, q4_el, monkeypatch):
+        # the |V| cap bounds the float pipeline only: over it, transfer
+        # still counts exactly and gives no spectra
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 4)
         code, report = run_json(capsys, ["count", "--input", q4_el,
-                                         "--route", "transfer"])
-        assert code == 2
-        code, _ = run_json(capsys, ["count", "--input", q4_el,
-                                    "--route", "transfer", "--force"])
+                                         "--route", "transfer",
+                                         "--emit-spectra"])
         assert code == 0
+        assert report["counts"] == {"4": 24, "6": 128}
+        assert report["spectra"] == {} and report["residuals"] == {}
+        code, report = run_json(capsys, ["count", "--input", q4_el,
+                                         "--route", "transfer",
+                                         "--emit-spectra", "--force"])
+        assert code == 0
+        assert sum(e["mult"] for e in report["spectra"]["edge"]) == 64
 
     def test_auto_falls_back_to_trace_over_the_dense_cap(self, capsys, q4_el,
                                                          monkeypatch):
+        # the exact transfer has no |V| cap, so auto stays on transfer
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 16
         code, report = run_json(capsys, ["count", "--input", q4_el])
         assert code == 0
-        assert report["routes"][0]["name"] == "trace"
+        assert report["routes"][0]["name"] == "transfer"
         assert report["counts"]["4"] == 24
 
     def test_auto_refuses_transfer_before_the_svd(self, capsys, q4_el,
                                                   irregular_el, monkeypatch):
-        _, _, calls = run_json_calls(capsys, ["count", "--input", q4_el])
+        _, _, calls = run_json_calls(capsys, ["count", "--input", q4_el,
+                                              "--emit-spectra"])
         assert reached(calls)["svd"]  # the probe sees the SVD when it runs
         _, report, calls = run_json_calls(capsys, ["count", "--input",
                                                    irregular_el])
         assert report["routes"][0]["name"] == "trace"
         assert not reached(calls)["svd"]
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)
-        _, report, calls = run_json_calls(capsys, ["count", "--input", q4_el])
-        assert report["routes"][0]["name"] == "trace"
+        _, report, calls = run_json_calls(capsys, ["count", "--input", q4_el,
+                                                   "--emit-spectra"])
+        assert report["routes"][0]["name"] == "transfer"
+        assert report["spectra"] == {}
         assert not reached(calls)["svd"]
+
+    @pytest.mark.parametrize("route", ["auto", "transfer"])
+    def test_counting_skips_the_float_pipeline(self, capsys, q4_el, route):
+        code, report, calls = run_json_calls(capsys, ["count", "--input",
+                                                      q4_el, "--route", route])
+        assert code == 0
+        assert report["routes"][0]["name"] == "transfer"
+        assert report["counts"] == {"4": 24, "6": 128}
+        assert report["residuals"] == {}
+        assert not reached(calls)["svd"]
+        assert ("spectra.py", "rank_of_biadjacency") not in calls
+        _, report, calls = run_json_calls(capsys, ["count", "--input", q4_el,
+                                                   "--route", route,
+                                                   "--emit-spectra"])
+        assert report["counts"] == {"4": 24, "6": 128}
+        assert set(report["residuals"]) == {"4", "6"}
+        assert ("spectra.py", "rank_of_biadjacency") in calls
+
+    def test_counts_graphs_the_float_pipeline_refuses(self, capsys, tmp_path):
+        path = tmp_path / "c8c12.el"
+        path.write_text(write_edge_list(disjoint_union(even_cycle(8),
+                                                       even_cycle(12))))
+        code, report = run_json(capsys, ["count", "--input", str(path),
+                                         "--emit-spectra"])
+        assert code == 0
+        assert report["routes"][0]["name"] == "transfer"
+        assert report["counts"] == {"8": 1, "10": 0, "12": 1, "14": 0}
+        assert report["spectra"] == {}
+
+    @pytest.mark.parametrize("route,argv,work", [
+        ("direct", [], "eigvals"), ("transfer", ["--emit-spectra"], "svd")])
+    def test_bad_window_refused_before_eigenvalue_work(self, capsys, q4_el,
+                                                       route, argv, work):
+        code, report, calls = run_json_calls(capsys, [
+            "count", "--input", q4_el, "--route", route, "--max-k", "0", *argv])
+        assert code == 2
+        assert "max_k=0" in report["error"]["message"]
+        assert not reached(calls)[work]
 
     @pytest.mark.parametrize("route", ["auto", "transfer", "trace", "direct",
                                        "brute"])
@@ -215,7 +269,7 @@ class TestCount:
         # the tesseract's D has singular values 4, 2 (x4), 0 (x3)
         code, report = run_json(capsys, ["count", "--input", q4_el,
                                          "--route", "transfer",
-                                         "--zero-tol", "2.5"])
+                                         "--emit-spectra", "--zero-tol", "2.5"])
         assert code == 3
         assert report["error"]["code"] == 3
         message = report["error"]["message"]
@@ -254,7 +308,9 @@ class TestVerify:
         monkeypatch.setattr("girthspec.cli.DEFAULT_DIRECT_CAP", 10)  # 2|E| = 64
         code, report = run_json(capsys, ["verify", "--input", q4_el])
         assert code == 0 and report["agreement"]["ok"]
-        assert [r["name"] for r in report["routes"]] == ["trace", "brute"]
+        # the cap refuses the float pipeline only; the exact transfer runs
+        assert [r["name"] for r in report["routes"]] == ["transfer", "trace",
+                                                         "brute"]
         assert report["counts"]["4"] == 24
 
     def test_no_cross_check_without_transfer(self, capsys, girth6_el,
@@ -263,8 +319,10 @@ class TestVerify:
         monkeypatch.setattr("girthspec.cli.DEFAULT_DIRECT_CAP", 10)  # 2|E| = 36
         code, report = run_json(capsys, ["verify", "--input", girth6_el[0]])
         assert code == 0 and report["agreement"]["ok"]
-        assert "transfer" not in {r["name"] for r in report["routes"]}
+        # the exact transfer runs; the cross-check needs the float spectrum
+        assert "transfer" in {r["name"] for r in report["routes"]}
         assert report["cross_check_g_plus_4"] is None
+        assert report["residuals"] == {}
 
     def test_cross_check_needs_n_g_plus_2(self, capsys, girth6_el):
         path, gi = girth6_el
@@ -302,31 +360,37 @@ class TestVerify:
         assert code == 4
 
 
-class TestBench:
-    def test_csv_output(self, capsys):
-        code = main(["bench", "--dv", "3", "--dc", "6", "--sizes", "12,24",
-                     "--seed", "1"])
-        out = capsys.readouterr().out.strip().splitlines()
-        assert code == 0
-        assert out[0] == "n,m,edges,t_transfer_ms,t_direct_ms"
-        assert len(out) == 3
-        n, m, e, t1, t2 = out[1].split(",")
-        assert (n, m, e) == ("12", "6", "36")
-        float(t1), float(t2)  # both columns populated
+class TestFloatGate:
+    """verify and --emit-spectra run the float pipeline, whose counts must
+    equal the exact transfer's."""
 
-    def test_dv_two_family_marks_na(self, capsys):
-        code = main(["bench", "--dv", "2", "--dc", "2", "--sizes", "6",
-                     "--seed", "0"])
-        out = capsys.readouterr().out.strip().splitlines()
-        assert code == 0
-        assert out[1].split(",")[3] == "n/a"
+    @pytest.mark.parametrize("argv", [["verify"], ["count", "--emit-spectra"]])
+    def test_float_disagreement_exits_3(self, capsys, q4_el, monkeypatch,
+                                        argv):
+        real = cli.counts_from_spectrum
 
-    def test_infeasible_size_exits_2(self, capsys):
-        code = main(["bench", "--dv", "3", "--dc", "6", "--sizes", "13"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "infeasible family member" in captured.err
-        assert "{" not in captured.out  # no JSON report
+        def off_by_one(es, girth, max_k=None):
+            cc = real(es, girth, max_k)
+            return CycleCounts(girth, {**cc.counts, girth: cc.counts[girth] + 1},
+                               cc.residuals)
+
+        monkeypatch.setattr("girthspec.cli.counts_from_spectrum", off_by_one)
+        code, report = run_json(capsys, [argv[0], "--input", q4_el, *argv[1:]])
+        assert code == 3
+        assert report["error"]["code"] == 3
+        assert report["error"]["message"] == (
+            "N_4: float transfer gives 25, exact transfer 24")
+
+    def test_verify_covers_graphs_the_float_pipeline_refuses(self, capsys,
+                                                             tmp_path):
+        path = tmp_path / "c8.el"
+        path.write_text(write_edge_list(even_cycle(8)))
+        code, report = run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 0 and report["agreement"]["ok"]
+        assert [r["name"] for r in report["routes"]] == [
+            "transfer", "trace", "direct", "brute"]
+        assert report["cross_check_g_plus_4"] is None
+        assert report["counts"] == {"8": 1, "10": 0, "12": 0, "14": 0}
 
 
 class TestTracedLayers:

@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 
 from girthspec import (
     BipartiteGraph,
@@ -10,6 +13,7 @@ from girthspec import (
     RouteInapplicableError,
     adjacency_spectrum,
     complete_bipartite,
+    counts_from_spectrum,
     derive_edge_spectrum,
     edge_spectrum_direct,
     even_cycle,
@@ -18,11 +22,19 @@ from girthspec import (
     random_biregular,
     solve_transfer_quadratic,
     tesseract,
+    transfer_counts,
 )
+from girthspec import spectral_transfer
 from girthspec.cli import transfer_spectra
-from girthspec.spectral_transfer import TransferParameters
+from girthspec.edge_matrix import trace_powers
+from girthspec.spectral_transfer import TransferParameters, _gram_traces
 
-from conftest import step_totals
+from conftest import (
+    biregular_graphs,
+    disjoint_union,
+    random_bipartite,
+    step_totals,
+)
 
 
 def params_for(g):
@@ -187,3 +199,144 @@ class TestDeriveEdgeSpectrum:
             zero_tolerance=spec.zero_tolerance)
         with pytest.raises(NumericalError):
             derive_edge_spectrum(bad, params)
+
+
+def trace_counts(g):
+    """N_k = tr(A_e^k) / 2k at every even k in [g, 2g - 2], from the
+    Ihara-Bass traces of the trace route."""
+    girth = profile(g).girth
+    traces = trace_powers(g, 2 * girth - 2)
+    assert all(traces[k] % (2 * k) == 0 for k in range(girth, 2 * girth - 1, 2))
+    return {k: traces[k] // (2 * k) for k in range(girth, 2 * girth - 1, 2)}
+
+
+def two_random_23():
+    return disjoint_union(random_biregular(9, 6, 2, 3, seed=1),
+                          random_biregular(12, 8, 2, 3, seed=2))
+
+
+FIXED_UNIONS = {
+    "C4+C6": disjoint_union(even_cycle(4), even_cycle(6)),
+    "K44+Q4": disjoint_union(complete_bipartite(4, 4), tesseract()),
+    "two random (2,3)": two_random_23(),
+}
+
+
+class TestTransferCounts:
+    @given(biregular_graphs())
+    @example(even_cycle(8))
+    @example(complete_bipartite(2, 5))  # left degree 5
+    @example(disjoint_union(even_cycle(8), even_cycle(12)))
+    @example(disjoint_union(complete_bipartite(4, 3), complete_bipartite(4, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_trace_counts(self, g):
+        assert transfer_counts(g).counts == trace_counts(g)
+
+    @pytest.mark.parametrize("name", FIXED_UNIONS)
+    def test_disjoint_unions(self, name):
+        g = FIXED_UNIONS[name]
+        assert not profile(g).is_connected
+        assert transfer_counts(g).counts == trace_counts(g)
+
+    def test_fixed_union_values(self):
+        assert transfer_counts(FIXED_UNIONS["C4+C6"]).counts == {4: 1, 6: 1}
+        # K_{4,4} has 36 four-cycles and Q4 has 24
+        assert transfer_counts(FIXED_UNIONS["K44+Q4"]).counts == {4: 60, 6: 224}
+
+    def test_side_swap(self):
+        # K_{7,5}: left degree 5; K_{5,7}: left degree 7
+        a = transfer_counts(complete_bipartite(7, 5)).counts
+        b = transfer_counts(complete_bipartite(5, 7)).counts
+        assert a == b == trace_counts(complete_bipartite(7, 5))
+
+    @pytest.mark.parametrize("g", [complete_bipartite(7, 5),
+                                   complete_bipartite(5, 7), two_random_23()],
+                             ids=["K75", "K57", "two (2,3)"])
+    def test_gram_matrix_is_on_the_smaller_side(self, g, monkeypatch):
+        # the identity holds with either side's Gram matrix (p_j(0) =
+        # (-q1)^j + (-q2)^j absorbs the n - m extra zeros); the swap keeps B
+        # m x m with m <= n
+        shapes = []
+        real = spectral_transfer._gram_traces
+
+        def spy(b, top, row_sum):
+            shapes.append(b.shape)
+            return real(b, top, row_sum)
+
+        monkeypatch.setattr(spectral_transfer, "_gram_traces", spy)
+        assert transfer_counts(g).counts == trace_counts(g)
+        m = min(g.left_count, g.right_count)
+        assert shapes == [(m, m)]
+
+    def test_counts_graphs_the_float_pipeline_refuses(self):
+        for g in (even_cycle(8), *FIXED_UNIONS.values()):
+            with pytest.raises(RouteInapplicableError):
+                transfer_spectra(g, profile(g))
+            assert transfer_counts(g).counts == trace_counts(g)
+
+    def test_matches_float_transfer(self):
+        for seed in range(3):
+            g = random_biregular(8, 6, 3, 4, seed=seed)
+            prof = profile(g)
+            _, es = transfer_spectra(g, prof)
+            assert (transfer_counts(g, prof=prof).counts
+                    == counts_from_spectrum(es, prof.girth).counts)
+
+    def test_refuses_irregular_before_any_work(self, monkeypatch):
+        def no_traces(*args):
+            raise AssertionError("traces computed")
+        monkeypatch.setattr(spectral_transfer, "_gram_traces", no_traces)
+        rng = random.Random(3)
+        g = next(g for g in iter(lambda: random_bipartite(rng), None)
+                 if not profile(g).is_biregular)
+        with pytest.raises(RouteInapplicableError, match="not bi-regular"):
+            transfer_counts(g)
+        with pytest.raises(RouteInapplicableError, match="max_k=8"):
+            transfer_counts(complete_bipartite(3, 4), max_k=8)
+        with pytest.raises(RouteInapplicableError, match="forest"):
+            transfer_counts(complete_bipartite(1, 3))
+
+    def test_window(self):
+        g = random_biregular(30, 20, 2, 3, seed=0)
+        full = transfer_counts(g).counts
+        girth = profile(g).girth
+        for max_k in range(girth, 2 * girth - 1, 2):
+            assert transfer_counts(g, max_k).counts == {
+                k: v for k, v in full.items() if k <= max_k}
+
+    def test_guard_diverts_to_bigint(self, monkeypatch):
+        graphs = [*FIXED_UNIONS.values(), complete_bipartite(5, 7),
+                  even_cycle(10), random_biregular(8, 6, 3, 4, seed=0)]
+        expect = [transfer_counts(g).counts for g in graphs]
+        calls = []
+        bigint = spectral_transfer._traces_bigint
+
+        def spy(b, top):
+            calls.append(top)
+            return bigint(b, top)
+
+        monkeypatch.setattr(spectral_transfer, "INT64_LIMIT", 1)
+        monkeypatch.setattr(spectral_transfer, "_traces_bigint", spy)
+        assert [transfer_counts(g).counts for g in graphs] == expect
+        assert len(calls) == len(graphs)
+
+    @pytest.mark.parametrize("g", [
+        complete_bipartite(3, 4), tesseract(), two_random_23(),
+        random_biregular(40, 20, 2, 4, seed=1),
+        random_biregular(12, 9, 3, 4, seed=2)],
+        ids=["K34", "Q4", "two (2,3)", "(2,4)", "(3,4)"])
+    def test_dense_and_sparse_tiers_agree(self, g, monkeypatch):
+        prof = profile(g)
+        u, w = np.array(g.sorted_edges).T
+        d = np.zeros((g.left_count, g.right_count), dtype=np.int64)
+        d[u, w] = 1
+        if prof.d_v > prof.d_c:
+            d = d.T
+        b = d.T @ d
+        expect = [int(np.trace(np.linalg.matrix_power(b, t))) for t in range(8)]
+        tiers = {}
+        for cap in (0, 10 ** 9):
+            monkeypatch.setattr(spectral_transfer, "DENSE_GRAM_MAX_M", cap)
+            tiers[cap] = _gram_traces(sp.csr_array(b), 7, prof.d_v * prof.d_c)
+            assert transfer_counts(g, prof=prof).counts == trace_counts(g)
+        assert tiers[0] == tiers[10 ** 9] == expect
