@@ -105,22 +105,21 @@ def _cap(args, cap: int) -> int:
 
 
 def _run_transfer(g, prof, args):
-    """Exact counts; for --emit-spectra and verify also the float spectra."""
+    """Exact counts; for --emit-spectra and verify the float spectra too."""
     cc = transfer_counts(g, args.max_k, prof)
     if not (args.emit_spectra or args.command == "verify"):
         return cc, {}
     try:
         spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
                                     _cap(args, DEFAULT_DENSE_CAP))
-    except RouteInapplicableError:
-        return cc, {}
+    except RouteInapplicableError as exc:
+        return cc, {"float_transfer_refused": str(exc)}
     floats = counts_from_spectrum(es, prof.girth, args.max_k)
     for k, exact in cc.counts.items():
         if floats.counts[k] != exact:
             raise NumericalError(f"N_{k}: float transfer gives "
                                  f"{floats.counts[k]}, exact transfer {exact}")
-    return (CycleCounts(cc.girth, cc.counts, floats.residuals),
-            {"adjacency": spec, "edge": es})
+    return floats, {"adjacency": spec, "edge": es}
 
 
 def _run_trace(g, prof, args):
@@ -177,7 +176,7 @@ def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args):
 
 
 def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
-            timings: list[dict], cc: CycleCounts, diffs: dict) -> dict:
+            timings: list[dict], cc: CycleCounts, diffs: dict, extras: dict) -> dict:
     return {
         "schema": SCHEMA,
         "input": {"path": args.input, "format": fmt},
@@ -196,6 +195,7 @@ def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
         "agreement": {"ok": not diffs, "diffs": diffs},
         "residuals": {str(k): v for k, v in sorted(cc.residuals.items())},
         "error": None,
+        **{k: v for k, v in extras.items() if k == "float_transfer_refused"},
     }
 
 
@@ -208,7 +208,7 @@ def cmd_count(args) -> int:
         if args.route != "auto":
             raise
         cc, spectra, timing = _timed("trace", g, prof, args)
-    report = _report(args, fmt, g, prof, [timing], cc, {})
+    report = _report(args, fmt, g, prof, [timing], cc, {}, spectra)
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
                                           spectra.get("edge"))
@@ -223,14 +223,14 @@ def cmd_verify(args) -> int:
     cycle_window_end(prof.girth, args.max_k)
     results: dict[str, CycleCounts] = {}
     timings = []
-    adj_spec = None
+    extras: dict = {}  # what the routes gave besides counts
     for route in ROUTES:
         try:
             results[route], spectra, timing = _timed(route, g, prof, args)
         except RouteInapplicableError:
             continue
         timings.append(timing)
-        adj_spec = spectra.get("adjacency", adj_spec)
+        extras |= spectra
 
     ks = sorted(set().union(*(cc.counts for cc in results.values())))
     diffs: dict[str, dict[str, int]] = {}
@@ -241,18 +241,18 @@ def cmd_verify(args) -> int:
             diffs[str(k)] = values
 
     cross = None
-    if (prof.girth >= 6 and adj_spec is not None
+    if (prof.girth >= 6 and "adjacency" in extras
             and prof.girth + 2 in reference.counts):
-        cross = g_plus_4_cross_check(g, adj_spec, reference, prof)
+        cross = g_plus_4_cross_check(g, extras["adjacency"], reference, prof)
         spectral = reference.counts.get(prof.girth + 4)
         if spectral is not None and cross != spectral:
             diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,
                                           "spectral": spectral}
 
-    report = _report(args, fmt, g, prof, timings, reference, diffs)
+    report = _report(args, fmt, g, prof, timings, reference, diffs, extras)
     report["cross_check_g_plus_4"] = cross
     if args.emit_spectra:
-        report["spectra"] = _spectra_dict(adj_spec, None)
+        report["spectra"] = _spectra_dict(extras.get("adjacency"), None)
     _emit(report, args.table)
     if args.table:
         print("k    " + "  ".join(f"{r:>10}" for r in results))

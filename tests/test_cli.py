@@ -182,11 +182,14 @@ class TestCount:
         assert code == 0
         assert report["counts"] == {"4": 24, "6": 128}
         assert report["spectra"] == {} and report["residuals"] == {}
+        assert report["float_transfer_refused"] == (
+            "|V| = 16 exceeds dense cap 4")
         code, report = run_json(capsys, ["count", "--input", q4_el,
                                          "--route", "transfer",
                                          "--emit-spectra", "--force"])
         assert code == 0
         assert sum(e["mult"] for e in report["spectra"]["edge"]) == 64
+        assert "float_transfer_refused" not in report
 
     def test_auto_falls_back_to_trace_over_the_dense_cap(self, capsys, q4_el,
                                                          monkeypatch):
@@ -221,6 +224,7 @@ class TestCount:
         assert report["routes"][0]["name"] == "transfer"
         assert report["counts"] == {"4": 24, "6": 128}
         assert report["residuals"] == {}
+        assert "float_transfer_refused" not in report
         assert not reached(calls)["svd"]
         assert ("spectra.py", "rank_of_biadjacency") not in calls
         _, report, calls = run_json_calls(capsys, ["count", "--input", q4_el,
@@ -228,6 +232,7 @@ class TestCount:
                                                    "--emit-spectra"])
         assert report["counts"] == {"4": 24, "6": 128}
         assert set(report["residuals"]) == {"4", "6"}
+        assert "float_transfer_refused" not in report
         assert ("spectra.py", "rank_of_biadjacency") in calls
 
     def test_counts_graphs_the_float_pipeline_refuses(self, capsys, tmp_path):
@@ -240,6 +245,7 @@ class TestCount:
         assert report["routes"][0]["name"] == "transfer"
         assert report["counts"] == {"8": 1, "10": 0, "12": 1, "14": 0}
         assert report["spectra"] == {}
+        assert report["float_transfer_refused"] == "graph is not connected"
 
     @pytest.mark.parametrize("route,argv,work", [
         ("direct", [], "eigvals"), ("transfer", ["--emit-spectra"], "svd")])
@@ -288,6 +294,7 @@ class TestVerify:
         assert report["agreement"]["ok"] is True
         names = {r["name"] for r in report["routes"]}
         assert {"transfer", "trace", "direct", "brute"} <= names
+        assert "float_transfer_refused" not in report
 
     def test_random_biregular(self, capsys, tmp_path):
         g = random_biregular(6, 4, 2, 3, seed=5)
@@ -323,6 +330,8 @@ class TestVerify:
         assert "transfer" in {r["name"] for r in report["routes"]}
         assert report["cross_check_g_plus_4"] is None
         assert report["residuals"] == {}
+        assert report["float_transfer_refused"] == (
+            "|V| = 15 exceeds dense cap 10")
 
     def test_cross_check_needs_n_g_plus_2(self, capsys, girth6_el):
         path, gi = girth6_el
@@ -391,6 +400,8 @@ class TestFloatGate:
             "transfer", "trace", "direct", "brute"]
         assert report["cross_check_g_plus_4"] is None
         assert report["counts"] == {"8": 1, "10": 0, "12": 0, "14": 0}
+        assert report["float_transfer_refused"].startswith(
+            "degrees (d_v=2, d_c=2)")
 
 
 class TestTracedLayers:
