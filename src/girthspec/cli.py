@@ -43,7 +43,6 @@ from .spectral_transfer import (
     TransferParameters,
     derive_edge_spectrum,
     transfer_counts,
-    transfer_inapplicable,
 )
 
 EXIT_OK = 0
@@ -90,12 +89,10 @@ def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
     """Adjacency and edge spectra by the transfer; a graph outside its hypothesis
     is refused before any eigenvalue work. Layers are called by this module's
     names, so patching them here sees every call."""
-    if reason := transfer_inapplicable(prof):
-        raise RouteInapplicableError(reason)
+    params = TransferParameters.from_graph(g, prof)
     spec = adjacency_spectrum(g, zero_tolerance=zero_tolerance,
                               cluster_tolerance=cluster_tolerance,
                               dense_cap=dense_cap)
-    params = TransferParameters.from_graph(g, spec, prof)
     return spec, derive_edge_spectrum(spec, params)
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import RouteInapplicableError
+from .errors import NumericalError, RouteInapplicableError
 
-__all__ = ["CycleCounts", "cycle_window_end"]
+__all__ = ["CycleCounts", "counts_from_traces", "cycle_window_end"]
 
 
 @dataclass(frozen=True)
@@ -33,3 +33,12 @@ def cycle_window_end(girth: int, max_k: int | None) -> int:
             f"max_k={max_k} must be even and within [g, 2g-2] = [{girth}, "
             f"{2 * girth - 2}]: TBC walks and cycles part ways at length 2g")
     return max_k
+
+
+def counts_from_traces(girth: int, traces: dict[int, int]) -> CycleCounts:
+    """N_k = tr(A_e^k) / 2k from a map k -> tr(A_e^k) over the window; a
+    trace that 2k does not divide means the arithmetic went wrong."""
+    for k, t in traces.items():
+        if t % (2 * k):
+            raise NumericalError(f"tr(A_e^{k}) = {t} is not divisible by 2k")
+    return CycleCounts(girth, {k: t // (2 * k) for k, t in traces.items()})

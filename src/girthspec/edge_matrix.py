@@ -1,12 +1,12 @@
-"""Exact trace powers via Ihara-Bass, and the directed edge matrix A_e.
+"""The exact trace engine, trace powers via Ihara-Bass, and A_e itself.
 
-No counting route builds the 2|E| x 2|E| directed edge matrix A_e.
-The ``trace`` route uses the Ihara-Bass identity (Bass 1992; Kotani &
-Sunada 2000), tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k), with the sparse
-2|V| x 2|V| integer matrix M = [[A, I - D], [I, 0]]. Powers of M are
-multiplied to depth ceil(k/2) only, and each trace is read off two half
-powers. Traces are exact: the int64 fast path is guarded by a proven bound
-and falls back to Python big integers.
+No counting route builds the 2|E| x 2|E| directed edge matrix A_e. Both
+exact routes count from traces of powers of a small integer matrix, taken
+by one engine, ``power_traces``: ``trace`` from the 2|V| x 2|V| Ihara-Bass
+matrix M = [[A, I - D], [I, 0]], as tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 +
+(-1)^k) (Bass 1992; Kotani & Sunada 2000), and ``transfer`` from the Gram
+matrix D^T D. Each trace is read off two half powers, exactly: a bound on
+the walk sums picks dense float64, sparse int64 or Python integers.
 
 ``build_edge_matrix`` constructs A_e itself, the reference the tests
 compare against. Arcs are numbered so that arc i and arc |E| + i are
@@ -19,12 +19,13 @@ the |E| x |E| product XY.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import CycleCounts, cycle_window_end
+from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, GraphProfile, profile
 
@@ -33,6 +34,7 @@ __all__ = [
     "EdgeSpectrum",
     "build_edge_matrix",
     "ihara_bass_matrix",
+    "power_traces",
     "trace_powers",
     "trace_power_counts",
     "edge_spectrum_direct",
@@ -40,7 +42,16 @@ __all__ = [
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
-INT64_LIMIT = 2 ** 62  # int64 traces run only while 1^T |M|^K 1 stays below
+INT64_LIMIT = 2 ** 62  # power_traces leaves int64 from this bound on
+# Largest size for dense float64 powers in power_traces, sparse int64 above.
+# power_traces, one BLAS thread, dense vs sparse ms (median of 15 warm calls):
+# M of size 100 (top 10) 0.81 vs 3.12, 182 (top 10) 3.37 vs 4.66, 200
+# (top 10) 4.09 vs 3.31, 238 (top 10) 5.83 vs 4.70, 274 (top 6) 4.61 vs 3.57;
+# B of size 20 (top 5) 0.21 vs 1.30, 183 (top 5) 2.08 vs 2.88, 200 (top 3)
+# 1.34 vs 0.78 at (2,3) and 1.37 vs 1.73 at (3,6), 267 (top 5) 3.04 vs 3.20.
+DENSE_MAX_SIZE = 200
+
+log = logging.getLogger("girthspec")
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_matrix:
+def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_array:
     """M = [[A, I - D], [I, 0]], the 2|V| x 2|V| int64 Ihara-Bass matrix.
 
     A is the adjacency matrix and D the degree matrix over combined node
@@ -110,44 +121,21 @@ def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_matrix:
     isolated nodes take part; ``trace_powers`` corrects for all of them.
     """
     n, v = g.left_count, g.node_count
-    edges = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2)
+    # int32 node ids give int32 index arrays, in M and in its powers
+    edges = np.array(g.sorted_edges, dtype=np.int32).reshape(-1, 2)
     left, right = edges[:, 0], n + edges[:, 1]
-    ids = np.arange(v, dtype=np.int64)
+    ids = np.arange(v, dtype=np.int32)
     loss = 1 - np.bincount(np.concatenate([left, right]), minlength=v)  # 1 - d
     rows = np.concatenate([left, right, ids, v + ids])
     cols = np.concatenate([right, left, v + ids, ids])
     data = np.concatenate([np.ones(2 * len(edges), dtype=np.int64), loss,
                            np.ones(v, dtype=np.int64)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(2 * v, 2 * v))
+    return sp.csr_array((data, (rows, cols)), shape=(2 * v, 2 * v))
 
 
-def _int64_safe(m: sp.csr_matrix, max_k: int) -> bool:
-    """True if the int64 half-power traces of M up to max_k cannot overflow.
-
-    Every row of |M| sums to at least 1, so 1^T |M|^k 1 grows with k; at
-    k = max_k it bounds every entry of M^j (j <= max_k), every partial sum
-    of their products and every trace. It is computed in float64, and the
-    factor 2 covers its rounding.
-    """
-    a = abs(m).astype(np.float64)
-    bound = np.ones(m.shape[0])
-    for _ in range(max_k):
-        bound = a @ bound
-    return 2 * float(bound.sum()) < INT64_LIMIT
-
-
-def _traces_int64(m: sp.csr_matrix, max_k: int) -> dict[int, int]:
-    """tr(M^k) = sum(P_a o P_b^T), P_j = M^j, a = ceil(k/2), b = floor(k/2)."""
-    powers = [sp.identity(m.shape[0], dtype=np.int64, format="csr"), m]
-    while len(powers) <= (max_k + 1) // 2:
-        powers.append(powers[-1] @ m)
-    transposed = [p.T.tocsr() for p in powers[:max_k // 2 + 1]]
-    return {k: int(powers[(k + 1) // 2].multiply(transposed[k // 2]).sum())
-            for k in range(1, max_k + 1)}
-
-
-def _traces_bigint(m: sp.csr_matrix, max_k: int) -> dict[int, int]:
-    """``_traces_int64`` in Python integers, over the weighted rows of M."""
+def _traces_bigint(m: sp.csr_array, max_k: int) -> dict[int, int]:
+    """tr(M^k), k = 1 .. max_k, as ``power_traces`` takes them, in Python
+    integers over the weighted rows of M."""
     rows = [dict(zip(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist(),
                      m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
             for i in range(m.shape[0])]
@@ -167,18 +155,52 @@ def _traces_bigint(m: sp.csr_matrix, max_k: int) -> dict[int, int]:
             for k in range(1, max_k + 1)}
 
 
+def power_traces(mat: sp.csr_array, top: int) -> list[int]:
+    """[tr(P^0), ..., tr(P^top)] of a square integer matrix P, exactly.
+
+    tr(P^t) = sum(P^a o (P^b)^T) with a = ceil(t/2), b = floor(t/2), so
+    powers are multiplied to depth ceil(top/2) only. 1^T |P|^t 1 bounds
+    every entry of P^j (j <= t), every partial sum of their products and
+    tr(P^t); twice its largest value over t <= top, computed in float64
+    (the factor 2 covers rounding), picks the tier: Python integers from
+    INT64_LIMIT, dense float64 (exact below 2^53) up to DENSE_MAX_SIZE,
+    sparse int64 otherwise.
+    """
+    size = mat.shape[0]
+    a, walk = abs(mat).astype(np.float64), np.ones(size)
+    bound = float(size)
+    for _ in range(top):
+        walk = a @ walk
+        bound = max(bound, float(walk.sum()))
+    bound *= 2
+    if bound >= INT64_LIMIT:
+        tier = "bigint"
+    elif bound < 2 ** 53 and size <= DENSE_MAX_SIZE:
+        tier = "dense"
+    else:
+        tier = "sparse"
+    log.debug("power_traces tier=%s size=%d top=%d bound=%.3g",
+              tier, size, top, bound)
+    if tier == "bigint":
+        return [size, *_traces_bigint(mat, top).values()]
+    p = mat.toarray().astype(np.float64) if tier == "dense" else mat
+    powers = [None, p]
+    while len(powers) <= (top + 1) // 2:
+        powers.append(powers[-1] @ p)
+    transposed = [None] + [q.T for q in powers[1:top // 2 + 1]]
+    return [size, int(p.diagonal().sum())][:top + 1] + [
+        int((powers[(t + 1) // 2] * transposed[t // 2]).sum())
+        for t in range(2, top + 1)]
+
+
 def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
     """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e.
 
     Ihara-Bass: tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k).
     """
-    m = ihara_bass_matrix(g)
-    if _int64_safe(m, max_k):
-        traces = _traces_int64(m, max_k)
-    else:
-        traces = _traces_bigint(m, max_k)
+    traces = power_traces(ihara_bass_matrix(g), max_k)
     shift = 2 * (g.edge_count - g.node_count)
-    return {k: t + (0 if k % 2 else shift) for k, t in traces.items()}
+    return {k: traces[k] + (0 if k % 2 else shift) for k in range(1, max_k + 1)}
 
 
 def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
@@ -194,15 +216,9 @@ def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
         raise RouteInapplicableError("forest input: no cycles to count")
     girth = prof.girth
     max_k = cycle_window_end(girth, max_k)
-
     traces = trace_powers(g, max_k)
-    counts = {}
-    for k in range(girth, max_k + 1, 2):
-        t = traces[k]
-        if t % (2 * k):
-            raise NumericalError(f"tr(A_e^{k}) = {t} is not divisible by 2k")
-        counts[k] = t // (2 * k)
-    return CycleCounts(girth=girth, counts=counts)
+    return counts_from_traces(girth, {k: traces[k]
+                                      for k in range(girth, max_k + 1, 2)})
 
 
 def _cluster_complex(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:

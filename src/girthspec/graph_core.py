@@ -217,6 +217,8 @@ def parse_alist(text) -> BipartiteGraph:
                                  "side does not list the reverse")
     if len(edges) != sum(col_deg):
         raise ParseError("column degree total disagrees with the edge set")
+    if len(edges) != sum(row_deg):
+        raise ParseError("row degree total disagrees with the edge set")
     return BipartiteGraph(n, m, frozenset(edges))
 
 

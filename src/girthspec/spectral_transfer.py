@@ -15,7 +15,8 @@ Every step total is verified against its closed form and the grand total
 must be exactly 2|E|; any mismatch fails loudly.
 
 ``transfer_counts`` sums each quadratic's roots into an integer polynomial
-in lambda^2 and counts any bi-regular graph exactly from traces of D^T D.
+in lambda^2 and counts any bi-regular graph exactly from traces of the
+Gram matrix D^T D, taken by the shared engine ``edge_matrix.power_traces``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .counts import CycleCounts, cycle_window_end
-from .edge_matrix import INT64_LIMIT, EdgeSpectrum, _traces_bigint
+from .counts import CycleCounts, counts_from_traces, cycle_window_end
+from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
 from .graph_core import BipartiteGraph, GraphProfile, profile
 from .spectra import AdjacencySpectrum
@@ -45,10 +46,6 @@ __all__ = [
 XI_ONE_TOL = 1e-6          # |xi - 1| below this means the excluded root
 LAMBDA_MAX_TOL = 1e-5      # cross-check |lambda^2 - d_v d_c| for that root
 VIETA_RTOL = 1e-9
-# Largest m for dense float64 powers of B, sparse int64 above. transfer_counts,
-# one BLAS thread, dense vs sparse ms: m = 20 (2,3) 0.34 vs 0.94; m = 200 (2,3)
-# 1.80 vs 1.50, (2,4) 1.74 vs 2.22; m = 267 (p = 89 array code) 2.33 vs 2.57.
-DENSE_GRAM_MAX_M = 200
 
 
 def transfer_inapplicable(prof: GraphProfile) -> str | None:
@@ -68,7 +65,7 @@ def transfer_inapplicable(prof: GraphProfile) -> str | None:
 
 @dataclass(frozen=True)
 class TransferParameters:
-    """Degree and rank bookkeeping for the transfer, sides normalized.
+    """Degree bookkeeping for the transfer, sides normalized.
 
     ``n`` counts the side with degree q1 + 1 and ``m`` the side with degree
     q2 + 1; sides are swapped on construction when needed so that
@@ -80,11 +77,9 @@ class TransferParameters:
     n: int
     m: int
     edge_count: int
-    rank: int
-    nullity: int
 
     @classmethod
-    def from_graph(cls, g: BipartiteGraph, spec: AdjacencySpectrum,
+    def from_graph(cls, g: BipartiteGraph,
                    prof: GraphProfile | None = None) -> "TransferParameters":
         if prof is None:
             prof = profile(g)
@@ -95,13 +90,7 @@ class TransferParameters:
         if d_v > d_c:
             d_v, d_c = d_c, d_v
             n, m = m, n
-        q1, q2 = d_v - 1, d_c - 1
-        if spec.total != n + m:
-            raise NumericalError("spectrum size disagrees with |V|")
-        if spec.rank % 2:
-            raise NumericalError(f"Rank(A) = {spec.rank} is odd: tolerance failure")
-        return cls(q1=q1, q2=q2, n=n, m=m, edge_count=g.edge_count,
-                   rank=spec.rank, nullity=spec.nullity)
+        return cls(q1=d_v - 1, q2=d_c - 1, n=n, m=m, edge_count=g.edge_count)
 
 
 @dataclass(frozen=True)
@@ -148,6 +137,10 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
     total 2|E| are asserted, so a corrupted input spectrum cannot pass
     silently.
     """
+    if spec.total != params.n + params.m:
+        raise NumericalError("spectrum size disagrees with |V|")
+    if spec.rank % 2:
+        raise NumericalError(f"Rank(A) = {spec.rank} is odd: tolerance failure")
     d_prod = (params.q1 + 1) * (params.q2 + 1)  # d_v * d_c
     entries: list[tuple[complex, int]] = []
 
@@ -168,14 +161,14 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
             entries.append((eta, mult))
             entries.append((-eta, mult))
             step1 += 2 * mult
-    expect1 = 2 * (params.m + params.n) - 2 * params.nullity - 2
+    expect1 = 2 * (params.m + params.n) - 2 * spec.nullity - 2
     if step1 != expect1:
         raise NumericalError(
             f"step 1 produced {step1} eigenvalues, expected {expect1}")
 
     # Step 2: the lambda = 0 roots +/- i sqrt(q1), +/- i sqrt(q2).
     for q, side in ((params.q1, params.n), (params.q2, params.m)):
-        mult = side - params.rank // 2
+        mult = side - spec.rank // 2
         if mult < 0:
             raise NumericalError("negative step-2 multiplicity: rank too large")
         if mult:
@@ -183,9 +176,9 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
             entries.append((root, mult))
             entries.append((-root, mult))
     step2 = sum(m for _, m in entries) - step1
-    if step2 != 2 * params.nullity:
+    if step2 != 2 * spec.nullity:
         raise NumericalError(
-            f"step 2 produced {step2} eigenvalues, expected {2 * params.nullity}")
+            f"step 2 produced {step2} eigenvalues, expected {2 * spec.nullity}")
 
     # Step 3: +/- 1 at the cyclomatic number.
     cyclomatic = params.edge_count - (params.m + params.n) + 1
@@ -216,24 +209,6 @@ def _merge_equal(entries: list[tuple[complex, int]],
     return out
 
 
-def _gram_traces(b: sp.csr_array, top: int, row_sum: int) -> list[int]:
-    """[tr(B^0), ..., tr(B^top)] of a symmetric int64 B >= 0 with row sums
-    row_sum, as sum(B^ceil(t/2) o B^floor(t/2)); m row_sum^top bounds every
-    entry, partial sum and trace, and float64 is exact below 2^53."""
-    m = b.shape[0]
-    bound = m * row_sum ** top
-    if bound >= INT64_LIMIT:
-        return [m, *_traces_bigint(b, top).values()]
-    if bound < 2 ** 53 and m <= DENSE_GRAM_MAX_M:
-        b = b.toarray().astype(np.float64)
-    powers = [None, b]
-    while len(powers) <= (top + 1) // 2:
-        powers.append(powers[-1] @ b)
-    return [m, int(b.diagonal().sum())] + [
-        int((powers[(t + 1) // 2] * powers[t // 2]).sum())
-        for t in range(2, top + 1)]
-
-
 def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
                     prof: GraphProfile | None = None) -> CycleCounts:
     """Exact N_k for even k in [g, max_k] of any bi-regular graph; other
@@ -252,25 +227,22 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
         raise RouteInapplicableError("forest input: no cycles to count")
     max_k = cycle_window_end(girth, max_k)
 
-    u, w = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2).T
+    # int32 ids give int32 index arrays, in B and in its powers
+    u, w = np.array(g.sorted_edges, dtype=np.int32).reshape(-1, 2).T
     n, m, d_v, d_c = g.left_count, g.right_count, prof.d_v, prof.d_c
     if d_v > d_c:
         u, w, n, m, d_v, d_c = w, u, m, n, d_c, d_v
     d = sp.csr_array((np.ones(len(u), dtype=np.int64), (u, w)), shape=(n, m))
-    traces = _gram_traces((d.T @ d).tocsr(), max_k // 2, d_v * d_c)
+    traces = power_traces((d.T @ d).tocsr(), max_k // 2)
 
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count
     s, r = q1 + q2, q1 * q2
     prev, poly = [2], [-s, 1]  # p_0 and p_1, lowest coefficient first
-    counts = {}
+    edge_traces = {}
     for j in range(1, max_k // 2 + 1):
-        k = 2 * j
-        if k >= girth:
-            t = 2 * (sum(c * tr for c, tr in zip(poly, traces))
-                     + (n - m) * (-q1) ** j + shift)
-            if t % (2 * k):
-                raise NumericalError(f"tr(A_e^{k}) = {t} is not divisible by 2k")
-            counts[k] = t // (2 * k)
+        if 2 * j >= girth:
+            edge_traces[2 * j] = 2 * (sum(c * tr for c, tr in zip(poly, traces))
+                                      + (n - m) * (-q1) ** j + shift)
         prev, poly = poly, [a - s * b - r * c for a, b, c in
                             zip([0] + poly, poly + [0], prev + [0, 0])]
-    return CycleCounts(girth=girth, counts=counts)
+    return counts_from_traces(girth, edge_traces)

@@ -17,6 +17,11 @@ from girthspec import (
 )
 
 
+# 2 x 2 alist whose columns both list both rows, while row 1 lists column 1
+# only and row 2 lists nothing, as its degree header (1, 0) says
+ROW_SIDE_SHORT_ALIST = "2 2\n2 1\n2 2\n1 0\n1 2\n1 2\n1\n0\n"
+
+
 def random_bipartite(rng: random.Random, max_side: int = 8,
                      require_cycle: bool = True) -> BipartiteGraph:
     """Random simple bipartite graph, resampled until it contains a cycle."""

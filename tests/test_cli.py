@@ -17,10 +17,10 @@ from girthspec import (
     write_alist,
     write_edge_list,
 )
-from girthspec import cli
+from girthspec import cli, edge_matrix, spectral_transfer
 from girthspec.cli import main
 
-from conftest import disjoint_union
+from conftest import ROW_SIDE_SHORT_ALIST, disjoint_union
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -138,6 +138,14 @@ class TestCount:
         assert code == 4
         assert report["error"]["code"] == 4
 
+    def test_alist_row_side_leaving_out_edges_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "short.alist"
+        path.write_text(ROW_SIDE_SHORT_ALIST)
+        code, report = run_json(capsys, ["count", "--input", str(path)])
+        assert code == 4
+        assert report["error"] == {
+            "code": 4, "message": "row degree total disagrees with the edge set"}
+
     def test_missing_file_exits_4(self, capsys, tmp_path):
         code, report = run_json(capsys, ["count", "--input",
                                          str(tmp_path / "nope.el")])
@@ -172,7 +180,7 @@ class TestCount:
         assert code == 0
         assert "N_4 = 18" in out
 
-    def test_dense_cap_env(self, capsys, q4_el, monkeypatch):
+    def test_dense_cap_and_force(self, capsys, q4_el, monkeypatch):
         # the |V| cap bounds the float pipeline only: over it, transfer
         # still counts exactly and gives no spectra
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 4)
@@ -191,8 +199,8 @@ class TestCount:
         assert sum(e["mult"] for e in report["spectra"]["edge"]) == 64
         assert "float_transfer_refused" not in report
 
-    def test_auto_falls_back_to_trace_over_the_dense_cap(self, capsys, q4_el,
-                                                         monkeypatch):
+    def test_auto_stays_on_transfer_over_the_dense_cap(self, capsys, q4_el,
+                                                       monkeypatch):
         # the exact transfer has no |V| cap, so auto stays on transfer
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 16
         code, report = run_json(capsys, ["count", "--input", q4_el])
@@ -402,6 +410,31 @@ class TestFloatGate:
         assert report["counts"] == {"8": 1, "10": 0, "12": 0, "14": 0}
         assert report["float_transfer_refused"].startswith(
             "degrees (d_v=2, d_c=2)")
+
+
+class TestDivisibilityGate:
+    """N_k = tr(A_e^k) / 2k; a trace that 2k does not divide exits 3 on
+    both exact routes."""
+
+    # Q4 has 128 six-cycles, so tr(A_e^6) = 1536; one more in tr(M^6) adds 1
+    # to it, one more in tr(B^3) adds 2 (p_3 is monic)
+    @pytest.mark.parametrize("route,value", [("trace", 1537),
+                                             ("transfer", 1538)])
+    def test_indivisible_trace_exits_3(self, capsys, q4_el, monkeypatch,
+                                       route, value):
+        real = edge_matrix.power_traces
+
+        def last_off_by_one(mat, top):
+            traces = real(mat, top)
+            return traces[:-1] + [traces[-1] + 1]
+
+        for module in (edge_matrix, spectral_transfer):
+            monkeypatch.setattr(module, "power_traces", last_off_by_one)
+        code, report = run_json(capsys, ["count", "--input", q4_el,
+                                         "--route", route])
+        assert code == 3
+        assert report["error"] == {
+            "code": 3, "message": f"tr(A_e^6) = {value} is not divisible by 2k"}
 
 
 class TestTracedLayers:

@@ -1,8 +1,13 @@
+import logging
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
@@ -21,8 +26,8 @@ from girthspec import edge_matrix
 from girthspec.cli import main
 from girthspec.edge_matrix import (
     _traces_bigint,
-    _traces_int64,
     ihara_bass_matrix,
+    power_traces,
     trace_powers,
 )
 
@@ -82,6 +87,87 @@ class TestBuildEdgeMatrix:
                 assert (i < e) != (j < e)
 
 
+@contextmanager
+def logged_tiers():
+    """The tiers of the power_traces calls made inside the block, in order,
+    read off the engine's DEBUG records."""
+    tiers = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: tiers.append(record.args[0])
+    logger = logging.getLogger("girthspec")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield tiers
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+# engine constants that leave each tier the only one open to small matrices
+FORCE = {"dense": {"DENSE_MAX_SIZE": 10 ** 9},
+         "sparse": {"DENSE_MAX_SIZE": 0},
+         "bigint": {"INT64_LIMIT": 1}}
+
+
+@contextmanager
+def forced(tier):
+    with mock.patch.multiple(edge_matrix, **FORCE[tier]), \
+            logged_tiers() as tiers:
+        yield
+    assert tiers == [tier]
+
+
+@st.composite
+def signed_matrices(draw):
+    size = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=size * size,
+                            max_size=size * size))
+    a = np.array(entries, dtype=np.int64).reshape(size, size)
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    return a
+
+
+class TestPowerTraces:
+    @pytest.mark.parametrize("tier", FORCE)
+    @given(signed_matrices(), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_matrix_power_traces(self, tier, a, top):
+        exact = a.astype(object)
+        expect = [int(np.trace(np.linalg.matrix_power(exact, t)))
+                  for t in range(top + 1)]
+        with forced(tier):
+            assert power_traces(sp.csr_array(a), top) == expect
+
+    def test_dense_tier_stops_at_2_53(self):
+        # 3^t is odd, so float64 cannot hold it from 2^53 on; int64 can
+        with logged_tiers() as tiers:
+            traces = power_traces(sp.csr_array(np.array([[3]])), 36)
+        assert tiers == ["sparse"]
+        assert traces == [3 ** t for t in range(37)]
+
+    def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        m = ihara_bass_matrix(tesseract())  # 32 x 32
+        walks = np.abs(m.toarray())
+        bound = 2 * max(int(np.linalg.matrix_power(walks, t).sum())
+                        for t in range(7))
+        power_traces(m, 6)
+        monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 31)
+        power_traces(m, 6)
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", bound)
+        power_traces(m, 6)
+        records = [r for r in caplog.records if r.name == "girthspec"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.args[0] for r in records] == ["dense", "sparse", "bigint"]
+        assert {r.args[1:3] for r in records} == {(32, 6)}
+        assert {r.args[3] for r in records} == {bound}
+        assert records[0].getMessage().startswith(
+            "power_traces tier=dense size=32 top=6 bound=")
+
+
 class TestTracePowers:
     @given(bipartite_graphs())
     @example(BipartiteGraph.from_edges(  # two 4-cycles, a leaf, isolated nodes
@@ -110,19 +196,18 @@ class TestTracePowers:
 
     def test_bigint_matches_int64(self):
         m = ihara_bass_matrix(complete_bipartite(4, 5))
-        assert _traces_bigint(m, 6) == _traces_int64(m, 6)
+        with forced("sparse"):
+            int64 = power_traces(m, 6)[1:]
+        assert list(_traces_bigint(m, 6).values()) == int64
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)
         graphs = [random_bipartite(rng) for _ in range(10)] + [tesseract()]
         expect = [trace_power_counts(g).counts for g in graphs]
-
-        def overflow(m, max_k):
-            raise AssertionError("int64 path ran past the guard")
-
-        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1)
-        monkeypatch.setattr(edge_matrix, "_traces_int64", overflow)
-        assert [trace_power_counts(g).counts for g in graphs] == expect
+        with logged_tiers() as tiers:
+            monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1)
+            assert [trace_power_counts(g).counts for g in graphs] == expect
+        assert tiers == ["bigint"] * len(graphs)
 
     def test_trace_route_never_builds_edge_matrix(self, monkeypatch, tmp_path,
                                                   capsys):

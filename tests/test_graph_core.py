@@ -17,6 +17,8 @@ from girthspec import (
     write_edge_list,
 )
 
+from conftest import ROW_SIDE_SHORT_ALIST
+
 
 # ---------------------------------------------------------------------------
 # hypothesis strategy: small random bipartite graphs
@@ -89,6 +91,10 @@ class TestAlistParsing:
         text[2] = "2 1"  # lie about a column degree
         with pytest.raises(ParseError):
             parse_alist("\n".join(text))
+
+    def test_row_side_leaving_out_edges(self):
+        with pytest.raises(ParseError, match="row degree total"):
+            parse_alist(ROW_SIDE_SHORT_ALIST)
 
     def test_neighbor_out_of_range(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,6 @@ from girthspec import (
     BipartiteGraph,
     NumericalError,
     RouteInapplicableError,
-    adjacency_spectrum,
     complete_bipartite,
     counts_from_spectrum,
     derive_edge_spectrum,
@@ -24,10 +24,10 @@ from girthspec import (
     tesseract,
     transfer_counts,
 )
-from girthspec import spectral_transfer
+from girthspec import edge_matrix, spectral_transfer
 from girthspec.cli import transfer_spectra
-from girthspec.edge_matrix import trace_powers
-from girthspec.spectral_transfer import TransferParameters, _gram_traces
+from girthspec.edge_matrix import power_traces, trace_powers
+from girthspec.spectral_transfer import TransferParameters
 
 from conftest import (
     biregular_graphs,
@@ -40,7 +40,7 @@ from conftest import (
 def params_for(g):
     """Adjacency spectrum, edge spectrum and transfer parameters of g."""
     spec, es = transfer_spectra(g, profile(g))
-    return spec, es, TransferParameters.from_graph(g, spec)
+    return spec, es, TransferParameters.from_graph(g)
 
 
 def root_set(roots, digits=9):
@@ -59,23 +59,20 @@ class TestTransferParameters:
 
     def test_rejects_irregular(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
-        spec = adjacency_spectrum(g)
         with pytest.raises(RouteInapplicableError, match="bi-regular"):
-            TransferParameters.from_graph(g, spec)
+            TransferParameters.from_graph(g)
 
     def test_rejects_disconnected(self):
         g4, g4b = even_cycle(4), even_cycle(4)
         edges = set(g4.edges) | {(u + 2, w + 2) for u, w in g4b.edges}
         g = BipartiteGraph.from_edges(4, 4, edges)
-        spec = adjacency_spectrum(g)
         with pytest.raises(RouteInapplicableError, match="connected"):
-            TransferParameters.from_graph(g, spec)
+            TransferParameters.from_graph(g)
 
     def test_rejects_degree_two_both_sides(self):
         g = even_cycle(8)
-        spec = adjacency_spectrum(g)
         with pytest.raises(RouteInapplicableError, match="q2"):
-            TransferParameters.from_graph(g, spec)
+            TransferParameters.from_graph(g)
 
 
 class TestTransferQuadratic:
@@ -146,9 +143,8 @@ class TestDeriveEdgeSpectrum:
 
     def test_rejects_eight_cycle(self):
         g = even_cycle(8)
-        spec = adjacency_spectrum(g)
         with pytest.raises(RouteInapplicableError):
-            TransferParameters.from_graph(g, spec)
+            TransferParameters.from_graph(g, profile(g))
 
     def test_total_is_two_edge_count(self):
         for seed in range(5):
@@ -192,13 +188,24 @@ class TestDeriveEdgeSpectrum:
     def test_corrupted_spectrum_fails_loudly(self):
         g = complete_bipartite(3, 4)
         spec, _, params = params_for(g)
-        # tamper with the negative eigenvalue's multiplicity: step 1 must notice
+        # tamper with the negative eigenvalue's multiplicity: the size check
+        # notices, and step 1 does when the total is left as it was
         bad = spec.__class__(
             eigenvalues=spec.eigenvalues[:-1] + ((spec.eigenvalues[-1][0], 2),),
             total=spec.total + 1, rank=spec.rank, nullity=spec.nullity,
             zero_tolerance=spec.zero_tolerance)
         with pytest.raises(NumericalError):
             derive_edge_spectrum(bad, params)
+        with pytest.raises(NumericalError, match="step 1 produced 4"):
+            derive_edge_spectrum(dataclasses.replace(bad, total=spec.total),
+                                 params)
+
+    def test_rejects_wrong_size_and_odd_rank(self):
+        spec, _, params = params_for(complete_bipartite(3, 4))
+        with pytest.raises(NumericalError, match="spectrum size disagrees"):
+            derive_edge_spectrum(dataclasses.replace(spec, total=8), params)
+        with pytest.raises(NumericalError, match=r"Rank\(A\) = 3 is odd"):
+            derive_edge_spectrum(dataclasses.replace(spec, rank=3), params)
 
 
 def trace_counts(g):
@@ -257,13 +264,13 @@ class TestTransferCounts:
         # (-q1)^j + (-q2)^j absorbs the n - m extra zeros); the swap keeps B
         # m x m with m <= n
         shapes = []
-        real = spectral_transfer._gram_traces
+        real = spectral_transfer.power_traces
 
-        def spy(b, top, row_sum):
+        def spy(b, top):
             shapes.append(b.shape)
-            return real(b, top, row_sum)
+            return real(b, top)
 
-        monkeypatch.setattr(spectral_transfer, "_gram_traces", spy)
+        monkeypatch.setattr(spectral_transfer, "power_traces", spy)
         assert transfer_counts(g).counts == trace_counts(g)
         m = min(g.left_count, g.right_count)
         assert shapes == [(m, m)]
@@ -285,7 +292,7 @@ class TestTransferCounts:
     def test_refuses_irregular_before_any_work(self, monkeypatch):
         def no_traces(*args):
             raise AssertionError("traces computed")
-        monkeypatch.setattr(spectral_transfer, "_gram_traces", no_traces)
+        monkeypatch.setattr(spectral_transfer, "power_traces", no_traces)
         rng = random.Random(3)
         g = next(g for g in iter(lambda: random_bipartite(rng), None)
                  if not profile(g).is_biregular)
@@ -309,14 +316,14 @@ class TestTransferCounts:
                   even_cycle(10), random_biregular(8, 6, 3, 4, seed=0)]
         expect = [transfer_counts(g).counts for g in graphs]
         calls = []
-        bigint = spectral_transfer._traces_bigint
+        bigint = edge_matrix._traces_bigint
 
         def spy(b, top):
             calls.append(top)
             return bigint(b, top)
 
-        monkeypatch.setattr(spectral_transfer, "INT64_LIMIT", 1)
-        monkeypatch.setattr(spectral_transfer, "_traces_bigint", spy)
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1)
+        monkeypatch.setattr(edge_matrix, "_traces_bigint", spy)
         assert [transfer_counts(g).counts for g in graphs] == expect
         assert len(calls) == len(graphs)
 
@@ -336,7 +343,7 @@ class TestTransferCounts:
         expect = [int(np.trace(np.linalg.matrix_power(b, t))) for t in range(8)]
         tiers = {}
         for cap in (0, 10 ** 9):
-            monkeypatch.setattr(spectral_transfer, "DENSE_GRAM_MAX_M", cap)
-            tiers[cap] = _gram_traces(sp.csr_array(b), 7, prof.d_v * prof.d_c)
+            monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", cap)
+            tiers[cap] = power_traces(sp.csr_array(b), 7)
             assert transfer_counts(g, prof=prof).counts == trace_counts(g)
         assert tiers[0] == tiers[10 ** 9] == expect
