@@ -27,7 +27,8 @@ import scipy.sparse as sp
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_core import (DENSE_MAX_SIZE, BipartiteGraph, GraphProfile,
+                         biadjacency, profile)
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -43,13 +44,6 @@ __all__ = [
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
 INT64_LIMIT = 2 ** 62  # power_traces leaves int64 from this bound on
-# Largest size for dense float64 powers in power_traces, sparse int64 above.
-# power_traces, one BLAS thread, dense vs sparse ms (median of 15 warm calls):
-# M of size 100 (top 10) 0.81 vs 3.12, 182 (top 10) 3.37 vs 4.66, 200
-# (top 10) 4.09 vs 3.31, 238 (top 10) 5.83 vs 4.70, 274 (top 6) 4.61 vs 3.57;
-# B of size 20 (top 5) 0.21 vs 1.30, 183 (top 5) 2.08 vs 2.88, 200 (top 3)
-# 1.34 vs 0.78 at (2,3) and 1.37 vs 1.73 at (3,6), 267 (top 5) 3.04 vs 3.20.
-DENSE_MAX_SIZE = 200
 
 log = logging.getLogger("girthspec")
 
@@ -122,13 +116,13 @@ def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_array:
     """
     n, v = g.left_count, g.node_count
     # int32 node ids give int32 index arrays, in M and in its powers
-    edges = np.array(g.sorted_edges, dtype=np.int32).reshape(-1, 2)
-    left, right = edges[:, 0], n + edges[:, 1]
+    d = biadjacency(g)
     ids = np.arange(v, dtype=np.int32)
+    left, right = np.repeat(ids[:n], np.diff(d.indptr)), n + d.indices
     loss = 1 - np.bincount(np.concatenate([left, right]), minlength=v)  # 1 - d
     rows = np.concatenate([left, right, ids, v + ids])
     cols = np.concatenate([right, left, v + ids, ids])
-    data = np.concatenate([np.ones(2 * len(edges), dtype=np.int64), loss,
+    data = np.concatenate([np.ones(2 * g.edge_count, dtype=np.int64), loss,
                            np.ones(v, dtype=np.int64)])
     return sp.csr_array((data, (rows, cols)), shape=(2 * v, 2 * v))
 
@@ -167,7 +161,9 @@ def power_traces(mat: sp.csr_array, top: int) -> list[int]:
     sparse int64 otherwise.
     """
     size = mat.shape[0]
-    a, walk = abs(mat).astype(np.float64), np.ones(size)
+    a = sp.csr_array((np.abs(mat.data).astype(np.float64), mat.indices,
+                      mat.indptr), shape=mat.shape)
+    walk = np.ones(size)
     bound = float(size)
     for _ in range(top):
         walk = a @ walk

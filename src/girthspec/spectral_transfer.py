@@ -25,13 +25,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.sparse as sp
-
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
-from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_core import BipartiteGraph, GraphProfile, biadjacency, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -227,12 +224,10 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
         raise RouteInapplicableError("forest input: no cycles to count")
     max_k = cycle_window_end(girth, max_k)
 
-    # int32 ids give int32 index arrays, in B and in its powers
-    u, w = np.array(g.sorted_edges, dtype=np.int32).reshape(-1, 2).T
+    d = biadjacency(g)
     n, m, d_v, d_c = g.left_count, g.right_count, prof.d_v, prof.d_c
     if d_v > d_c:
-        u, w, n, m, d_v, d_c = w, u, m, n, d_c, d_v
-    d = sp.csr_array((np.ones(len(u), dtype=np.int64), (u, w)), shape=(n, m))
+        d, n, m, d_v, d_c = d.T, m, n, d_c, d_v
     traces = power_traces((d.T @ d).tocsr(), max_k // 2)
 
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
+    GraphProfile,
     complete_bipartite,
     even_cycle,
     profile,
@@ -20,6 +22,72 @@ from girthspec import (
 # 2 x 2 alist whose columns both list both rows, while row 1 lists column 1
 # only and row 2 lists nothing, as its degree header (1, 0) says
 ROW_SIDE_SHORT_ALIST = "2 2\n2 1\n2 2\n1 0\n1 2\n1 2\n1\n0\n"
+
+
+def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
+    """Exact girth by a BFS from every node; None for forests.
+
+    For each root, any non-tree edge (u, v) seen during BFS closes a walk of
+    length dist(u) + dist(v) + 1 through the root. Minimizing over all roots
+    is exact for graphs of even girth, which covers all bipartite inputs.
+    """
+    best: int | None = None
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    for root in range(n):
+        if not adj[root]:
+            continue
+        touched = [root]
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if best is not None and 2 * dist[u] >= best:
+                break
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    touched.append(v)
+                    queue.append(v)
+                elif v != parent[u]:
+                    cand = dist[u] + dist[v] + 1
+                    if best is None or cand < best:
+                        best = cand
+        for v in touched:
+            dist[v] = -1
+            parent[v] = -1
+    return best
+
+
+def reference_profile(g: BipartiteGraph) -> GraphProfile:
+    """The profile read off the adjacency lists by BFS alone, with
+    ``reference_girth``: what ``profile`` must equal on every input."""
+    adj = g.global_adjacency
+    seen = [False] * g.node_count
+    queue = deque([0])
+    seen[0] = True
+    count = 1
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                queue.append(v)
+    left = [len(a) for a in g.left_adjacency]
+    right = [len(a) for a in g.right_adjacency]
+    biregular = len(set(left)) == 1 and len(set(right)) == 1
+    return GraphProfile(
+        is_connected=count == g.node_count,
+        is_biregular=biregular,
+        d_v=left[0] if biregular else None,
+        d_c=right[0] if biregular else None,
+        girth=reference_girth(adj),
+        degree_sequences=(tuple(sorted(left, reverse=True)),
+                          tuple(sorted(right, reverse=True))),
+    )
 
 
 def random_bipartite(rng: random.Random, max_side: int = 8,

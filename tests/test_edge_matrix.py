@@ -93,7 +93,12 @@ def logged_tiers():
     read off the engine's DEBUG records."""
     tiers = []
     handler = logging.Handler(logging.DEBUG)
-    handler.emit = lambda record: tiers.append(record.args[0])
+
+    def emit(record):
+        if record.msg.startswith("power_traces"):
+            tiers.append(record.args[0])
+
+    handler.emit = emit
     logger = logging.getLogger("girthspec")
     level = logger.level
     logger.addHandler(handler)

@@ -1,10 +1,14 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girthspec import graph_core
 from girthspec import (
     BipartiteGraph,
     GenerationError,
+    GraphProfile,
     ParseError,
     complete_bipartite,
     even_cycle,
@@ -17,7 +21,10 @@ from girthspec import (
     write_edge_list,
 )
 
-from conftest import ROW_SIDE_SHORT_ALIST
+from conftest import ROW_SIDE_SHORT_ALIST, reference_profile
+
+# DENSE_MAX_SIZE values that leave each girth tier the only one open
+GIRTH_TIERS = {"dense": 10 ** 9, "sparse": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +38,31 @@ def bipartite_graphs(draw):
     all_edges = [(u, w) for u in range(n) for w in range(m)]
     edges = draw(st.sets(st.sampled_from(all_edges)))
     return BipartiteGraph(n, m, frozenset(edges))
+
+
+@st.composite
+def sparse_bipartite_graphs(draw):
+    """Up to 12 + 12 nodes and at most |V| + 2 edges, often around one
+    planted cycle of length 4 .. 24: forests, isolated nodes, disconnected
+    graphs and long cycles, either side the smaller."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    cells = [(u, w) for u in range(n) for w in range(m)]
+    edges = draw(st.sets(st.sampled_from(cells), max_size=n + m + 2))
+    if min(n, m) >= 2 and draw(st.booleans()):
+        t = draw(st.integers(2, min(n, m)))
+        us = draw(st.permutations(range(n)))[:t]
+        ws = draw(st.permutations(range(m)))[:t]
+        edges |= {(us[i], ws[i]) for i in range(t)}
+        edges |= {(us[(i + 1) % t], ws[i]) for i in range(t)}
+    return BipartiteGraph(n, m, frozenset(edges))
+
+
+def path(nodes: int) -> BipartiteGraph:
+    """The path u0 w0 u1 w1 ... on an even number of nodes."""
+    t = nodes // 2
+    edges = {(i, i) for i in range(t)} | {(i + 1, i) for i in range(t - 1)}
+    return BipartiteGraph(t, t, frozenset(edges))
 
 
 class TestEdgeListParsing:
@@ -153,6 +185,58 @@ class TestProfile:
         edges = set(g4.edges) | {(u + 2, w + 2) for u, w in g6.edges}
         g = BipartiteGraph.from_edges(5, 5, edges)
         assert profile(g).girth == 4
+
+
+class TestProfileEquivalence:
+    """``profile`` against the per-root BFS reference in conftest."""
+
+    @pytest.mark.parametrize("tier", GIRTH_TIERS)
+    @given(st.one_of(bipartite_graphs(), sparse_bipartite_graphs()))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, tier, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
+            assert profile(g) == reference_profile(g)
+
+    @pytest.mark.parametrize("tier", GIRTH_TIERS)
+    @pytest.mark.parametrize("length", range(4, 42, 2))
+    def test_even_cycles(self, monkeypatch, tier, length):
+        monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
+        g = even_cycle(length)
+        assert profile(g) == reference_profile(g)
+        assert profile(g).girth == length
+
+    @pytest.mark.parametrize("tier", GIRTH_TIERS)
+    def test_tesseract(self, monkeypatch, tier):
+        monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
+        assert profile(tesseract()) == reference_profile(tesseract())
+
+    # large inputs, checked against their known profiles
+    def test_cycle_2000(self):
+        assert profile(even_cycle(2000)) == GraphProfile(
+            True, True, 2, 2, 2000, ((2,) * 1000, (2,) * 1000))
+
+    def test_path_2000(self):
+        assert profile(path(2000)) == GraphProfile(
+            True, False, None, None, None, ((2,) * 999 + (1,), (2,) * 999 + (1,)))
+
+    def test_k300_300(self):
+        assert profile(complete_bipartite(300, 300)) == GraphProfile(
+            True, True, 300, 300, 4, ((300,) * 300, (300,) * 300))
+
+    @pytest.mark.parametrize("g, record", [
+        (complete_bipartite(3, 4), "roots=3 levels=2 peak_nnz=12"),
+        (even_cycle(8), "roots=4 levels=4 peak_nnz=8"),
+        (path(6), "roots=3 levels=6 peak_nnz=5"),
+    ])
+    def test_logs_tier_roots_levels_and_peak(self, caplog, monkeypatch, g,
+                                             record):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        for tier, cap in GIRTH_TIERS.items():
+            monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
+            profile(g)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"girth tier={tier} {record}" for tier in GIRTH_TIERS]
 
 
 class TestRandomBiregular:
