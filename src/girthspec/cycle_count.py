@@ -14,7 +14,7 @@ from math import comb
 from .counts import CycleCounts, cycle_window_end
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_core import BipartiteGraph, GraphProfile, neighbor_lists, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -83,7 +83,10 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
     if prof.girth is None:
         raise RouteInapplicableError("forest input: no cycles to count")
 
-    adj = g.global_adjacency
+    # neighbors over combined ids: left node u is u, right node w is n + w
+    n, d = g.left_count, g.biadjacency
+    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(d)]
+           + neighbor_lists(d.T.tocsr()))
     raw = {k: 0 for k in range(4, max_k + 1, 2)}
     on_path = [False] * g.node_count
 

@@ -27,8 +27,7 @@ import scipy.sparse as sp
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import (DENSE_MAX_SIZE, BipartiteGraph, GraphProfile,
-                         biadjacency, profile)
+from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, GraphProfile, profile
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -44,6 +43,9 @@ __all__ = [
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
 INT64_LIMIT = 2 ** 62  # power_traces leaves int64 from this bound on
+# edge_spectrum_direct's cluster distance, looser than for a symmetric
+# matrix: nonsymmetric eigenproblems are less well conditioned
+DIRECT_CLUSTER_TOL = 1e-6
 
 log = logging.getLogger("girthspec")
 
@@ -92,7 +94,7 @@ class EdgeSpectrum:
 def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     """Construct the 2|E| x 2|E| directed edge matrix of the graph."""
     n = g.left_count
-    edges = g.sorted_edges
+    edges = sorted(g.edges)
     e = len(edges)
     # arc i = (u, w), arc e + i = (w, u), in combined node ids
     arcs = [(u, n + w) for u, w in edges] + [(n + w, u) for u, w in edges]
@@ -116,7 +118,7 @@ def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_array:
     """
     n, v = g.left_count, g.node_count
     # int32 node ids give int32 index arrays, in M and in its powers
-    d = biadjacency(g)
+    d = g.biadjacency
     ids = np.arange(v, dtype=np.int32)
     left, right = np.repeat(ids[:n], np.diff(d.indptr)), n + d.indices
     loss = 1 - np.bincount(np.concatenate([left, right]), minlength=v)  # 1 - d
@@ -243,30 +245,30 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[tuple[complex, int]
 
 
 def edge_spectrum_direct(g: BipartiteGraph,
-                         cluster_tolerance: float = 1e-6,
                          dense_cap: int = DEFAULT_DIRECT_CAP) -> EdgeSpectrum:
     """Complex eigenvalues of A_e; the O(|E|^3) baseline.
 
     A_e = [[0, X], [Y, 0]] has characteristic polynomial det(lambda^2 I - XY),
     so the dense eigensolve runs on the |E| x |E| product XY, built from the
-    edge list without A_e, and each of its eigenvalues mu gives +/- sqrt(mu).
-    Exists for verification and benchmarking of the transfer route; the
-    default cluster tolerance is looser than the symmetric case because
-    nonsymmetric eigenproblems are less well conditioned.
+    biadjacency block without A_e, and each of its eigenvalues mu gives
+    +/- sqrt(mu); they are clustered within DIRECT_CLUSTER_TOL. Exists for
+    verification and benchmarking of the transfer route.
     """
     e = g.edge_count
     if 2 * e > dense_cap:
         raise SizeCapError(f"2|E| = {2 * e} exceeds dense cap {dense_cap}")
-    u, w = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2).T
-    linked = np.zeros((g.left_count, g.right_count), dtype=bool)
-    linked[u, w] = True
+    # edges in lexicographic (u, w) order, as build_edge_matrix takes them
+    d = g.biadjacency
+    u, w = np.repeat(np.arange(g.left_count), np.diff(d.indptr)), d.indices
+    linked = d.toarray().astype(bool)
     # XY is the U -> W corner of A_e^2: arc u_i -> w_i reaches arc u_j -> w_j
     # through arc w_i -> u_j, so XY[i, j] = 1 iff (u_j, w_i) is an edge
     # other than edges i and j.
     xy = (linked[u[None, :], w[:, None]] & (u[:, None] != u[None, :])
           & (w[:, None] != w[None, :])).astype(np.float64)
     roots = np.sqrt(np.linalg.eigvals(xy).astype(complex))
-    clusters = _cluster_complex(np.concatenate([roots, -roots]), cluster_tolerance)
+    clusters = _cluster_complex(np.concatenate([roots, -roots]),
+                                DIRECT_CLUSTER_TOL)
     total = sum(m for _, m in clusters)
     if total != 2 * e:
         raise NumericalError("edge spectrum clustering lost eigenvalues")

@@ -2,11 +2,14 @@
 
 Node identity is 0-based dense indices per side: ``u`` indexes the left
 (variable) side ``U`` and ``w`` indexes the right (check) side ``W``.
-``profile`` reads everything off the biadjacency block in CSR form: the
-degrees from its row pointers, connectivity from one BFS over its index
-lists, and the exact girth from counts of non-backtracking walks (the
-walks A_e counts) rooted on the smaller side, one sparse product per BFS
-level, to depth g/2.
+The graph's one index structure is its biadjacency block D, cached on
+``BipartiteGraph.biadjacency`` as a read-only CSR array with sorted rows.
+Every layer reads it, the writers and the DFS through ``neighbor_lists``;
+only the references the tests check it against read ``edges``.
+``profile`` reads everything off D: the degrees from its row pointers,
+connectivity from one BFS over its index lists, and the exact girth from
+counts of non-backtracking walks (the walks A_e counts) rooted on the
+smaller side, one sparse product per BFS level, to depth g/2.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
     "write_edge_list",
     "parse_alist",
     "write_alist",
-    "biadjacency",
+    "neighbor_lists",
     "profile",
     "random_biregular",
     "complete_bipartite",
@@ -51,6 +54,7 @@ __all__ = [
 # (girth 4) 120 x 180 0.25 vs 0.16, 180 x 270 0.73 vs 0.17. Dense products
 # cost roots^2 x others, so _girth goes dense only when both sides fit.
 DENSE_MAX_SIZE = 200
+GENERATION_ATTEMPTS = 200  # seeds random_biregular tries before giving up
 
 log = logging.getLogger("girthspec")
 
@@ -62,7 +66,7 @@ class BipartiteGraph:
     Edges are (u, w) pairs with ``0 <= u < left_count`` and
     ``0 <= w < right_count``; self-loops are impossible by construction and
     parallel edges are excluded because ``edges`` is a set. Immutable after
-    construction.
+    construction; the package reads the edges through ``biadjacency``.
     """
 
     left_count: int
@@ -91,31 +95,23 @@ class BipartiteGraph:
         return self.left_count + self.right_count
 
     @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges in lexicographic (u, w) order; the canonical arc order."""
-        return tuple(sorted(self.edges))
+    def biadjacency(self) -> sp.csr_array:
+        """The left_count x right_count 0/1 biadjacency block D, int64 CSR
+        with sorted rows, so ``indptr`` holds the left degrees; read-only.
 
-    @cached_property
-    def left_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.left_count)]
-        for u, w in self.sorted_edges:
-            adj[u].append(w)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def right_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.right_count)]
-        for u, w in self.sorted_edges:
-            adj[w].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def global_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists over combined ids: left node u -> u, right node
-        w -> left_count + w."""
-        n = self.left_count
-        left = tuple(tuple(n + w for w in nbrs) for nbrs in self.left_adjacency)
-        return left + self.right_adjacency
+        Edges are sorted as keys u * right_count + w in numpy, not as tuples.
+        int32 ids give int32 index arrays, in D and its products.
+        """
+        n, m = self.left_count, self.right_count
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * self.edge_count)
+        keys = np.sort(ends[::2] * m + ends[1::2])
+        indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32)
+        d = sp.csr_array((np.ones(len(keys), dtype=np.int64),
+                          (keys % m).astype(np.int32), indptr), shape=(n, m))
+        for array in (d.data, d.indices, d.indptr):
+            array.flags.writeable = False
+        return d
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,10 @@ class GraphProfile:
 
 def _as_text(data) -> str:
     if isinstance(data, (bytes, bytearray)):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     return data
 
 
@@ -183,7 +182,8 @@ def parse_edge_list(text) -> BipartiteGraph:
 
 def write_edge_list(g: BipartiteGraph) -> str:
     lines = [f"{g.left_count} {g.right_count}"]
-    lines.extend(f"{u} {w}" for u, w in g.sorted_edges)
+    for u, nbrs in enumerate(neighbor_lists(g.biadjacency)):
+        lines.extend(f"{u} {w}" for w in nbrs)
     return "\n".join(lines) + "\n"
 
 
@@ -242,8 +242,9 @@ def parse_alist(text) -> BipartiteGraph:
 
 
 def write_alist(g: BipartiteGraph) -> str:
-    col_adj = [[w + 1 for w in nbrs] for nbrs in g.left_adjacency]
-    row_adj = [[u + 1 for u in nbrs] for nbrs in g.right_adjacency]
+    d = g.biadjacency
+    col_adj = [[w + 1 for w in nbrs] for nbrs in neighbor_lists(d)]
+    row_adj = [[u + 1 for u in nbrs] for nbrs in neighbor_lists(d.T.tocsr())]
     max_col = max((len(a) for a in col_adj), default=0)
     max_row = max((len(a) for a in row_adj), default=0)
     lines = [
@@ -263,34 +264,25 @@ def write_alist(g: BipartiteGraph) -> str:
 # Profiling
 # ---------------------------------------------------------------------------
 
-def biadjacency(g: BipartiteGraph) -> sp.csr_array:
-    """The left_count x right_count 0/1 biadjacency block D, int64 CSR
-    with sorted rows, so ``indptr`` holds the left degrees.
-
-    Edges are sorted as keys u * right_count + w in numpy, not as tuples.
-    int32 ids give int32 index arrays, in D and its products.
-    """
-    n, m = g.left_count, g.right_count
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
-                       count=2 * g.edge_count)
-    keys = np.sort(ends[::2] * m + ends[1::2])
-    indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32)
-    return sp.csr_array((np.ones(len(keys), dtype=np.int64),
-                         (keys % m).astype(np.int32), indptr), shape=(n, m))
+def neighbor_lists(d: sp.csr_array) -> list[list[int]]:
+    """The column indices of each row of a CSR matrix, ascending in a
+    sorted one, as Python lists: the neighbors of each left node for
+    ``g.biadjacency``, and of each right node for its transpose."""
+    ptr, idx = d.indptr.tolist(), d.indices.tolist()
+    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def _connected(d: sp.csr_array, dt: sp.csr_array) -> bool:
     """Whether a BFS from left node 0 over the index lists of D and D^T
     reaches every node."""
-    sides = [(d.indptr.tolist(), d.indices.tolist()),
-             (dt.indptr.tolist(), dt.indices.tolist())]
+    sides = [neighbor_lists(d), neighbor_lists(dt)]
     seen = [[False] * d.shape[0], [False] * d.shape[1]]
     seen[0][0] = True
     frontier, side, reached = [0], 0, 1
     while frontier:
-        (ptr, idx), other, nxt = sides[side], seen[1 - side], []
+        adj, other, nxt = sides[side], seen[1 - side], []
         for a in frontier:
-            for b in idx[ptr[a]:ptr[a + 1]]:
+            for b in adj[a]:
                 if not other[b]:
                     other[b] = True
                     nxt.append(b)
@@ -352,7 +344,7 @@ def _girth(x: sp.csr_array, y: sp.csr_array) -> int | None:
 def profile(g: BipartiteGraph) -> GraphProfile:
     """Connectivity, bi-regularity, degree sequences and exact girth, all
     read off the biadjacency block D in CSR form."""
-    d = biadjacency(g)
+    d = g.biadjacency
     dt = d.T.tocsr()
     left, right = np.diff(d.indptr), np.diff(dt.indptr)
     biregular = bool(left.min() == left.max() and right.min() == right.max())
@@ -371,8 +363,8 @@ def profile(g: BipartiteGraph) -> GraphProfile:
 # Generators
 # ---------------------------------------------------------------------------
 
-def random_biregular(n: int, m: int, d_v: int, d_c: int, seed: int,
-                     max_attempts: int = 200) -> BipartiteGraph:
+def random_biregular(n: int, m: int, d_v: int, d_c: int,
+                     seed: int) -> BipartiteGraph:
     """Random simple connected (d_v, d_c)-regular bipartite graph.
 
     Configuration model with edge-swap repair of parallel edges; the whole
@@ -386,7 +378,7 @@ def random_biregular(n: int, m: int, d_v: int, d_c: int, seed: int,
     if d_v > m or d_c > n:
         raise GenerationError("requested degree exceeds the opposite side size")
 
-    for attempt in range(max_attempts):
+    for attempt in range(GENERATION_ATTEMPTS):
         rng = random.Random(seed + attempt)
         left_stubs = [u for u in range(n) for _ in range(d_v)]
         right_stubs = [w for w in range(m) for _ in range(d_c)]
@@ -397,7 +389,7 @@ def random_biregular(n: int, m: int, d_v: int, d_c: int, seed: int,
             if g.edge_count == n * d_v and profile(g).is_connected:
                 return g
     raise GenerationError(
-        f"no simple connected graph found in {max_attempts} attempts "
+        f"no simple connected graph found in {GENERATION_ATTEMPTS} attempts "
         f"(n={n}, m={m}, d_v={d_v}, d_c={d_c}, seed={seed})")
 
 

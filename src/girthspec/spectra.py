@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SizeCapError
-from .graph_core import BipartiteGraph
+from .graph_core import BipartiteGraph, neighbor_lists
 
 __all__ = [
     "AdjacencySpectrum",
@@ -62,21 +62,14 @@ class AdjacencySpectrum:
         return max((abs(v) for v, _ in self.eigenvalues), default=0.0)
 
 
-def biadjacency_matrix(g: BipartiteGraph) -> np.ndarray:
-    d = np.zeros((g.left_count, g.right_count))
-    for u, w in g.edges:
-        d[u, w] = 1.0
-    return d
-
-
 def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
     """Symmetric |V| x |V| adjacency matrix, U block first; the tests'
-    reference for :func:`adjacency_spectrum`."""
-    n, m = g.left_count, g.right_count
-    a = np.zeros((n + m, n + m))
-    d = biadjacency_matrix(g)
-    a[:n, n:] = d
-    a[n:, :n] = d.T
+    reference for :func:`adjacency_spectrum`, so it reads ``g.edges``,
+    not ``g.biadjacency``."""
+    n = g.left_count
+    a = np.zeros((g.node_count, g.node_count))
+    for u, w in g.edges:
+        a[u, n + w] = a[n + w, u] = 1.0
     return a
 
 
@@ -106,7 +99,7 @@ def adjacency_spectrum(g: BipartiteGraph,
     """
     if g.node_count > dense_cap:
         raise SizeCapError(f"|V| = {g.node_count} exceeds dense cap {dense_cap}")
-    sv = np.linalg.svd(biadjacency_matrix(g), compute_uv=False)  # descending
+    sv = np.linalg.svd(g.biadjacency.toarray(), compute_uv=False)  # descending
     lam_max = float(sv[0])
     if cluster_tolerance is None:
         cluster_tolerance = max(1e-8, 1e-10 * lam_max)
@@ -155,9 +148,9 @@ def rank_of_biadjacency(g: BipartiteGraph, *,
     the 6-cycle's D has rank 3 over Q but 2 over GF(2). Rows are taken
     from the smaller side, so at most min(n, m) pivots are eliminated.
     """
-    adjacency = (g.left_adjacency if g.left_count <= g.right_count
-                 else g.right_adjacency)
-    return _rank_mod_p([dict.fromkeys(nbrs, 1) for nbrs in adjacency], prime)
+    d = g.biadjacency if g.left_count <= g.right_count else g.biadjacency.T
+    return _rank_mod_p([dict.fromkeys(nbrs, 1)
+                        for nbrs in neighbor_lists(d.tocsr())], prime)
 
 
 def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
-from .graph_core import BipartiteGraph, GraphProfile, biadjacency, profile
+from .graph_core import BipartiteGraph, GraphProfile, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -224,7 +224,7 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
         raise RouteInapplicableError("forest input: no cycles to count")
     max_k = cycle_window_end(girth, max_k)
 
-    d = biadjacency(g)
+    d = g.biadjacency
     n, m, d_v, d_c = g.left_count, g.right_count, prof.d_v, prof.d_c
     if d_v > d_c:
         d, n, m, d_v, d_c = d.T, m, n, d_c, d_v

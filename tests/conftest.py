@@ -62,9 +62,14 @@ def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
 
 
 def reference_profile(g: BipartiteGraph) -> GraphProfile:
-    """The profile read off the adjacency lists by BFS alone, with
-    ``reference_girth``: what ``profile`` must equal on every input."""
-    adj = g.global_adjacency
+    """The profile read off adjacency lists built from ``g.edges`` by BFS
+    alone, with ``reference_girth``: what ``profile`` must equal on every
+    input. Left node u has id u, right node w id left_count + w."""
+    n = g.left_count
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, w in g.edges:
+        adj[u].append(n + w)
+        adj[n + w].append(u)
     seen = [False] * g.node_count
     queue = deque([0])
     seen[0] = True
@@ -76,8 +81,8 @@ def reference_profile(g: BipartiteGraph) -> GraphProfile:
                 seen[v] = True
                 count += 1
                 queue.append(v)
-    left = [len(a) for a in g.left_adjacency]
-    right = [len(a) for a in g.right_adjacency]
+    left = [len(a) for a in adj[:n]]
+    right = [len(a) for a in adj[n:]]
     biregular = len(set(left)) == 1 and len(set(right)) == 1
     return GraphProfile(
         is_connected=count == g.node_count,

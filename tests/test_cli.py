@@ -138,6 +138,15 @@ class TestCount:
         assert code == 4
         assert report["error"]["code"] == 4
 
+    @pytest.mark.parametrize("name", ["bad.el", "bad.alist"])
+    def test_undecodable_input_exits_4(self, capsys, tmp_path, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe2 2\n0 0\n")
+        code, report = run_json(capsys, ["count", "--input", str(bad)])
+        assert code == 4
+        assert report["error"]["code"] == 4
+        assert "not UTF-8" in report["error"]["message"]
+
     def test_alist_row_side_leaving_out_edges_exits_4(self, capsys, tmp_path):
         path = tmp_path / "short.alist"
         path.write_text(ROW_SIDE_SHORT_ALIST)
@@ -453,9 +462,10 @@ class TestTracedLayers:
         for metric, targets in tracing.LAYER_TARGETS.items():
             assert any(tracing._resolve(t) for t in targets), metric
 
-    def test_every_cli_target_resolves(self, tracing):
-        cli_targets = [t for targets in tracing.LAYER_TARGETS.values()
-                       for t in targets if t.startswith("girthspec.cli:")]
-        assert cli_targets
-        for target in cli_targets:
+    def test_every_target_resolves(self, tracing):
+        # profile is imported by name in each module that calls it, so
+        # that these bindings trace those calls
+        targets = [t for ts in tracing.LAYER_TARGETS.values() for t in ts]
+        assert targets
+        for target in targets:
             assert tracing._resolve(target) is not None, target

@@ -1,5 +1,6 @@
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,23 +22,10 @@ from girthspec import (
     write_edge_list,
 )
 
-from conftest import ROW_SIDE_SHORT_ALIST, reference_profile
+from conftest import ROW_SIDE_SHORT_ALIST, bipartite_graphs, reference_profile
 
 # DENSE_MAX_SIZE values that leave each girth tier the only one open
 GIRTH_TIERS = {"dense": 10 ** 9, "sparse": 0}
-
-
-# ---------------------------------------------------------------------------
-# hypothesis strategy: small random bipartite graphs
-# ---------------------------------------------------------------------------
-
-@st.composite
-def bipartite_graphs(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    all_edges = [(u, w) for u in range(n) for w in range(m)]
-    edges = draw(st.sets(st.sampled_from(all_edges)))
-    return BipartiteGraph(n, m, frozenset(edges))
 
 
 @st.composite
@@ -96,6 +84,10 @@ class TestEdgeListParsing:
         with pytest.raises(ParseError):
             parse_edge_list("   \n# only a comment\n")
 
+    def test_undecodable_bytes(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_edge_list(b"\xff\xfe2 2\n0 0\n")
+
     @given(bipartite_graphs())
     def test_round_trip(self, g):
         assert parse_edge_list(write_edge_list(g)).edges == g.edges
@@ -132,6 +124,10 @@ class TestAlistParsing:
         with pytest.raises(ParseError):
             parse_alist("1 1\n1 1\n1\n1\n5\n1")
 
+    def test_undecodable_bytes(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_alist(b"1 1\n1 1\n1\n1\n1\n\xff\n")
+
     @given(bipartite_graphs())
     @settings(max_examples=60)
     def test_round_trip(self, g):
@@ -140,6 +136,49 @@ class TestAlistParsing:
     def test_biregular_round_trip(self):
         g = random_biregular(8, 6, 3, 4, seed=11)
         assert parse_alist(write_alist(g)).edges == g.edges
+
+
+class TestBiadjacency:
+    @given(bipartite_graphs())
+    def test_matches_edges_and_is_read_only(self, g):
+        d = g.biadjacency
+        assert d.shape == (g.left_count, g.right_count)
+        assert d.indices.dtype == np.int32
+        # (row, index) pairs in storage order: the edges, each row sorted
+        rows = np.repeat(np.arange(g.left_count), np.diff(d.indptr))
+        assert list(zip(rows.tolist(), d.indices.tolist())) == sorted(g.edges)
+        assert np.all(d.data == 1)
+        for array in (d.data, d.indices, d.indptr):
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_cached(self):
+        g = tesseract()
+        assert g.biadjacency is g.biadjacency
+
+
+class TestWriters:
+    """The exact text of both writers; a round trip alone would pass a
+    reordering."""
+
+    # irregular, with left node 2 and right node 3 isolated
+    IRREGULAR = BipartiteGraph.from_edges(
+        3, 4, [(1, 2), (0, 2), (1, 0), (0, 0), (1, 1)])
+    EDGELESS = BipartiteGraph(2, 1, frozenset())
+
+    def test_edge_list(self):
+        assert write_edge_list(self.IRREGULAR) == (
+            "3 4\n0 0\n0 2\n1 0\n1 1\n1 2\n")
+
+    def test_alist_zero_padding(self):
+        assert write_alist(self.IRREGULAR) == (
+            "3 4\n3 2\n2 3 0\n2 1 2 0\n"
+            "1 3 0\n1 2 3\n0 0 0\n"
+            "1 2\n2 0\n1 2\n0 0\n")
+
+    def test_edgeless(self):
+        assert write_edge_list(self.EDGELESS) == "2 1\n"
+        assert write_alist(self.EDGELESS) == "2 1\n0 0\n0 0\n0\n0\n0\n0\n"
 
 
 class TestProfile:

@@ -334,7 +334,7 @@ class TestTransferCounts:
         ids=["K34", "Q4", "two (2,3)", "(2,4)", "(3,4)"])
     def test_dense_and_sparse_tiers_agree(self, g, monkeypatch):
         prof = profile(g)
-        u, w = np.array(g.sorted_edges).T
+        u, w = np.array(sorted(g.edges)).T
         d = np.zeros((g.left_count, g.right_count), dtype=np.int64)
         d[u, w] = 1
         if prof.d_v > prof.d_c:
