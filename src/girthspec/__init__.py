@@ -2,8 +2,8 @@
 
 Counts cycles of length g through 2g-2 exactly, from traces of the directed
 edge (non-backtracking) matrix or, for bi-regular graphs, from the paper's
-quadratic eigenvalue transfer taken to integer traces of D^T D. Brute-force
-and closed-form oracles are included for verification.
+quadratic eigenvalue transfer taken to integer adjacency power sums.
+Brute-force and closed-form oracles are included for verification.
 """
 
 from .counts import CycleCounts
@@ -50,7 +50,6 @@ from .spectral_transfer import (
     derive_edge_spectrum,
     solve_transfer_quadratic,
     transfer_counts,
-    transfer_inapplicable,
 )
 
 __version__ = "0.1.0"

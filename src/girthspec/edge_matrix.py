@@ -1,12 +1,15 @@
 """The exact trace engine, trace powers via Ihara-Bass, and A_e itself.
 
 No counting route builds the 2|E| x 2|E| directed edge matrix A_e. Both
-exact routes count from traces of powers of a small integer matrix, taken
-by one engine, ``power_traces``: ``trace`` from the 2|V| x 2|V| Ihara-Bass
-matrix M = [[A, I - D], [I, 0]], as tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 +
-(-1)^k) (Bass 1992; Kotani & Sunada 2000), and ``transfer`` from the Gram
-matrix D^T D. Each trace is read off two half powers, exactly: a bound on
-the walk sums picks dense float64, sparse int64 or Python integers.
+exact routes take their traces from one engine, ``power_traces``, over
+M = [[A, L], [I, 0]] (A the adjacency matrix, L diagonal): ``trace`` with
+L = I - deg, as tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k) (Bass 1992;
+Kotani & Sunada 2000), ``transfer`` with L = 0, where tr(M^(2a)) =
+tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
+L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
+so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
+(P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
+with no transpose. A walk-sum bound picks float64, int64 or Python ints.
 
 ``build_edge_matrix`` constructs A_e itself, the reference the tests
 compare against. Arcs are numbered so that arc i and arc |E| + i are
@@ -33,7 +36,6 @@ __all__ = [
     "DirectedEdgeMatrix",
     "EdgeSpectrum",
     "build_edge_matrix",
-    "ihara_bass_matrix",
     "power_traces",
     "trace_powers",
     "trace_power_counts",
@@ -109,96 +111,98 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def ihara_bass_matrix(g: BipartiteGraph) -> sp.csr_array:
-    """M = [[A, I - D], [I, 0]], the 2|V| x 2|V| int64 Ihara-Bass matrix.
+def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
+    """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for an n x m
+    integer block D and L = diag(loss); tr(M^k) = 0 for odd k, as M is
+    bipartite as a digraph.
 
-    A is the adjacency matrix and D the degree matrix over combined node
-    ids (left node u is id u, right node w is id left_count + w), so
-    isolated nodes take part; ``trace_powers`` corrects for all of them.
+    P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
+    even c (S_c, T_c). Its W columns follow from T_0 = I, R_c = D T_(c-1) +
+    L_U R_(c-2), T_c = D^T R_(c-1) + L_W T_(c-2), its U columns from the
+    same chain with D^T for D; each side adds its columns' terms of the sum
+    of squares. With L = 0 both sides give the same sums, so the W side
+    runs alone and counts twice (callers put the smaller side there); else
+    the U side stops short of an odd top, as R_top^T has R_top's squares.
+
+    Each entry of P_c, and each partial sum forming it, is at most that of
+    P_c for |M| in absolute value, and each summed term is at most a term
+    of tr(|M|^(2a)). So twice the largest walk sum 1^T |M|^t 1, t <= 2 top,
+    in float64 (the factor 2 covers its rounding), bounds every number
+    computed and picks the tier: dense Python integers from INT64_LIMIT,
+    dense float64 (exact below 2^53) while D is at most DENSE_MAX_SIZE on
+    each side, sparse int64 otherwise.
     """
-    n, v = g.left_count, g.node_count
-    # int32 node ids give int32 index arrays, in M and in its powers
-    d = g.biadjacency
-    ids = np.arange(v, dtype=np.int32)
-    left, right = np.repeat(ids[:n], np.diff(d.indptr)), n + d.indices
-    loss = 1 - np.bincount(np.concatenate([left, right]), minlength=v)  # 1 - d
-    rows = np.concatenate([left, right, ids, v + ids])
-    cols = np.concatenate([right, left, v + ids, ids])
-    data = np.concatenate([np.ones(2 * g.edge_count, dtype=np.int64), loss,
-                           np.ones(v, dtype=np.int64)])
-    return sp.csr_array((data, (rows, cols)), shape=(2 * v, 2 * v))
-
-
-def _traces_bigint(m: sp.csr_array, max_k: int) -> dict[int, int]:
-    """tr(M^k), k = 1 .. max_k, as ``power_traces`` takes them, in Python
-    integers over the weighted rows of M."""
-    rows = [dict(zip(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist(),
-                     m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
-            for i in range(m.shape[0])]
-    powers = [[{i: 1} for i in range(len(rows))]]
-    for _ in range((max_k + 1) // 2):
-        product = []
-        for row in powers[-1]:
-            acc: dict[int, int] = {}
-            for t, x in row.items():
-                for j, y in rows[t].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            product.append(acc)
-        powers.append(product)
-    return {k: sum(x * powers[k // 2][j].get(i, 0)
-                   for i, row in enumerate(powers[(k + 1) // 2])
-                   for j, x in row.items())
-            for k in range(1, max_k + 1)}
-
-
-def power_traces(mat: sp.csr_array, top: int) -> list[int]:
-    """[tr(P^0), ..., tr(P^top)] of a square integer matrix P, exactly.
-
-    tr(P^t) = sum(P^a o (P^b)^T) with a = ceil(t/2), b = floor(t/2), so
-    powers are multiplied to depth ceil(top/2) only. 1^T |P|^t 1 bounds
-    every entry of P^j (j <= t), every partial sum of their products and
-    tr(P^t); twice its largest value over t <= top, computed in float64
-    (the factor 2 covers rounding), picks the tier: Python integers from
-    INT64_LIMIT, dense float64 (exact below 2^53) up to DENSE_MAX_SIZE,
-    sparse int64 otherwise.
-    """
-    size = mat.shape[0]
-    a = sp.csr_array((np.abs(mat.data).astype(np.float64), mat.indices,
-                      mat.indptr), shape=mat.shape)
-    walk = np.ones(size)
-    bound = float(size)
-    for _ in range(top):
-        walk = a @ walk
-        bound = max(bound, float(walk.sum()))
+    d = d.tocsr()
+    n, m = d.shape
+    small = max(n, m) <= DENSE_MAX_SIZE
+    # 1^T |M|^t 1 = 1^T (y_t + y_(t-1)) for y_t = |A| y_(t-1) + |L| y_(t-2)
+    # and y_0 = y_(-1) = 1
+    walks = abs(d.toarray() if small else d).astype(np.float64)
+    prev = cur = np.ones(n + m)
+    bound = 2.0 * (n + m)
+    for _ in range(2 * top):
+        prev, cur = cur, (np.concatenate([walks @ cur[n:], walks.T @ cur[:n]])
+                          + np.abs(loss) * prev)
+        bound = max(bound, float(cur.sum() + prev.sum()))
     bound *= 2
-    if bound >= INT64_LIMIT:
-        tier = "bigint"
-    elif bound < 2 ** 53 and size <= DENSE_MAX_SIZE:
-        tier = "dense"
-    else:
-        tier = "sparse"
-    log.debug("power_traces tier=%s size=%d top=%d bound=%.3g",
-              tier, size, top, bound)
+    tier = ("bigint" if bound >= INT64_LIMIT else
+            "dense" if bound < 2 ** 53 and small else "sparse")
     if tier == "bigint":
-        return [size, *_traces_bigint(mat, top).values()]
-    p = mat.toarray().astype(np.float64) if tier == "dense" else mat
-    powers = [None, p]
-    while len(powers) <= (top + 1) // 2:
-        powers.append(powers[-1] @ p)
-    transposed = [None] + [q.T for q in powers[1:top // 2 + 1]]
-    return [size, int(p.diagonal().sum())][:top + 1] + [
-        int((powers[(t + 1) // 2] * transposed[t // 2]).sum())
-        for t in range(2, top + 1)]
+        d, loss = d.toarray().astype(object), loss.astype(object)
+    # sparse products need D^T in CSR; dense blocks take it as a view
+    dt = d.T.tocsr() if tier == "sparse" else d.T
+    sides = [(d, dt, loss[:n], loss[n:])]
+    if loss.any():
+        sides.append((dt, d, loss[n:], loss[:n]))
+    log.debug("power_traces tier=%s form=%s shape=%s top=%d bound=%.3g",
+              tier, "ihara-bass" if len(sides) == 2 else "adjacency",
+              (n, m), top, bound)
+    traces = [2 * (n + m)] + [0] * top
+    dense = tier != "sparse"
+    short = len(sides) == 2 and top % 2 == 1
+
+    def rows(x, w):  # w over the rows of block x, shaped like its values
+        return w[:, None] if dense else np.repeat(w, np.diff(x.indptr))
+
+    for side, (x, xt, lr, lc) in enumerate(sides):  # blocks of x's columns
+        if dense:
+            kind = loss.dtype if tier == "bigint" else np.float64
+            prev, cur = np.zeros(x.shape, kind), np.eye(x.shape[1], dtype=kind)
+        else:
+            prev = sp.csr_array(x.shape, dtype=np.int64)
+            cur = sp.eye_array(x.shape[1], dtype=np.int64, format="csr")
+        for c in range(top + 1 - (short and side)):
+            rw = lr if c % 2 else lc  # L on the rows of block c
+            if c:
+                step = (x if c % 2 else xt) @ cur
+                if rw.any():  # block c - 2 is not needed again: scale in place
+                    data = prev if dense else prev.data
+                    data *= rows(prev, rw)
+                    step = step + prev
+                prev, cur = cur, step
+            data = cur if dense else cur.data
+            if c:
+                traces[c] += int(np.vdot(data, data)) * (1 + (short and c == top))
+            if c < top and lc.any():  # squares weighted by L_j, then by L_i
+                t = data * data * (lc if dense else lc[cur.indices])
+                traces[c + 1] += 2 * int(t.sum())
+                if c < top - 1:
+                    traces[c + 2] += int((t * rows(cur, rw)).sum())
+    if len(sides) == 1:
+        traces[1:] = [2 * t for t in traces[1:]]
+    return traces
 
 
 def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
-    """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e.
-
-    Ihara-Bass: tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k).
-    """
-    traces = power_traces(ihara_bass_matrix(g), max_k)
+    """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e: Ihara-Bass,
+    tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k) for M with L = I - deg."""
+    d = g.biadjacency
+    degrees = np.concatenate([np.diff(d.indptr),
+                              np.bincount(d.indices, minlength=g.right_count)])
+    traces = power_traces(d, 1 - degrees, max_k // 2)
     shift = 2 * (g.edge_count - g.node_count)
-    return {k: traces[k] + (0 if k % 2 else shift) for k in range(1, max_k + 1)}
+    return {k: 0 if k % 2 else traces[k // 2] + shift
+            for k in range(1, max_k + 1)}
 
 
 def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,

@@ -41,18 +41,18 @@ __all__ = [
     "tesseract",
 ]
 
-# Largest matrix side for dense float64 products, sparse above, in
+# Largest side of D for dense float64 products, sparse int64 above, in
 # edge_matrix.power_traces and in _girth. One BLAS thread, dense vs sparse
-# ms, median of 15 warm calls. power_traces: M of size 100 (top 10) 0.81
-# vs 3.12, 182 (top 10) 3.37 vs 4.66, 200 (top 10) 4.09 vs 3.31, 238 (top
-# 10) 5.83 vs 4.70, 274 (top 6) 4.61 vs 3.57; B of size 20 (top 5) 0.21
-# vs 1.30, 183 (top 5) 2.08 vs 2.88, 200 (top 3) 1.34 vs 0.78 at (2,3) and
-# 1.37 vs 1.73 at (3,6), 267 (top 5) 3.04 vs 3.20. _girth, roots x others:
-# array codes (girth 6) 51 x 102 0.11 vs 0.46, 93 x 186 0.36 vs 0.51, 141
-# x 282 1.43 vs 0.44, 201 x 402 2.96 vs 0.60; configuration models (girth
-# 4) 99 x 150 0.19 vs 0.24, 205 x 300 0.95 vs 0.33; random (2,3)-regular
-# (girth 4) 120 x 180 0.25 vs 0.16, 180 x 270 0.73 vs 0.17. Dense products
-# cost roots^2 x others, so _girth goes dense only when both sides fit.
+# ms, median of 15 warm calls. power_traces (top g - 1), L = I - deg, n x m:
+# array codes 186 x 93 2.04 vs 3.64, 222 x 111 2.68 vs 4.01, 258 x 129 3.85
+# vs 3.59, 366 x 183 8.87 vs 4.15; configuration models 240 x 162 3.48 vs
+# 4.35, 300 x 205 4.24 vs 3.22; L = 0: 186 x 93 0.84 vs 1.52, 366 x 183
+# 1.02 vs 1.28. _girth, roots x others: array codes 93 x 186 0.36 vs 0.51,
+# 141 x 282 1.43 vs 0.44; configuration models 205 x 300 0.95 vs 0.33;
+# random (2,3)-regular 120 x 180 0.25 vs 0.16. Dense products cost roots^2
+# x others, so _girth goes dense only when both sides fit. Crossovers: the
+# engine near 250 (above 366 for L = 0), _girth below 282; at 200 each
+# stays within about a factor 1.5 of its faster tier.
 DENSE_MAX_SIZE = 200
 GENERATION_ATTEMPTS = 200  # seeds random_biregular tries before giving up
 

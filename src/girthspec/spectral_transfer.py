@@ -15,8 +15,9 @@ Every step total is verified against its closed form and the grand total
 must be exactly 2|E|; any mismatch fails loudly.
 
 ``transfer_counts`` sums each quadratic's roots into an integer polynomial
-in lambda^2 and counts any bi-regular graph exactly from traces of the
-Gram matrix D^T D, taken by the shared engine ``edge_matrix.power_traces``.
+in lambda^2 and counts any bi-regular graph exactly from the adjacency
+power sums tr(A^(2t)) = 2 tr((D^T D)^t), taken by the shared engine
+``edge_matrix.power_traces`` with L = 0.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
@@ -37,7 +40,6 @@ __all__ = [
     "solve_transfer_quadratic",
     "derive_edge_spectrum",
     "transfer_counts",
-    "transfer_inapplicable",
 ]
 
 XI_ONE_TOL = 1e-6          # |xi - 1| below this means the excluded root
@@ -45,28 +47,21 @@ LAMBDA_MAX_TOL = 1e-5      # cross-check |lambda^2 - d_v d_c| for that root
 VIETA_RTOL = 1e-9
 
 
-def transfer_inapplicable(prof: GraphProfile) -> str | None:
-    """Why the transfer cannot run on a graph with this profile, or None.
-    It needs a connected (d_v, d_c)-regular graph with d_v <= d_c sorted,
-    q1 = d_v - 1 >= 1 and q2 = d_c - 1 >= 2."""
+def _sorted_sides(g: BipartiteGraph, prof: GraphProfile):
+    """D, d_v, d_c of a bi-regular graph, sides swapped so that d_v <= d_c:
+    D's columns are then the smaller side."""
     if not prof.is_biregular:
-        return "graph is not bi-regular"
-    if not prof.is_connected:
-        return "graph is not connected"
-    d_v, d_c = sorted((prof.d_v, prof.d_c))
-    if d_c < 3 or d_v < 2:
-        return (f"degrees (d_v={d_v}, d_c={d_c}) outside the q2 >= 2, q1 >= 1 "
-                "hypothesis; use the trace route instead")
-    return None
+        raise RouteInapplicableError("graph is not bi-regular")
+    if prof.d_v <= prof.d_c:
+        return g.biadjacency, prof.d_v, prof.d_c
+    return g.biadjacency.T, prof.d_c, prof.d_v
 
 
 @dataclass(frozen=True)
 class TransferParameters:
-    """Degree bookkeeping for the transfer, sides normalized.
-
-    ``n`` counts the side with degree q1 + 1 and ``m`` the side with degree
-    q2 + 1; sides are swapped on construction when needed so that
-    q2 >= q1 (the edge spectrum does not depend on which side is called U).
+    """Degree bookkeeping for the float transfer, which needs a connected
+    bi-regular graph with q1 = d_v - 1 >= 1 and q2 = d_c - 1 >= 2; ``n``
+    counts the side of degree q1 + 1, ``m`` that of degree q2 + 1 >= q1 + 1.
     """
 
     q1: int
@@ -80,13 +75,14 @@ class TransferParameters:
                    prof: GraphProfile | None = None) -> "TransferParameters":
         if prof is None:
             prof = profile(g)
-        if reason := transfer_inapplicable(prof):
-            raise RouteInapplicableError(reason)
-        d_v, d_c = prof.d_v, prof.d_c
-        n, m = g.left_count, g.right_count
-        if d_v > d_c:
-            d_v, d_c = d_c, d_v
-            n, m = m, n
+        d, d_v, d_c = _sorted_sides(g, prof)
+        if not prof.is_connected:
+            raise RouteInapplicableError("graph is not connected")
+        if d_c < 3 or d_v < 2:
+            raise RouteInapplicableError(
+                f"degrees (d_v={d_v}, d_c={d_c}) outside the q2 >= 2, q1 >= 1 "
+                "hypothesis; use the trace route instead")
+        n, m = d.shape
         return cls(q1=d_v - 1, q2=d_c - 1, n=n, m=m, edge_count=g.edge_count)
 
 
@@ -214,21 +210,20 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
     With sides sorted so that d_v <= d_c, q1 = d_v - 1, q2 = d_c - 1, n the
     d_v side, m the d_c side, and c_{j,t} the coefficients of p_0 = 2,
     p_1 = x - q1 - q2, p_j = (x - q1 - q2) p_{j-1} - q1 q2 p_{j-2}:
-    tr(A_e^{2j}) = 2 [sum_t c_{j,t} tr(B^t) + (n - m)(-q1)^j + |E| - |V|],
-    with B = D^T D (m x m) and tr(B^0) = m."""
+    tr(A_e^{2j}) = sum_t c_{j,t} a_t + 2 (n - m)(-q1)^j + 2 (|E| - |V|),
+    with a_t = tr(A^{2t}) = 2 tr((D^T D)^t) for t >= 1 and a_0 = 2m. The
+    a_t come from ``power_traces`` with L = 0, the d_c side carrying the
+    m x m blocks."""
     if prof is None:
         prof = profile(g)
-    if not prof.is_biregular:
-        raise RouteInapplicableError("graph is not bi-regular")
+    d, d_v, d_c = _sorted_sides(g, prof)
     if (girth := prof.girth) is None:
         raise RouteInapplicableError("forest input: no cycles to count")
     max_k = cycle_window_end(girth, max_k)
 
-    d = g.biadjacency
-    n, m, d_v, d_c = g.left_count, g.right_count, prof.d_v, prof.d_c
-    if d_v > d_c:
-        d, n, m, d_v, d_c = d.T, m, n, d_c, d_v
-    traces = power_traces((d.T @ d).tocsr(), max_k // 2)
+    n, m = d.shape
+    traces = power_traces(d, np.zeros(n + m, dtype=np.int64), max_k // 2)
+    traces[0] = 2 * m
 
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count
     s, r = q1 + q2, q1 * q2
@@ -236,8 +231,8 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
     edge_traces = {}
     for j in range(1, max_k // 2 + 1):
         if 2 * j >= girth:
-            edge_traces[2 * j] = 2 * (sum(c * tr for c, tr in zip(poly, traces))
-                                      + (n - m) * (-q1) ** j + shift)
+            edge_traces[2 * j] = (sum(c * tr for c, tr in zip(poly, traces))
+                                  + 2 * ((n - m) * (-q1) ** j + shift))
         prev, poly = poly, [a - s * b - r * c for a, b, c in
                             zip([0] + poly, poly + [0], prev + [0, 0])]
     return counts_from_traces(girth, edge_traces)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
@@ -150,6 +152,49 @@ def bipartite_graphs(draw):
     m = draw(st.integers(1, 6))
     cells = [(u, w) for u in range(n) for w in range(m)]
     return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+@contextmanager
+def logged_tiers():
+    """The tiers of the ``power_traces`` calls made inside the block, in
+    order, read off the engine's DEBUG records."""
+    tiers = []
+    handler = logging.Handler(logging.DEBUG)
+
+    def emit(record):
+        if record.msg.startswith("power_traces"):
+            tiers.append(record.args[0])
+
+    handler.emit = emit
+    logger = logging.getLogger("girthspec")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield tiers
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def array_code(p: int, k: int) -> BipartiteGraph:
+    """The (3, k) array code: a 3 x k grid of p x p circulant permutations,
+    bi-regular, of girth 6 for a prime p (Fossorier 2004)."""
+    return BipartiteGraph.from_edges(k * p, 3 * p, [
+        (c * p + (i + r * c) % p, r * p + i)
+        for r in range(3) for c in range(k) for i in range(p)])
+
+
+def configuration_model(n: int, seed: int) -> BipartiteGraph:
+    """Irregular graph: n left nodes of degree 2, 3, 4 or 8, stubs dealt
+    to checks of degree 6 or 5, duplicate stub pairs dropped."""
+    rng = random.Random(seed)
+    degrees = [rng.choice((2, 3, 4, 8)) for _ in range(n)]
+    m = -(-sum(degrees) // 6)
+    checks = [i % m for i in range(sum(degrees))]
+    rng.shuffle(checks)
+    lefts = [u for u, deg in enumerate(degrees) for _ in range(deg)]
+    return BipartiteGraph.from_edges(n, m, set(zip(lefts, checks)))
 
 
 def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:

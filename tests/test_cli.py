@@ -425,16 +425,17 @@ class TestDivisibilityGate:
     """N_k = tr(A_e^k) / 2k; a trace that 2k does not divide exits 3 on
     both exact routes."""
 
-    # Q4 has 128 six-cycles, so tr(A_e^6) = 1536; one more in tr(M^6) adds 1
-    # to it, one more in tr(B^3) adds 2 (p_3 is monic)
+    # Q4 has 128 six-cycles, so tr(A_e^6) = 1536. The engine's last value
+    # is tr(M^6) on trace and tr(A^6) on transfer; one more adds 1 to
+    # tr(A_e^6) on both (p_3 is monic)
     @pytest.mark.parametrize("route,value", [("trace", 1537),
-                                             ("transfer", 1538)])
+                                             ("transfer", 1537)])
     def test_indivisible_trace_exits_3(self, capsys, q4_el, monkeypatch,
                                        route, value):
         real = edge_matrix.power_traces
 
-        def last_off_by_one(mat, top):
-            traces = real(mat, top)
+        def last_off_by_one(d, loss, top):
+            traces = real(d, loss, top)
             return traces[:-1] + [traces[-1] + 1]
 
         for module in (edge_matrix, spectral_transfer):

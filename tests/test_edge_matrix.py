@@ -20,18 +20,20 @@ from girthspec import (
     profile,
     tesseract,
     trace_power_counts,
+    transfer_counts,
     write_edge_list,
 )
 from girthspec import edge_matrix
 from girthspec.cli import main
-from girthspec.edge_matrix import (
-    _traces_bigint,
-    ihara_bass_matrix,
-    power_traces,
-    trace_powers,
-)
+from girthspec.edge_matrix import power_traces, trace_powers
 
-from conftest import bipartite_graphs, random_bipartite
+from conftest import (
+    array_code,
+    bipartite_graphs,
+    configuration_model,
+    logged_tiers,
+    random_bipartite,
+)
 
 # the 8x8 directed edge matrix of the 4-cycle as printed for the
 # bipartite arc ordering (u1v1, u1v2, u2v2, u2v1, then inverses)
@@ -87,29 +89,6 @@ class TestBuildEdgeMatrix:
                 assert (i < e) != (j < e)
 
 
-@contextmanager
-def logged_tiers():
-    """The tiers of the power_traces calls made inside the block, in order,
-    read off the engine's DEBUG records."""
-    tiers = []
-    handler = logging.Handler(logging.DEBUG)
-
-    def emit(record):
-        if record.msg.startswith("power_traces"):
-            tiers.append(record.args[0])
-
-    handler.emit = emit
-    logger = logging.getLogger("girthspec")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        yield tiers
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-
-
 # engine constants that leave each tier the only one open to small matrices
 FORCE = {"dense": {"DENSE_MAX_SIZE": 10 ** 9},
          "sparse": {"DENSE_MAX_SIZE": 0},
@@ -124,53 +103,78 @@ def forced(tier):
     assert tiers == [tier]
 
 
+def reference_matrix(d, loss):
+    """M = [[A, L], [I, 0]] in object dtype, built with numpy alone."""
+    n, m = d.shape
+    v = n + m
+    mat = np.zeros((2 * v, 2 * v), dtype=object)
+    mat[:n, n:v], mat[n:v, :n] = d, d.T
+    mat[:v, v:] = np.diag(loss)
+    mat[v:, :v] = np.eye(v, dtype=np.int64)
+    return mat
+
+
 @st.composite
-def signed_matrices(draw):
-    size = draw(st.integers(1, 6))
-    entries = draw(st.lists(st.integers(-3, 3), min_size=size * size,
-                            max_size=size * size))
-    a = np.array(entries, dtype=np.int64).reshape(size, size)
+def engine_inputs(draw):
+    """A signed n x m block D and a signed diagonal L, zero in some draws
+    (the adjacency form)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m)
+    d = np.array(draw(entries), dtype=np.int64).reshape(n, m)
+    loss = np.array(draw(st.lists(st.integers(-3, 3), min_size=n + m,
+                                  max_size=n + m)), dtype=np.int64)
     if draw(st.booleans()):
-        a = np.triu(a) + np.triu(a, 1).T
-    return a
+        loss[:] = 0
+    return d, loss
 
 
 class TestPowerTraces:
     @pytest.mark.parametrize("tier", FORCE)
-    @given(signed_matrices(), st.integers(0, 9))
+    @given(engine_inputs(), st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
-    def test_equals_matrix_power_traces(self, tier, a, top):
-        exact = a.astype(object)
-        expect = [int(np.trace(np.linalg.matrix_power(exact, t)))
-                  for t in range(top + 1)]
+    def test_equals_matrix_power_traces(self, tier, inputs, top):
+        d, loss = inputs
+        mat = reference_matrix(d, loss)
+        expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
+                  for j in range(top + 1)]
         with forced(tier):
-            assert power_traces(sp.csr_array(a), top) == expect
+            assert power_traces(sp.csr_array(d), loss, top) == expect
 
     def test_dense_tier_stops_at_2_53(self):
-        # 3^t is odd, so float64 cannot hold it from 2^53 on; int64 can
+        # D = [[3]] and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j; 9^j is
+        # odd, so float64 cannot hold it from 2^53 on (j = 17); int64 can
         with logged_tiers() as tiers:
-            traces = power_traces(sp.csr_array(np.array([[3]])), 36)
+            traces = power_traces(sp.csr_array(np.array([[3]])),
+                                  np.zeros(2, dtype=np.int64), 18)
         assert tiers == ["sparse"]
-        assert traces == [3 ** t for t in range(37)]
+        assert traces == [4] + [2 * 9 ** j for j in range(1, 19)]
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        m = ihara_bass_matrix(tesseract())  # 32 x 32
-        walks = np.abs(m.toarray())
-        bound = 2 * max(int(np.linalg.matrix_power(walks, t).sum())
-                        for t in range(7))
-        power_traces(m, 6)
-        monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 31)
-        power_traces(m, 6)
-        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", bound)
-        power_traces(m, 6)
+        d = tesseract().biadjacency  # 8 x 8, every degree 4
+        bounds = {}
+        for form, loss in (("ihara-bass", np.full(16, -3)),
+                           ("adjacency", np.zeros(16, dtype=np.int64))):
+            walks = np.abs(reference_matrix(d.toarray(), loss)).astype(np.int64)
+            bounds[form] = 2 * max(
+                int(np.linalg.matrix_power(walks, t).sum()) for t in range(7))
+        ihara_bass = np.full(16, -3)
+        power_traces(d, ihara_bass, 3)
+        monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 7)
+        power_traces(d, ihara_bass, 3)
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", bounds["ihara-bass"])
+        power_traces(d, ihara_bass, 3)
+        power_traces(d, np.zeros(16, dtype=np.int64), 3)
         records = [r for r in caplog.records if r.name == "girthspec"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 3
-        assert [r.args[0] for r in records] == ["dense", "sparse", "bigint"]
-        assert {r.args[1:3] for r in records} == {(32, 6)}
-        assert {r.args[3] for r in records} == {bound}
+        assert [r.levelno for r in records] == [logging.DEBUG] * 4
+        assert [r.args[:2] for r in records] == [
+            ("dense", "ihara-bass"), ("sparse", "ihara-bass"),
+            ("bigint", "ihara-bass"), ("sparse", "adjacency")]
+        assert {r.args[2:4] for r in records} == {((8, 8), 3)}
+        assert [r.args[4] for r in records] == [bounds["ihara-bass"]] * 3 + [
+            bounds["adjacency"]]
         assert records[0].getMessage().startswith(
-            "power_traces tier=dense size=32 top=6 bound=")
+            "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 bound=")
 
 
 class TestTracePowers:
@@ -200,10 +204,18 @@ class TestTracePowers:
         assert traces[3] == traces[5] == traces[7] == 0
 
     def test_bigint_matches_int64(self):
-        m = ihara_bass_matrix(complete_bipartite(4, 5))
+        g = complete_bipartite(4, 5)
+        d, loss = g.biadjacency, 1 - np.array([5] * 4 + [4] * 5)
         with forced("sparse"):
-            int64 = power_traces(m, 6)[1:]
-        assert list(_traces_bigint(m, 6).values()) == int64
+            int64 = power_traces(d, loss, 3)
+        with forced("bigint"):
+            assert power_traces(d, loss, 3) == int64
+        # 2 * 9^25 is past int64
+        with logged_tiers() as tiers:
+            traces = power_traces(sp.csr_array(np.array([[3]])),
+                                  np.zeros(2, dtype=np.int64), 25)
+        assert tiers == ["bigint"]
+        assert traces == [4] + [2 * 9 ** j for j in range(1, 26)]
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)
@@ -225,6 +237,36 @@ class TestTracePowers:
         path.write_text(write_edge_list(complete_bipartite(3, 4)))
         assert main(["count", "--input", str(path), "--route", "trace"]) == 0
         assert '"4": 18' in capsys.readouterr().out
+
+
+class TestSparseTier:
+    """Graphs with a side above DENSE_MAX_SIZE take the sparse int64 tier;
+    their counts must equal those read off A_e itself."""
+
+    @pytest.mark.parametrize("g", [array_code(37, 6), configuration_model(240, 0)],
+                             ids=["array p=37", "irregular n=240"])
+    def test_counts_equal_edge_matrix_traces(self, g):
+        prof = profile(g)
+        assert max(g.left_count, g.right_count) > edge_matrix.DENSE_MAX_SIZE
+        with logged_tiers() as tiers:
+            cc = trace_power_counts(g, prof=prof)
+        assert tiers == ["sparse"]
+        em = build_edge_matrix(g)
+        a_e = sp.csr_array((np.ones(sum(map(len, em.rows)), dtype=np.int64),
+                            [j for row in em.rows for j in row],
+                            np.cumsum([0] + [len(row) for row in em.rows])),
+                           shape=(em.arc_count, em.arc_count))
+        walks = np.eye(em.arc_count, dtype=np.int64)
+        expect = {}
+        for k in range(1, 2 * prof.girth - 1):
+            walks = a_e @ walks
+            if k >= prof.girth and k % 2 == 0:
+                expect[k] = int(walks.trace()) // (2 * k)
+        assert cc.counts == expect
+        if prof.is_biregular:
+            with logged_tiers() as tiers:
+                assert transfer_counts(g, prof=prof).counts == expect
+            assert tiers == ["sparse"]
 
 
 class TestTracePowerCounts:

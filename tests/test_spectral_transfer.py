@@ -32,6 +32,7 @@ from girthspec.spectral_transfer import TransferParameters
 from conftest import (
     biregular_graphs,
     disjoint_union,
+    logged_tiers,
     random_bipartite,
     step_totals,
 )
@@ -261,19 +262,20 @@ class TestTransferCounts:
                              ids=["K75", "K57", "two (2,3)"])
     def test_gram_matrix_is_on_the_smaller_side(self, g, monkeypatch):
         # the identity holds with either side's Gram matrix (p_j(0) =
-        # (-q1)^j + (-q2)^j absorbs the n - m extra zeros); the swap keeps B
-        # m x m with m <= n
-        shapes = []
+        # (-q1)^j + (-q2)^j absorbs the n - m extra zeros); with L = 0 the
+        # engine runs on D's column side alone, so the swap hands it D with
+        # the smaller side as columns: its m x m blocks stand for B
+        received = []
         real = spectral_transfer.power_traces
 
-        def spy(b, top):
-            shapes.append(b.shape)
-            return real(b, top)
+        def spy(d, loss, top):
+            received.append((d.shape, loss.any()))
+            return real(d, loss, top)
 
         monkeypatch.setattr(spectral_transfer, "power_traces", spy)
         assert transfer_counts(g).counts == trace_counts(g)
-        m = min(g.left_count, g.right_count)
-        assert shapes == [(m, m)]
+        sides = sorted((g.left_count, g.right_count), reverse=True)
+        assert received == [(tuple(sides), False)]
 
     def test_counts_graphs_the_float_pipeline_refuses(self):
         for g in (even_cycle(8), *FIXED_UNIONS.values()):
@@ -315,17 +317,10 @@ class TestTransferCounts:
         graphs = [*FIXED_UNIONS.values(), complete_bipartite(5, 7),
                   even_cycle(10), random_biregular(8, 6, 3, 4, seed=0)]
         expect = [transfer_counts(g).counts for g in graphs]
-        calls = []
-        bigint = edge_matrix._traces_bigint
-
-        def spy(b, top):
-            calls.append(top)
-            return bigint(b, top)
-
         monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1)
-        monkeypatch.setattr(edge_matrix, "_traces_bigint", spy)
-        assert [transfer_counts(g).counts for g in graphs] == expect
-        assert len(calls) == len(graphs)
+        with logged_tiers() as tiers:
+            assert [transfer_counts(g).counts for g in graphs] == expect
+        assert tiers == ["bigint"] * len(graphs)
 
     @pytest.mark.parametrize("g", [
         complete_bipartite(3, 4), tesseract(), two_random_23(),
@@ -340,10 +335,13 @@ class TestTransferCounts:
         if prof.d_v > prof.d_c:
             d = d.T
         b = d.T @ d
-        expect = [int(np.trace(np.linalg.matrix_power(b, t))) for t in range(8)]
+        # tr(M^(2t)) = tr(A^(2t)) = 2 tr(B^t) for L = 0, and tr(M^0) = 2|V|
+        expect = [2 * g.node_count] + [
+            2 * int(np.trace(np.linalg.matrix_power(b, t))) for t in range(1, 8)]
         tiers = {}
         for cap in (0, 10 ** 9):
             monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", cap)
-            tiers[cap] = power_traces(sp.csr_array(b), 7)
+            tiers[cap] = power_traces(sp.csr_array(d),
+                                      np.zeros(g.node_count, dtype=np.int64), 7)
             assert transfer_counts(g, prof=prof).counts == trace_counts(g)
         assert tiers[0] == tiers[10 ** 9] == expect
