@@ -35,14 +35,11 @@ from .graph_core import (
     GraphProfile,
     complete_bipartite,
     even_cycle,
-    parse_alist,
-    parse_edge_list,
     profile,
     random_biregular,
     tesseract,
-    write_alist,
-    write_edge_list,
 )
+from .graph_io import parse_alist, parse_edge_list, write_alist, write_edge_list
 from .spectra import AdjacencySpectrum, adjacency_spectrum, rank_of_biadjacency
 from .spectral_transfer import (
     TransferParameters,

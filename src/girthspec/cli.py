@@ -31,13 +31,8 @@ from .errors import (
     ParseError,
     RouteInapplicableError,
 )
-from .graph_core import (
-    BipartiteGraph,
-    GraphProfile,
-    parse_alist,
-    parse_edge_list,
-    profile,
-)
+from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_io import parse_alist, parse_edge_list
 from .spectra import DEFAULT_DENSE_CAP, AdjacencySpectrum, adjacency_spectrum
 from .spectral_transfer import (
     TransferParameters,
@@ -295,9 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser as it was
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except GirthspecError as exc:

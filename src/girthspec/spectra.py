@@ -64,8 +64,8 @@ class AdjacencySpectrum:
 
 def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
     """Symmetric |V| x |V| adjacency matrix, U block first; the tests'
-    reference for :func:`adjacency_spectrum`, so it reads ``g.edges``,
-    not ``g.biadjacency``."""
+    reference for :func:`adjacency_spectrum`, so it sets entries pair by
+    pair from ``g.edges`` rather than using the sparse algebra of D."""
     n = g.left_count
     a = np.zeros((g.node_count, g.node_count))
     for u, w in g.edges:

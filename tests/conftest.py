@@ -5,15 +5,18 @@ from __future__ import annotations
 import logging
 import math
 import random
+import warnings
 from collections import deque
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
     GraphProfile,
+    ParseError,
     complete_bipartite,
     even_cycle,
     profile,
@@ -107,7 +110,7 @@ def random_bipartite(rng: random.Random, max_side: int = 8,
         edges = {(u, w) for u in range(n) for w in range(m) if rng.random() < p}
         if not edges:
             continue
-        g = BipartiteGraph(n, m, frozenset(edges))
+        g = BipartiteGraph.from_edges(n, m, edges)
         if not require_cycle or profile(g).girth is not None:
             return g
 
@@ -145,13 +148,27 @@ def step_totals(es, prof) -> tuple[int, int, int]:
 
 
 @st.composite
-def bipartite_graphs(draw):
-    """Any simple bipartite graph on up to 6 + 6 nodes: irregular,
-    disconnected, with leaves, isolated nodes or no edges at all."""
+def edge_sets(draw):
+    """(n, m, edges) of any simple bipartite graph on up to 6 + 6 nodes:
+    irregular, disconnected, with leaves, isolated nodes or no edges at
+    all. The edge set is the parser-free reference for what D stores."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 6))
     cells = [(u, w) for u in range(n) for w in range(m)]
-    return BipartiteGraph(n, m, frozenset(draw(st.sets(st.sampled_from(cells)))))
+    return n, m, frozenset(draw(st.sets(st.sampled_from(cells))))
+
+
+def bipartite_graphs():
+    """The graphs of :func:`edge_sets`."""
+    return edge_sets().map(lambda drawn: BipartiteGraph.from_edges(*drawn))
+
+
+def stored_edges(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """The (u, w) pairs D stores, in storage order, read off its index
+    arrays rather than through ``g.edges``."""
+    d = g.biadjacency
+    rows = np.repeat(np.arange(g.left_count), np.diff(d.indptr))
+    return list(zip(rows.tolist(), d.indices.tolist()))
 
 
 @contextmanager
@@ -203,7 +220,7 @@ def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:
     for g in graphs:
         edges |= {(n + u, m + w) for u, w in g.edges}
         n, m = n + g.left_count, m + g.right_count
-    return BipartiteGraph(n, m, frozenset(edges))
+    return BipartiteGraph.from_edges(n, m, edges)
 
 
 # (left degree, right degree); the left side has the larger degree in some
@@ -229,3 +246,113 @@ def biregular_graphs(draw):
             parts.append(random_biregular(d_right * t, d_left * t, d_left,
                                           d_right, seed=draw(st.integers(0, 999))))
     return disjoint_union(*parts)
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line parsers: the readers the numpy tokenizer in graph_core
+# replaced, kept as test oracles. Each returns (n, m, edge set); every
+# ParseError message and duplicate warning must match the package's.
+# ---------------------------------------------------------------------------
+
+def _as_text(data) -> str:
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    return data
+
+
+def line_parse_edge_list(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """Parse the plain edge-list format.
+
+    First meaningful line is ``n m``; each following line is ``u w`` with
+    0-based indices. ``#`` starts a comment; blank lines are skipped.
+    Duplicate edges collapse to one with a warning.
+    """
+    lines = _as_text(text).splitlines()
+    header: tuple[int, int] | None = None
+    edges: set[tuple[int, int]] = set()
+    dup = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer token in {raw!r}") from exc
+        if header is None:
+            if a <= 0 or b <= 0:
+                raise ParseError(f"line {lineno}: node counts must be positive")
+            header = (a, b)
+            continue
+        n, m = header
+        if not (0 <= a < n and 0 <= b < m):
+            raise ParseError(f"line {lineno}: edge ({a}, {b}) out of range")
+        if (a, b) in edges:
+            dup += 1
+        else:
+            edges.add((a, b))
+    if header is None:
+        raise ParseError("empty input: missing 'n m' header line")
+    if dup:
+        warnings.warn(f"collapsed {dup} duplicate edge line(s)", stacklevel=2)
+    return header[0], header[1], frozenset(edges)
+
+
+def line_parse_alist(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """Parse the alist interchange format (1-indexed, zero padding allowed).
+
+    The alist's column (variable) side becomes the left side ``U``.
+    """
+    rows = [ln.split() for ln in _as_text(text).splitlines() if ln.strip()]
+    try:
+        toks = [[int(t) for t in row] for row in rows]
+    except ValueError as exc:
+        raise ParseError("alist contains a non-integer token") from exc
+    if len(toks) < 4:
+        raise ParseError("alist too short: need header, max-degrees, two degree rows")
+    if len(toks[0]) != 2 or len(toks[1]) != 2:
+        raise ParseError("alist header lines must contain exactly two integers")
+    n, m = toks[0]
+    if n <= 0 or m <= 0:
+        raise ParseError("alist node counts must be positive")
+    max_col, max_row = toks[1]
+    if len(toks) != 4 + n + m:
+        raise ParseError(f"alist should have {4 + n + m} lines, found {len(toks)}")
+    col_deg, row_deg = toks[2], toks[3]
+    if len(col_deg) != n or len(row_deg) != m:
+        raise ParseError("degree rows do not match the declared node counts")
+    if col_deg and max(col_deg) > max_col or row_deg and max(row_deg) > max_row:
+        raise ParseError("declared maximum degree exceeded in a degree row")
+
+    edges: set[tuple[int, int]] = set()
+    for u in range(n):
+        nbrs = [t for t in toks[4 + u] if t != 0]
+        if len(nbrs) != col_deg[u]:
+            raise ParseError(f"column {u + 1}: {len(nbrs)} neighbors listed, "
+                             f"degree header says {col_deg[u]}")
+        for w in nbrs:
+            if not (1 <= w <= m):
+                raise ParseError(f"column {u + 1}: row index {w} out of range")
+            edges.add((u, w - 1))
+    for w in range(m):
+        nbrs = [t for t in toks[4 + n + w] if t != 0]
+        if len(nbrs) != row_deg[w]:
+            raise ParseError(f"row {w + 1}: {len(nbrs)} neighbors listed, "
+                             f"degree header says {row_deg[w]}")
+        for u in nbrs:
+            if not (1 <= u <= n):
+                raise ParseError(f"row {w + 1}: column index {u} out of range")
+            if (u - 1, w) not in edges:
+                raise ParseError(f"row {w + 1} lists column {u} but the column "
+                                 "side does not list the reverse")
+    if len(edges) != sum(col_deg):
+        raise ParseError("column degree total disagrees with the edge set")
+    if len(edges) != sum(row_deg):
+        raise ParseError("row degree total disagrees with the edge set")
+    return n, m, frozenset(edges)

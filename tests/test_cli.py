@@ -189,6 +189,21 @@ class TestCount:
         assert code == 0
         assert "N_4 = 18" in out
 
+    def test_successive_calls_are_independent(self, capsys, k34_alist, q4_el):
+        """One parser serves every call in a process; no flag, default or
+        subcommand of one call carries over to the next."""
+        assert main(["count", "--input", k34_alist, "--route", "trace",
+                     "--max-k", "4", "--table", "--format", "alist"]) == 0
+        assert "N_4 = 18" in capsys.readouterr().out
+        code, report = run_json(capsys, ["verify", "--input", q4_el])
+        assert code == 0 and report["input"]["format"] == "edgelist"
+        assert [r["name"] for r in report["routes"]] == [
+            "transfer", "trace", "direct", "brute"]
+        code, report = run_json(capsys, ["count", "--input", k34_alist])
+        assert code == 0
+        assert [r["name"] for r in report["routes"]] == ["transfer"]
+        assert report["counts"] == {"4": 18, "6": 24}
+
     def test_dense_cap_and_force(self, capsys, q4_el, monkeypatch):
         # the |V| cap bounds the float pipeline only: over it, transfer
         # still counts exactly and gives no spectra

@@ -1,4 +1,6 @@
 import logging
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,17 @@ from girthspec import (
     write_edge_list,
 )
 
-from conftest import ROW_SIDE_SHORT_ALIST, bipartite_graphs, reference_profile
+from conftest import (
+    ROW_SIDE_SHORT_ALIST,
+    array_code,
+    bipartite_graphs,
+    configuration_model,
+    edge_sets,
+    line_parse_alist,
+    line_parse_edge_list,
+    reference_profile,
+    stored_edges,
+)
 
 # DENSE_MAX_SIZE values that leave each girth tier the only one open
 GIRTH_TIERS = {"dense": 10 ** 9, "sparse": 0}
@@ -43,21 +55,21 @@ def sparse_bipartite_graphs(draw):
         ws = draw(st.permutations(range(m)))[:t]
         edges |= {(us[i], ws[i]) for i in range(t)}
         edges |= {(us[(i + 1) % t], ws[i]) for i in range(t)}
-    return BipartiteGraph(n, m, frozenset(edges))
+    return BipartiteGraph.from_edges(n, m, edges)
 
 
 def path(nodes: int) -> BipartiteGraph:
     """The path u0 w0 u1 w1 ... on an even number of nodes."""
     t = nodes // 2
     edges = {(i, i) for i in range(t)} | {(i + 1, i) for i in range(t - 1)}
-    return BipartiteGraph(t, t, frozenset(edges))
+    return BipartiteGraph.from_edges(t, t, edges)
 
 
 class TestEdgeListParsing:
     def test_k22(self):
         g = parse_edge_list("2 2\n0 0\n0 1\n1 0\n1 1")
         assert g.edge_count == 4
-        assert g.edges == complete_bipartite(2, 2).edges
+        assert stored_edges(g) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_duplicate_edge_warns(self):
         with pytest.warns(UserWarning, match="duplicate"):
@@ -88,23 +100,26 @@ class TestEdgeListParsing:
         with pytest.raises(ParseError, match="not UTF-8"):
             parse_edge_list(b"\xff\xfe2 2\n0 0\n")
 
-    @given(bipartite_graphs())
-    def test_round_trip(self, g):
-        assert parse_edge_list(write_edge_list(g)).edges == g.edges
+    @given(edge_sets())
+    def test_round_trip(self, drawn):
+        n, m, edges = drawn
+        g = BipartiteGraph.from_edges(n, m, edges)
+        assert stored_edges(parse_edge_list(write_edge_list(g))) == sorted(edges)
 
 
 class TestAlistParsing:
     def test_k34_transposed_orientation(self):
         g = parse_alist(write_alist(complete_bipartite(4, 3)))
         assert (g.left_count, g.right_count) == (4, 3)
-        assert g.edges == complete_bipartite(4, 3).edges
+        assert stored_edges(g) == [(u, w) for u in range(4) for w in range(3)]
 
     def test_zero_padding_is_transparent(self):
         g = complete_bipartite(2, 3)
         padded = write_alist(g)
         unpadded = "\n".join(" ".join(t for t in ln.split() if t != "0")
                              for ln in padded.splitlines())
-        assert parse_alist(padded).edges == parse_alist(unpadded).edges
+        assert stored_edges(parse_alist(padded)) == stored_edges(g)
+        assert stored_edges(parse_alist(unpadded)) == stored_edges(g)
 
     def test_tesseract_alist(self):
         g = parse_alist(write_alist(tesseract()))
@@ -128,33 +143,303 @@ class TestAlistParsing:
         with pytest.raises(ParseError, match="not UTF-8"):
             parse_alist(b"1 1\n1 1\n1\n1\n1\n\xff\n")
 
-    @given(bipartite_graphs())
+    @given(edge_sets())
     @settings(max_examples=60)
-    def test_round_trip(self, g):
-        assert parse_alist(write_alist(g)).edges == g.edges
+    def test_round_trip(self, drawn):
+        n, m, edges = drawn
+        g = BipartiteGraph.from_edges(n, m, edges)
+        assert stored_edges(parse_alist(write_alist(g))) == sorted(edges)
 
     def test_biregular_round_trip(self):
         g = random_biregular(8, 6, 3, 4, seed=11)
-        assert parse_alist(write_alist(g)).edges == g.edges
+        assert stored_edges(parse_alist(write_alist(g))) == stored_edges(g)
 
 
 class TestBiadjacency:
-    @given(bipartite_graphs())
-    def test_matches_edges_and_is_read_only(self, g):
+    @given(edge_sets())
+    def test_matches_edges_and_is_read_only(self, drawn):
+        n, m, edges = drawn
+        g = BipartiteGraph.from_edges(n, m, edges)
         d = g.biadjacency
-        assert d.shape == (g.left_count, g.right_count)
-        assert d.indices.dtype == np.int32
+        assert d.shape == (g.left_count, g.right_count) == (n, m)
+        assert d.indices.dtype == d.indptr.dtype == np.int32
+        assert d.data.dtype == np.int64
         # (row, index) pairs in storage order: the edges, each row sorted
-        rows = np.repeat(np.arange(g.left_count), np.diff(d.indptr))
-        assert list(zip(rows.tolist(), d.indices.tolist())) == sorted(g.edges)
+        assert stored_edges(g) == sorted(edges)
         assert np.all(d.data == 1)
         for array in (d.data, d.indices, d.indptr):
             with pytest.raises(ValueError):
                 array[:1] = 0
+        # the derived view: the same pairs, immutable, built once
+        assert g.edges == edges and isinstance(g.edges, frozenset)
+        assert g.edges is g.edges
+
+    def test_repeats_collapse_and_ranges_are_checked(self):
+        g = BipartiteGraph.from_edges(2, 3, [(1, 2), (0, 0), (1, 2)])
+        assert stored_edges(g) == [(0, 0), (1, 2)]
+        with pytest.raises(ParseError, match=r"edge \(2, 0\) out of range"):
+            BipartiteGraph.from_edges(2, 3, [(0, 0), (2, 0)])
+        with pytest.raises(ParseError, match="at least one node"):
+            BipartiteGraph.from_edges(0, 3, [])
+
+    @pytest.mark.parametrize("g, edges", [
+        (complete_bipartite(2, 3), [(u, w) for u in range(2) for w in range(3)]),
+        (even_cycle(6), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]),
+    ])
+    def test_generators(self, g, edges):
+        assert stored_edges(g) == edges
 
     def test_cached(self):
         g = tesseract()
         assert g.biadjacency is g.biadjacency
+
+
+# ---------------------------------------------------------------------------
+# The numpy tokenizer against the line-by-line readers in conftest
+# ---------------------------------------------------------------------------
+
+# whitespace to str.split that str.splitlines does not break on, and the
+# line breaks it does; int() digit sets; tokens int() refuses
+SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+          "\x85", "\u2028", "\u2029"]
+DIGITS = ["0123456789"] * 4 + [
+    "".join(map(chr, range(0x660, 0x66A))),  # Arabic-Indic
+    "".join(map(chr, range(0xFF10, 0xFF1A))),  # fullwidth
+]
+BAD_TOKENS = ["x", "1.5", "0x1", "+", "-", "+-1", "1__2", "_1", "1_", "\u0663x",
+              "#", "1e3", "\ufeff1", "9" * 5000]
+HUGE = 10 ** 25
+
+
+@st.composite
+def spelled(draw, token):
+    """An int token in one of the spellings int() reads; a str as is."""
+    if isinstance(token, str):
+        return token
+    digits = str(abs(token))
+    if draw(st.integers(0, 3)) == 3:
+        digits = "0" * draw(st.integers(1, 2)) + digits
+    if len(digits) > 1 and draw(st.integers(0, 5)) == 5:
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    digits = digits.translate(str.maketrans("0123456789",
+                                            draw(st.sampled_from(DIGITS))))
+    return ("-" if token < 0 else draw(st.sampled_from(["", "", "", "+"]))) + digits
+
+
+@st.composite
+def rendered(draw, lines, comments):
+    """Lines of tokens as one file: drawn separators and line breaks,
+    blank lines, comments when the format has them; text or UTF-8 bytes,
+    now and then with a byte that is not UTF-8."""
+    blank = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+    note = st.lists(st.sampled_from(["1", " ", "#", "x", "\t", "\u0663", "\xa0"]),
+                    max_size=5).map(lambda chars: "#" + "".join(chars))
+    parts = []
+    for tokens in lines:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            parts.append(draw(blank) + (draw(note) if comments and draw(st.booleans())
+                                        else ""))
+        words = [draw(spelled(t)) for t in tokens]
+        line = draw(blank) + "".join(
+            w + draw(st.sampled_from(SPACES)) for w in words[:-1]) + "".join(words[-1:])
+        if comments and draw(st.integers(0, 3)) == 3:
+            line += draw(blank) + draw(note)
+        parts.append(line + draw(blank))
+    text = "".join(p + draw(st.sampled_from(BREAKS)) for p in parts[:-1])
+    text += "".join(parts[-1:]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    if draw(st.booleans()):
+        return text
+    return text.encode() + (b"\xff" if draw(st.integers(0, 19)) == 19 else b"")
+
+
+def pick(draw, items):
+    return draw(st.integers(0, len(items) - 1))
+
+
+def bump(tokens, j, delta):
+    """Add ``delta`` to token ``j`` if an earlier mutation left one there."""
+    if j < len(tokens) and isinstance(tokens[j], int):
+        tokens[j] += delta
+
+
+@st.composite
+def edge_list_files(draw):
+    """Edge lists written from random graphs, some of them broken."""
+    n, m, edges = draw(edge_sets())
+    lines = [[n, m]] + [list(e) for e in draw(st.permutations(sorted(edges)))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["token", "count", "range", "duplicate",
+                                     "duplicate", "header", "empty"]))
+        tokens = lines[pick(draw, lines)] if lines else []
+        if kind == "token" and tokens:
+            tokens[pick(draw, tokens)] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "count":
+            if tokens and draw(st.booleans()):
+                tokens.pop()
+            else:
+                tokens.append(draw(st.integers(0, 3)))
+        elif kind == "range" and len(lines) > 1:  # an edge line
+            tokens = lines[draw(st.integers(1, len(lines) - 1))]
+            tokens[pick(draw, tokens)] = draw(st.sampled_from(
+                [-1, n, m, n + m, HUGE, -HUGE]))
+        elif kind == "duplicate" and len(lines) > 1:
+            lines.insert(draw(st.integers(1, len(lines))), list(lines[-1]))
+        elif kind == "header" and lines:
+            lines[0] = draw(st.sampled_from([[0, m], [n, -2], [n], [n, m, 1]]))
+        elif kind == "empty":
+            lines = []
+    return draw(rendered(lines, comments=True))
+
+
+@st.composite
+def alist_files(draw):
+    """alists written from random graphs, neighbours in any order with
+    zeros anywhere, some of them broken."""
+    n, m, edges = draw(edge_sets())
+    cols = [[w + 1 for w in range(m) if (u, w) in edges] for u in range(n)]
+    rows = [[u + 1 for u in range(n) if (u, w) in edges] for w in range(m)]
+    degrees = [[len(c) for c in cols], [len(r) for r in rows]]
+    lists = [draw(st.permutations(a + [0] * draw(st.integers(not a, 2))))
+             for a in cols + rows]
+    lines = [[n, m], [max(degrees[0]) + draw(st.integers(0, 1)),
+                      max(degrees[1]) + draw(st.integers(0, 1))], *degrees, *lists]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["token", "count", "range", "degree", "max",
+                                     "one-side", "one-side", "repeat", "lines",
+                                     "header"]))
+        i = pick(draw, lines)
+        tokens = lines[i]
+        listed = [j for j, t in enumerate(tokens) if t != 0] if i >= 4 else []
+        if kind == "token":
+            tokens[pick(draw, tokens)] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "count":
+            if len(tokens) > 1 and draw(st.booleans()):
+                tokens.pop(pick(draw, tokens))
+            else:
+                tokens.append(draw(st.integers(0, 3)))
+        elif kind == "range" and listed:
+            tokens[draw(st.sampled_from(listed))] = draw(st.sampled_from(
+                [-1, n + 1, m + 1, HUGE]))
+        elif kind == "degree" and i in (2, 3):
+            bump(tokens, pick(draw, tokens), draw(st.sampled_from([-1, 1])))
+        elif kind == "max":
+            bump(lines[1], pick(draw, lines[1]), -1)
+        elif kind in ("one-side", "repeat") and listed:
+            # a neighbour dropped from, or listed twice on, one side only;
+            # its degree entry follows, or not
+            j = draw(st.sampled_from(listed))
+            if kind == "one-side":
+                tokens[j] = 0
+            else:
+                tokens.append(tokens[j])
+            side, at = (2, i - 4) if i < 4 + n else (3, i - 4 - n)
+            if draw(st.booleans()):
+                bump(lines[side], at, -1 if kind == "one-side" else 1)
+        elif kind == "lines":
+            if draw(st.booleans()):
+                del lines[i]
+            else:
+                lines.insert(i, [draw(st.integers(0, 2))])
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from([[0, m], [n, -1], [n + 1, m],
+                                             [n, m + 1], [n, m, 1]]))
+    return draw(rendered(lines, comments=False))
+
+
+def outcome(parse, data):
+    """What a parser makes of ``data``: ("graph", n, m, sorted pairs,
+    warnings) or ("error", message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(data)
+        except ParseError as exc:
+            return "error", str(exc)
+    if isinstance(result, BipartiteGraph):
+        result = result.left_count, result.right_count, stored_edges(result)
+    n, m, edges = result
+    return "graph", n, m, sorted(edges), [str(w.message) for w in caught]
+
+
+class TestParserAgreement:
+    """Both parsers against the line-by-line readers they replaced: the
+    same D, the same ParseError message and the same duplicate warning."""
+
+    @given(edge_list_files())
+    @settings(max_examples=250, deadline=None)
+    def test_edge_list(self, data):
+        assert outcome(parse_edge_list, data) == outcome(line_parse_edge_list, data)
+
+    @given(alist_files())
+    @settings(max_examples=250, deadline=None)
+    def test_alist(self, data):
+        assert outcome(parse_alist, data) == outcome(line_parse_alist, data)
+
+    @pytest.mark.parametrize("parse, oracle, data", [
+        (parse_edge_list, line_parse_edge_list, "2 2\n0 1\n0 1\n\n1 1\n0 1\n"),
+        (parse_edge_list, line_parse_edge_list, b"2 2\r\n0 0 # 1 x\r\n1 x\r\n"),
+        (parse_edge_list, line_parse_edge_list, "2\u20032\u20290\xa01\x851 2\n"),
+        (parse_edge_list, line_parse_edge_list, "2 2\n0 " + "9" * 30 + "\n"),
+        (parse_alist, line_parse_alist, ROW_SIDE_SHORT_ALIST),
+        (parse_alist, line_parse_alist, "1 1\n2 1\n2\n1\n1 1\n1\n"),
+        # a miscounted line that also lists an index out of range
+        (parse_alist, line_parse_alist, "1 1\n2 1\n2\n1\n5\n1\n"),
+        (parse_alist, line_parse_alist, "1 1\n1 2\n1\n2\n1\n7\n"),
+        (parse_alist, line_parse_alist, "1 1\n1 1\n1\n1\n\u0661\n+01\n"),
+        (parse_alist, line_parse_alist, "2 1\n1 2\n1 1\n2\n1\n1\n1 1\n"),
+    ])
+    def test_examples(self, parse, oracle, data):
+        assert outcome(parse, data) == outcome(oracle, data)
+
+    @pytest.mark.parametrize("header", [f"{2 ** 31} 1", f"1 {10 ** 25}"])
+    def test_node_counts_beyond_int32_are_refused(self, header):
+        """An input class where the two differ: the line-by-line reader
+        took any positive header, and D's int32 indices failed later."""
+        data = f"{header}\n0 0\n"
+        assert outcome(line_parse_edge_list, data)[0] == "graph"
+        assert outcome(parse_edge_list, data) == ("error", (
+            "line 1: node counts above 2147483647 do not fit the int32 "
+            "indices of D"))
+
+    def test_degrees_beyond_int64_compare_saturated(self):
+        """An input class where the two differ: numbers outside int64
+        are compared as its bounds, so a degree row and a declared maximum
+        both beyond it pass the maximum check and fail at the column."""
+        data = f"1 1\n{2 ** 70} 1\n{2 ** 71}\n1\n1\n1\n"
+        assert outcome(line_parse_alist, data) == (
+            "error", "declared maximum degree exceeded in a degree row")
+        assert outcome(parse_alist, data) == (
+            "error", f"column 1: 1 neighbors listed, degree header says {2 ** 71}")
+
+
+@pytest.mark.parametrize("g", [array_code(293, 6), configuration_model(1600, 0)],
+                         ids=["array-code-293", "configuration-1600"])
+def test_large_relabelled_graphs_parse_to_the_generators_d(g):
+    rng = random.Random(7)
+    left, right = list(range(g.left_count)), list(range(g.right_count))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    pairs = [(left[u], right[w]) for u, w in stored_edges(g)]
+    rng.shuffle(pairs)
+    relabelled = BipartiteGraph.from_edges(g.left_count, g.right_count, pairs)
+    header = f"{g.left_count} {g.right_count}\n"
+    edge_list = header + "".join(f"{u} {w}\n" for u, w in pairs)
+    for parsed in (parse_edge_list(edge_list.encode()),
+                   parse_alist(write_alist(relabelled).encode())):
+        assert parsed.biadjacency.shape == (g.left_count, g.right_count)
+        assert stored_edges(parsed) == sorted(pairs)
+
+
+def test_logs_one_record_per_parse(caplog):
+    caplog.set_level(logging.DEBUG, logger="girthspec")
+    with pytest.warns(UserWarning, match="collapsed 1 duplicate"):
+        parse_edge_list("2 3\n0 0\n1 2\n0 0\n")
+    parse_alist(write_alist(complete_bipartite(2, 3)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "parse format=edgelist n=2 m=3 edges=2 duplicates=1",
+        "parse format=alist n=2 m=3 edges=6 duplicates=0"]
 
 
 class TestWriters:
@@ -164,7 +449,7 @@ class TestWriters:
     # irregular, with left node 2 and right node 3 isolated
     IRREGULAR = BipartiteGraph.from_edges(
         3, 4, [(1, 2), (0, 2), (1, 0), (0, 0), (1, 1)])
-    EDGELESS = BipartiteGraph(2, 1, frozenset())
+    EDGELESS = BipartiteGraph.from_edges(2, 1, [])
 
     def test_edge_list(self):
         assert write_edge_list(self.IRREGULAR) == (
