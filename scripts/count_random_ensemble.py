@@ -11,7 +11,7 @@ one row per graph plus ensemble means.
 import argparse
 from collections import defaultdict
 
-from girthspec import profile, random_biregular, transfer_counts
+from girthspec import random_biregular, transfer_counts
 
 
 def run(args: argparse.Namespace) -> None:
@@ -20,11 +20,10 @@ def run(args: argparse.Namespace) -> None:
     for trial in range(args.trials):
         g = random_biregular(args.n, args.m, args.dv, args.dc,
                              seed=args.seed + trial)
-        prof = profile(g)
-        cc = transfer_counts(g, prof=prof)
-        per_girth[prof.girth] += 1
+        cc = transfer_counts(g)
+        per_girth[cc.girth] += 1
         row = " ".join(f"N_{k}={v}" for k, v in sorted(cc.counts.items()))
-        print(f"seed={args.seed + trial} girth={prof.girth} {row}")
+        print(f"seed={args.seed + trial} girth={cc.girth} {row}")
         for k, v in cc.counts.items():
             totals[k] += v
     print("---")

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 
 from .counts import CycleCounts, cycle_window_end
 from .cycle_count import (
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     RouteInapplicableError,
 )
-from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_core import BipartiteGraph, profile
 from .graph_io import parse_alist, parse_edge_list
 from .spectra import DEFAULT_DENSE_CAP, AdjacencySpectrum, adjacency_spectrum
 from .spectral_transfer import (
@@ -76,7 +77,7 @@ def _spectra_dict(adj_spec, edge_spec) -> dict:
     return out
 
 
-def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
+def transfer_spectra(g: BipartiteGraph, *,
                      zero_tolerance: float | None = None,
                      cluster_tolerance: float | None = None,
                      dense_cap: int = DEFAULT_DENSE_CAP,
@@ -84,7 +85,7 @@ def transfer_spectra(g: BipartiteGraph, prof: GraphProfile,
     """Adjacency and edge spectra by the transfer; a graph outside its hypothesis
     is refused before any eigenvalue work. Layers are called by this module's
     names, so patching them here sees every call."""
-    params = TransferParameters.from_graph(g, prof)
+    params = TransferParameters.from_graph(g)
     spec = adjacency_spectrum(g, zero_tolerance=zero_tolerance,
                               cluster_tolerance=cluster_tolerance,
                               dense_cap=dense_cap)
@@ -96,17 +97,18 @@ def _cap(args, cap: int) -> int:
     return 10 ** 9 if args.force else cap
 
 
-def _run_transfer(g, prof, args):
+def _run_transfer(g, args):
     """Exact counts; for --emit-spectra and verify the float spectra too."""
-    cc = transfer_counts(g, args.max_k, prof)
+    cc = transfer_counts(g, args.max_k)
     if not (args.emit_spectra or args.command == "verify"):
         return cc, {}
     try:
-        spec, es = transfer_spectra(g, prof, args.zero_tol, args.cluster_tol,
-                                    _cap(args, DEFAULT_DENSE_CAP))
+        spec, es = transfer_spectra(g, zero_tolerance=args.zero_tol,
+                                    cluster_tolerance=args.cluster_tol,
+                                    dense_cap=_cap(args, DEFAULT_DENSE_CAP))
     except RouteInapplicableError as exc:
         return cc, {"float_transfer_refused": str(exc)}
-    floats = counts_from_spectrum(es, prof.girth, args.max_k)
+    floats = counts_from_spectrum(es, cc.girth, args.max_k)
     for k, exact in cc.counts.items():
         if floats.counts[k] != exact:
             raise NumericalError(f"N_{k}: float transfer gives "
@@ -114,23 +116,24 @@ def _run_transfer(g, prof, args):
     return floats, {"adjacency": spec, "edge": es}
 
 
-def _run_trace(g, prof, args):
-    return trace_power_counts(g, args.max_k, prof), {}
+def _run_trace(g, args):
+    return trace_power_counts(g, args.max_k), {}
 
 
-def _run_direct(g, prof, args):
-    cycle_window_end(prof.girth, args.max_k)  # before the eigensolve
+def _run_direct(g, args):
+    girth = profile(g).girth
+    cycle_window_end(girth, args.max_k)  # before the eigensolve
     es = edge_spectrum_direct(g, dense_cap=_cap(args, DEFAULT_DIRECT_CAP))
-    return counts_from_spectrum(es, prof.girth, args.max_k), {"edge": es}
+    return counts_from_spectrum(es, girth, args.max_k), {"edge": es}
 
 
-def _run_brute(g, prof, args):
-    max_k = 2 * prof.girth - 2 if args.max_k is None else args.max_k
-    return brute_force_counts(g, max_k, edge_cap=_cap(args, DEFAULT_BRUTE_CAP),
-                              prof=prof), {}
+def _run_brute(g, args):
+    max_k = (cycle_window_end(profile(g).girth, None) if args.max_k is None
+             else args.max_k)
+    return brute_force_counts(g, max_k, _cap(args, DEFAULT_BRUTE_CAP)), {}
 
 
-# name -> run(g, prof, args) -> (CycleCounts, spectra). A route that cannot
+# name -> run(g, args) -> (CycleCounts, spectra). A route that cannot
 # take a graph raises RouteInapplicableError before any work. Table order is
 # the order verify runs the routes in; the first route that runs is its
 # reference.
@@ -151,24 +154,16 @@ def _emit(report: dict, as_table: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _load(args) -> tuple[BipartiteGraph, str, GraphProfile]:
-    g, fmt = load_graph(args.input, args.format)
-    prof = profile(g)
-    if prof.girth is None:
-        raise RouteInapplicableError(
-            f"forest input: infinite girth, nothing to {args.command}")
-    return g, fmt, prof
-
-
-def _timed(route: str, g: BipartiteGraph, prof: GraphProfile, args):
+def _timed(route: str, g: BipartiteGraph, args):
     """Run one route: its counts, its spectra and its "routes" entry."""
     t0 = time.perf_counter()
-    cc, spectra = ROUTES[route](g, prof, args)
+    cc, spectra = ROUTES[route](g, args)
     return cc, spectra, {"name": route, "ms": (time.perf_counter() - t0) * 1e3}
 
 
-def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
-            timings: list[dict], cc: CycleCounts, diffs: dict, extras: dict) -> dict:
+def _report(args, fmt: str, g: BipartiteGraph, timings: list[dict],
+            cc: CycleCounts, diffs: dict, extras: dict) -> dict:
+    prof = profile(g)
     return {
         "schema": SCHEMA,
         "input": {"path": args.input, "format": fmt},
@@ -192,15 +187,15 @@ def _report(args, fmt: str, g: BipartiteGraph, prof: GraphProfile,
 
 
 def cmd_count(args) -> int:
-    g, fmt, prof = _load(args)
+    g, fmt = load_graph(args.input, args.format)
     route = "transfer" if args.route == "auto" else args.route
     try:
-        cc, spectra, timing = _timed(route, g, prof, args)
+        cc, spectra, timing = _timed(route, g, args)
     except RouteInapplicableError:
         if args.route != "auto":
             raise
-        cc, spectra, timing = _timed("trace", g, prof, args)
-    report = _report(args, fmt, g, prof, [timing], cc, {}, spectra)
+        cc, spectra, timing = _timed("trace", g, args)
+    report = _report(args, fmt, g, [timing], cc, {}, spectra)
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
                                           spectra.get("edge"))
@@ -209,16 +204,17 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, fmt, prof = _load(args)
+    g, fmt = load_graph(args.input, args.format)
     # up front, so that a refusal below is the route's own: brute has no
     # window and would otherwise count alone
-    cycle_window_end(prof.girth, args.max_k)
+    girth = profile(g).girth
+    cycle_window_end(girth, args.max_k)
     results: dict[str, CycleCounts] = {}
     timings = []
     extras: dict = {}  # what the routes gave besides counts
     for route in ROUTES:
         try:
-            results[route], spectra, timing = _timed(route, g, prof, args)
+            results[route], spectra, timing = _timed(route, g, args)
         except RouteInapplicableError:
             continue
         timings.append(timing)
@@ -233,15 +229,15 @@ def cmd_verify(args) -> int:
             diffs[str(k)] = values
 
     cross = None
-    if (prof.girth >= 6 and "adjacency" in extras
-            and prof.girth + 2 in reference.counts):
-        cross = g_plus_4_cross_check(g, extras["adjacency"], reference, prof)
-        spectral = reference.counts.get(prof.girth + 4)
-        if spectral is not None and cross != spectral:
-            diffs[str(prof.girth + 4)] = {"tree_walk_cross_check": cross,
-                                          "spectral": spectral}
+    if "adjacency" in extras:
+        with suppress(RouteInapplicableError):  # null when it refuses
+            cross = g_plus_4_cross_check(g, extras["adjacency"], reference)
+    spectral = reference.counts.get(girth + 4)
+    if None not in (cross, spectral) and cross != spectral:
+        diffs[str(girth + 4)] = {"tree_walk_cross_check": cross,
+                                 "spectral": spectral}
 
-    report = _report(args, fmt, g, prof, timings, reference, diffs, extras)
+    report = _report(args, fmt, g, timings, reference, diffs, extras)
     report["cross_check_g_plus_4"] = cross
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(extras.get("adjacency"), None)

@@ -22,10 +22,13 @@ class CycleCounts:
     residuals: dict[int, float] = field(default_factory=dict)
 
 
-def cycle_window_end(girth: int, max_k: int | None) -> int:
+def cycle_window_end(girth: int | None, max_k: int | None) -> int:
     """max_k, by default 2g - 2, once checked against the window of even
     k in [g, 2g - 2] where tailless backtrackless closed (TBC) walks of
-    length k are exactly the k-cycles, traversed both ways from each node."""
+    length k are exactly the k-cycles, traversed both ways from each node;
+    a forest (girth None) has no window."""
+    if girth is None:
+        raise RouteInapplicableError("forest input: no cycles to count")
     if max_k is None:
         max_k = 2 * girth - 2
     if max_k % 2 or girth % 2 or not girth <= max_k <= 2 * girth - 2:

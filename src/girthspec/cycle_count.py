@@ -14,7 +14,7 @@ from math import comb
 from .counts import CycleCounts, cycle_window_end
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import BipartiteGraph, GraphProfile, neighbor_lists, profile
+from .graph_core import BipartiteGraph, neighbor_lists, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -65,8 +65,7 @@ def counts_from_spectrum(es: EdgeSpectrum, girth: int,
 
 
 def brute_force_counts(g: BipartiteGraph, max_k: int,
-                       edge_cap: int = DEFAULT_BRUTE_CAP,
-                       prof: GraphProfile | None = None) -> CycleCounts:
+                       edge_cap: int = DEFAULT_BRUTE_CAP) -> CycleCounts:
     """Exact cycle counts by canonical-rooted DFS enumeration.
 
     Paths grow from each root s through nodes with larger combined id only,
@@ -78,9 +77,7 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         raise SizeCapError(f"|E| = {g.edge_count} exceeds brute-force cap {edge_cap}")
     if max_k < 4 or max_k % 2:
         raise RouteInapplicableError(f"max_k={max_k} must be an even integer >= 4")
-    if prof is None:
-        prof = profile(g)
-    if prof.girth is None:
+    if (girth := profile(g).girth) is None:
         raise RouteInapplicableError("forest input: no cycles to count")
 
     # neighbors over combined ids: left node u is u, right node w is n + w
@@ -106,11 +103,11 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         on_path[s] = False
 
     counts: dict[int, int] = {}
-    for k in range(prof.girth, max_k + 1, 2):
+    for k in range(girth, max_k + 1, 2):
         if raw[k] % 2:
             raise NumericalError("cycle enumeration parity broken")
         counts[k] = raw[k] // 2
-    return CycleCounts(girth=prof.girth, counts=counts)
+    return CycleCounts(girth=girth, counts=counts)
 
 
 def complete_bipartite_closed_form(m: int, n: int, k: int) -> int:
@@ -178,15 +175,13 @@ def _psi_g_plus_4_over_2i(g: int, d_v: int, d_c: int, n_g: int,
 
 
 def g_plus_4_cross_check(g_graph: BipartiteGraph, spec: AdjacencySpectrum,
-                         n4_counts: CycleCounts,
-                         prof: GraphProfile | None = None) -> int:
+                         n4_counts: CycleCounts) -> int:
     """N_{g+4} from the adjacency power sum, tree walks, and N_g, N_{g+2}.
 
     Independent of the edge spectrum entirely; only defined when
     g + 4 <= 2g - 2, i.e. girth >= 6.
     """
-    if prof is None:
-        prof = profile(g_graph)
+    prof = profile(g_graph)
     if not (prof.is_biregular and prof.is_connected):
         raise RouteInapplicableError("cross-check needs a connected bi-regular graph")
     g = prof.girth

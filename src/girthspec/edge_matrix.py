@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
-from .errors import NumericalError, RouteInapplicableError, SizeCapError
-from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, GraphProfile, profile
+from .errors import NumericalError, SizeCapError
+from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, profile
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -205,18 +205,14 @@ def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
             for k in range(1, max_k + 1)}
 
 
-def trace_power_counts(g: BipartiteGraph, max_k: int | None = None,
-                       prof: GraphProfile | None = None) -> CycleCounts:
+def trace_power_counts(g: BipartiteGraph,
+                       max_k: int | None = None) -> CycleCounts:
     """Exact N_k = tr(A_e^k) / 2k for even k in [g, max_k].
 
     Valid for any bipartite graph (irregular included); the window is
     capped at 2g - 2 because TBC walks and cycles part ways at length 2g.
     """
-    if prof is None:
-        prof = profile(g)
-    if prof.girth is None:
-        raise RouteInapplicableError("forest input: no cycles to count")
-    girth = prof.girth
+    girth = profile(g).girth
     max_k = cycle_window_end(girth, max_k)
     traces = trace_powers(g, max_k)
     return counts_from_traces(girth, {k: traces[k]

@@ -12,7 +12,8 @@ read only by the references the tests check the package against.
 ``profile`` reads everything off D: the degrees from its row pointers,
 connectivity from one BFS over its index lists, and the exact girth from
 counts of non-backtracking walks (the walks A_e counts) rooted on the
-smaller side, one sparse product per BFS level, to depth g/2.
+smaller side, one sparse product per BFS level, to depth g/2. Like
+``edges`` it is cached on the graph, so every layer calls ``profile(g)``.
 """
 
 from __future__ import annotations
@@ -91,6 +92,23 @@ class BipartiteGraph:
         d = self.biadjacency
         rows = np.repeat(np.arange(self.left_count), np.diff(d.indptr))
         return frozenset(zip(rows.tolist(), d.indices.tolist()))
+
+    @cached_property
+    def _profile(self) -> GraphProfile:
+        """What :func:`profile` returns, computed on first use."""
+        d = self.biadjacency
+        dt = d.T.tocsr()
+        left, right = np.diff(d.indptr), np.diff(dt.indptr)
+        biregular = bool(left.min() == left.max() and right.min() == right.max())
+        return GraphProfile(
+            is_connected=_connected(d, dt),
+            is_biregular=biregular,
+            d_v=int(left[0]) if biregular else None,
+            d_c=int(right[0]) if biregular else None,
+            girth=_girth(d, dt) if d.shape[0] <= d.shape[1] else _girth(dt, d),
+            degree_sequences=(tuple(sorted(left.tolist(), reverse=True)),
+                              tuple(sorted(right.tolist(), reverse=True))),
+        )
 
     @property
     def edge_count(self) -> int:
@@ -216,20 +234,9 @@ def _girth(x: sp.csr_array, y: sp.csr_array) -> int | None:
 
 def profile(g: BipartiteGraph) -> GraphProfile:
     """Connectivity, bi-regularity, degree sequences and exact girth, all
-    read off the biadjacency block D in CSR form."""
-    d = g.biadjacency
-    dt = d.T.tocsr()
-    left, right = np.diff(d.indptr), np.diff(dt.indptr)
-    biregular = bool(left.min() == left.max() and right.min() == right.max())
-    return GraphProfile(
-        is_connected=_connected(d, dt),
-        is_biregular=biregular,
-        d_v=int(left[0]) if biregular else None,
-        d_c=int(right[0]) if biregular else None,
-        girth=_girth(d, dt) if g.left_count <= g.right_count else _girth(dt, d),
-        degree_sequences=(tuple(sorted(left.tolist(), reverse=True)),
-                          tuple(sorted(right.tolist(), reverse=True))),
-    )
+    read off the biadjacency block D in CSR form; computed by the first
+    call and cached on g, as D is read-only."""
+    return g._profile
 
 
 # ---------------------------------------------------------------------------

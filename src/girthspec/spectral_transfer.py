@@ -31,7 +31,7 @@ import numpy as np
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
-from .graph_core import BipartiteGraph, GraphProfile, profile
+from .graph_core import BipartiteGraph, profile
 from .spectra import AdjacencySpectrum
 
 __all__ = [
@@ -47,9 +47,10 @@ LAMBDA_MAX_TOL = 1e-5      # cross-check |lambda^2 - d_v d_c| for that root
 VIETA_RTOL = 1e-9
 
 
-def _sorted_sides(g: BipartiteGraph, prof: GraphProfile):
+def _sorted_sides(g: BipartiteGraph):
     """D, d_v, d_c of a bi-regular graph, sides swapped so that d_v <= d_c:
     D's columns are then the smaller side."""
+    prof = profile(g)
     if not prof.is_biregular:
         raise RouteInapplicableError("graph is not bi-regular")
     if prof.d_v <= prof.d_c:
@@ -71,12 +72,9 @@ class TransferParameters:
     edge_count: int
 
     @classmethod
-    def from_graph(cls, g: BipartiteGraph,
-                   prof: GraphProfile | None = None) -> "TransferParameters":
-        if prof is None:
-            prof = profile(g)
-        d, d_v, d_c = _sorted_sides(g, prof)
-        if not prof.is_connected:
+    def from_graph(cls, g: BipartiteGraph) -> "TransferParameters":
+        d, d_v, d_c = _sorted_sides(g)
+        if not profile(g).is_connected:
             raise RouteInapplicableError("graph is not connected")
         if d_c < 3 or d_v < 2:
             raise RouteInapplicableError(
@@ -202,8 +200,8 @@ def _merge_equal(entries: list[tuple[complex, int]],
     return out
 
 
-def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
-                    prof: GraphProfile | None = None) -> CycleCounts:
+def transfer_counts(g: BipartiteGraph,
+                    max_k: int | None = None) -> CycleCounts:
     """Exact N_k for even k in [g, max_k] of any bi-regular graph; other
     graphs and an invalid window are refused before any work.
 
@@ -214,11 +212,8 @@ def transfer_counts(g: BipartiteGraph, max_k: int | None = None,
     with a_t = tr(A^{2t}) = 2 tr((D^T D)^t) for t >= 1 and a_0 = 2m. The
     a_t come from ``power_traces`` with L = 0, the d_c side carrying the
     m x m blocks."""
-    if prof is None:
-        prof = profile(g)
-    d, d_v, d_c = _sorted_sides(g, prof)
-    if (girth := prof.girth) is None:
-        raise RouteInapplicableError("forest input: no cycles to count")
+    d, d_v, d_c = _sorted_sides(g)
+    girth = profile(g).girth
     max_k = cycle_window_end(girth, max_k)
 
     n, m = d.shape

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import re
 import sys
 from pathlib import Path
@@ -165,6 +166,30 @@ class TestCount:
         path.write_text("2 1\n0 0\n1 0\n")
         code, report = run_json(capsys, ["count", "--input", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--route", "auto"], ["count", "--route", "transfer"],
+        ["count", "--route", "trace"], ["count", "--route", "direct"],
+        ["count", "--route", "brute"],
+        ["count", "--route", "brute", "--max-k", "4"], ["verify"]])
+    def test_every_route_refuses_a_forest(self, capsys, tmp_path, argv):
+        # bi-regular, so transfer gets past its hypothesis to the window
+        path = tmp_path / "tree.el"
+        path.write_text("2 1\n0 0\n1 0\n")
+        code, report = run_json(capsys, [argv[0], "--input", str(path),
+                                         *argv[1:]])
+        assert code == 2
+        assert report["error"]["message"] == "forest input: no cycles to count"
+
+    @pytest.mark.parametrize("argv", [["verify"], ["count", "--emit-spectra"]])
+    def test_one_girth_walk_per_run(self, capsys, caplog, q4_el, argv):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        for run in (1, 2):
+            code, _ = run_json(capsys, [argv[0], "--input", q4_el, *argv[1:]])
+            assert code == 0
+            walks = [r for r in caplog.records
+                     if r.getMessage().startswith("girth tier=")]
+            assert len(walks) == run
 
     def test_emit_spectra(self, capsys, q4_el):
         code, report = run_json(capsys, ["count", "--input", q4_el,

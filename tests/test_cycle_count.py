@@ -22,6 +22,7 @@ from girthspec import (
     random_biregular,
     tesseract,
     trace_power_counts,
+    transfer_counts,
     tree_walk_count,
 )
 from girthspec.cli import transfer_spectra
@@ -30,16 +31,16 @@ from girthspec.edge_matrix import EdgeSpectrum
 from conftest import biregular_girth6_graphs, random_bipartite
 
 
-def transfer_counts(g, prof=None):
-    prof = profile(g) if prof is None else prof
-    _, es = transfer_spectra(g, prof)
-    return counts_from_spectrum(es, prof.girth)
+def float_transfer_counts(g):
+    """Counts by the paper's float pipeline, as the CLI runs it."""
+    _, es = transfer_spectra(g)
+    return counts_from_spectrum(es, profile(g).girth)
 
 
 class TestCountsFromSpectrum:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (5, 5), (6, 3)])
     def test_complete_bipartite_closed_forms(self, m, n):
-        cc = transfer_counts(complete_bipartite(m, n))
+        cc = float_transfer_counts(complete_bipartite(m, n))
         assert cc.counts[4] == (m - 1) * (n - 1) * m * n // 4
         assert cc.counts[6] == m * (m - 1) * (m - 2) * n * (n - 1) * (n - 2) // 6
         assert all(r < 1e-4 for r in cc.residuals.values())
@@ -50,12 +51,18 @@ class TestCountsFromSpectrum:
         total = (2 * 3 ** 4 + 8 * complex(-1, s) ** 2 + 8 * complex(-1, -s) ** 2
                  + 12 * 3 ** 2 + 34)
         assert round(total.real / 8) == 24
-        assert transfer_counts(tesseract()).counts[4] == 24
+        assert float_transfer_counts(tesseract()).counts[4] == 24
 
     def test_rejects_k_beyond_window(self):
         es = edge_spectrum_direct(complete_bipartite(3, 3))
         with pytest.raises(RouteInapplicableError):
             counts_from_spectrum(es, girth=4, max_k=8)
+
+    def test_refuses_forest(self):
+        es = edge_spectrum_direct(BipartiteGraph.from_edges(
+            2, 1, [(0, 0), (1, 0)]))
+        with pytest.raises(RouteInapplicableError, match="^forest input: "):
+            counts_from_spectrum(es, None)
 
     @pytest.mark.parametrize("max_k", [2, 5, 8])
     def test_window_check_shared_with_trace(self, max_k):
@@ -161,19 +168,19 @@ class TestTreeWalkCount:
 class TestGPlus4CrossCheck:
     def test_agrees_with_spectral_route(self):
         for g, prof in biregular_girth6_graphs(8):
-            cc = transfer_counts(g, prof)
+            cc = float_transfer_counts(g)
             assert g_plus_4_cross_check(g, adjacency_spectrum(g), cc) == \
                 cc.counts[prof.girth + 4]
 
     def test_refuses_girth_four(self):
         g = complete_bipartite(3, 4)
-        cc = transfer_counts(g)
+        cc = float_transfer_counts(g)
         with pytest.raises(RouteInapplicableError, match="girth"):
             g_plus_4_cross_check(g, adjacency_spectrum(g), cc)
 
     def test_needs_lower_counts(self):
         for g, prof in biregular_girth6_graphs(1):
-            cc = transfer_counts(g, prof)
+            cc = float_transfer_counts(g)
             partial = type(cc)(girth=cc.girth, counts={prof.girth: cc.counts[prof.girth]})
             with pytest.raises(RouteInapplicableError, match="N_g"):
                 g_plus_4_cross_check(g, adjacency_spectrum(g), partial)
@@ -184,12 +191,13 @@ class TestRouteAgreement:
         cases = [(6, 4, 2, 3, 0), (8, 6, 3, 4, 1), (8, 8, 4, 4, 2)]
         for n, m, dv, dc, seed in cases:
             g = random_biregular(n, m, dv, dc, seed=seed)
-            prof = profile(g)
-            a = transfer_counts(g, prof).counts
+            a = float_transfer_counts(g).counts
             b = trace_power_counts(g).counts
-            c = counts_from_spectrum(edge_spectrum_direct(g), prof.girth).counts
+            c = counts_from_spectrum(edge_spectrum_direct(g),
+                                     profile(g).girth).counts
             d = brute_force_counts(g, max_k=max(a)).counts
-            assert a == b == c == {k: d[k] for k in a}
+            e = transfer_counts(g).counts
+            assert a == b == c == e == {k: d[k] for k in a}
 
     def test_girth_count_positive(self):
         rng = random.Random(7)

@@ -249,7 +249,7 @@ class TestSparseTier:
         prof = profile(g)
         assert max(g.left_count, g.right_count) > edge_matrix.DENSE_MAX_SIZE
         with logged_tiers() as tiers:
-            cc = trace_power_counts(g, prof=prof)
+            cc = trace_power_counts(g)
         assert tiers == ["sparse"]
         em = build_edge_matrix(g)
         a_e = sp.csr_array((np.ones(sum(map(len, em.rows)), dtype=np.int64),
@@ -265,7 +265,7 @@ class TestSparseTier:
         assert cc.counts == expect
         if prof.is_biregular:
             with logged_tiers() as tiers:
-                assert transfer_counts(g, prof=prof).counts == expect
+                assert transfer_counts(g).counts == expect
             assert tiers == ["sparse"]
 
 

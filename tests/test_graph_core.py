@@ -498,6 +498,16 @@ class TestProfile:
         assert not prof.is_biregular
         assert prof.d_v is None and prof.d_c is None
 
+    def test_cached_on_the_graph(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = tesseract()
+        assert profile(g) is profile(g)
+        assert [r.getMessage()[:11] for r in caplog.records] == [
+            "girth tier="]  # one girth walk
+        fresh = BipartiteGraph(g.left_count, g.right_count, g.biadjacency)
+        assert profile(fresh) is not profile(g)
+        assert profile(fresh) == profile(g)
+
     @given(bipartite_graphs())
     def test_girth_even_or_infinite(self, g):
         girth = profile(g).girth
@@ -558,7 +568,8 @@ class TestProfileEquivalence:
         caplog.set_level(logging.DEBUG, logger="girthspec")
         for tier, cap in GIRTH_TIERS.items():
             monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
-            profile(g)
+            # a fresh graph per tier: the profile is cached on the graph
+            profile(BipartiteGraph(g.left_count, g.right_count, g.biadjacency))
         assert [r.getMessage() for r in caplog.records] == [
             f"girth tier={tier} {record}" for tier in GIRTH_TIERS]
 

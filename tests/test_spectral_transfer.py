@@ -12,6 +12,7 @@ from girthspec import (
     BipartiteGraph,
     NumericalError,
     RouteInapplicableError,
+    brute_force_counts,
     complete_bipartite,
     counts_from_spectrum,
     derive_edge_spectrum,
@@ -22,6 +23,7 @@ from girthspec import (
     random_biregular,
     solve_transfer_quadratic,
     tesseract,
+    trace_power_counts,
     transfer_counts,
 )
 from girthspec import edge_matrix, spectral_transfer
@@ -40,7 +42,7 @@ from conftest import (
 
 def params_for(g):
     """Adjacency spectrum, edge spectrum and transfer parameters of g."""
-    spec, es = transfer_spectra(g, profile(g))
+    spec, es = transfer_spectra(g)
     return spec, es, TransferParameters.from_graph(g)
 
 
@@ -143,9 +145,8 @@ class TestDeriveEdgeSpectrum:
         assert got == expect
 
     def test_rejects_eight_cycle(self):
-        g = even_cycle(8)
         with pytest.raises(RouteInapplicableError):
-            TransferParameters.from_graph(g, profile(g))
+            TransferParameters.from_graph(even_cycle(8))
 
     def test_total_is_two_edge_count(self):
         for seed in range(5):
@@ -280,15 +281,15 @@ class TestTransferCounts:
     def test_counts_graphs_the_float_pipeline_refuses(self):
         for g in (even_cycle(8), *FIXED_UNIONS.values()):
             with pytest.raises(RouteInapplicableError):
-                transfer_spectra(g, profile(g))
+                transfer_spectra(g)
             assert transfer_counts(g).counts == trace_counts(g)
 
     def test_matches_float_transfer(self):
         for seed in range(3):
             g = random_biregular(8, 6, 3, 4, seed=seed)
             prof = profile(g)
-            _, es = transfer_spectra(g, prof)
-            assert (transfer_counts(g, prof=prof).counts
+            _, es = transfer_spectra(g)
+            assert (transfer_counts(g).counts
                     == counts_from_spectrum(es, prof.girth).counts)
 
     def test_refuses_irregular_before_any_work(self, monkeypatch):
@@ -343,5 +344,18 @@ class TestTransferCounts:
             monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", cap)
             tiers[cap] = power_traces(sp.csr_array(d),
                                       np.zeros(g.node_count, dtype=np.int64), 7)
-            assert transfer_counts(g, prof=prof).counts == trace_counts(g)
+            assert transfer_counts(g).counts == trace_counts(g)
         assert tiers[0] == tiers[10 ** 9] == expect
+
+
+def test_no_function_takes_a_profile():
+    # a profile of another graph would silently break an exact route:
+    # each layer profiles the graph it was given
+    k34, c8 = complete_bipartite(3, 4), profile(even_cycle(8))
+    with pytest.raises(TypeError, match="prof"):
+        trace_power_counts(k34, prof=c8)
+    for call in (lambda: transfer_spectra(k34, c8),
+                 lambda: TransferParameters.from_graph(k34, c8),
+                 lambda: brute_force_counts(k34, 6, 200, c8)):
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
