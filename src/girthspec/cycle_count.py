@@ -2,13 +2,15 @@
 
 The spectral route turns an edge spectrum into counts via
 N_k = sum_i eta_i^k / (2k). The brute-force oracle enumerates cycles by
-canonical-rooted DFS and is valid for any length. The (g+4) cross-check
-recomputes one count from the adjacency spectrum alone, using closed
-cycle-free walk counts on the bi-regular covering tree.
+canonical-rooted DFS, pruned by BFS distance back to the root, and is
+valid for any length. The (g+4) cross-check recomputes one count from
+the adjacency spectrum alone, using closed cycle-free walk counts on the
+bi-regular covering tree.
 """
 
 from __future__ import annotations
 
+import logging
 from math import comb
 
 from .counts import CycleCounts, cycle_window_end
@@ -29,6 +31,8 @@ __all__ = [
 DEFAULT_BRUTE_CAP = 200  # cap on |E| for the DFS enumeration
 RESIDUAL_TOL = 1e-4
 IMAG_RTOL = 1e-6
+
+log = logging.getLogger("girthspec")
 
 
 def counts_from_spectrum(es: EdgeSpectrum, girth: int,
@@ -71,7 +75,14 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
     Paths grow from each root s through nodes with larger combined id only,
     and close back to s; every cycle is visited exactly twice (once per
     direction) from its minimum node. Valid for any k, unlike the spectral
-    routes.
+    routes. A path steps to v only if its depth there plus dist(v) is at
+    most max_k, where dist is the BFS distance from s through nodes above
+    s, kept to depth max_k // 2 (beyond it a node counts as unreachable).
+    Exact: on a cycle of length k <= max_k with minimum node s, the rest
+    of the cycle is a path back to s through nodes above s, so a node at
+    depth d has dist <= min(k - d, k / 2). The ``girthspec`` logger gets
+    one DEBUG record per enumeration with the node count, max_k and the
+    total size of the roots' BFS balls, root excluded.
     """
     if g.edge_count > edge_cap:
         raise SizeCapError(f"|E| = {g.edge_count} exceeds brute-force cap {edge_cap}")
@@ -86,21 +97,40 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
            + neighbor_lists(d.T.tocsr()))
     raw = {k: 0 for k in range(4, max_k + 1, 2)}
     on_path = [False] * g.node_count
+    # dist[v] for the current root's ball; far, for every other node
+    # (those at or below the root included), fails the prune at any depth
+    far = max_k + 1
+    dist = [far] * g.node_count
+    ball_total = 0
 
     def extend(s: int, u: int, depth: int) -> None:
         for v in adj[u]:
             if v == s:
                 if depth + 1 >= 4:
                     raw[depth + 1] += 1
-            elif v > s and not on_path[v] and depth + 1 < max_k:
+            elif depth + 1 + dist[v] <= max_k and not on_path[v]:
                 on_path[v] = True
                 extend(s, v, depth + 1)
                 on_path[v] = False
 
     for s in range(g.node_count):
+        ball, start = [s], 0
+        for hop in range(1, max_k // 2 + 1):
+            end = len(ball)
+            for u in ball[start:end]:
+                for v in adj[u]:
+                    if v > s and dist[v] == far:
+                        dist[v] = hop
+                        ball.append(v)
+            start = end
+        ball_total += len(ball) - 1
         on_path[s] = True
         extend(s, s, 0)
         on_path[s] = False
+        for v in ball:
+            dist[v] = far
+    log.debug("brute_force_counts nodes=%d max_k=%d ball=%d",
+              g.node_count, max_k, ball_total)
 
     counts: dict[int, int] = {}
     for k in range(girth, max_k + 1, 2):

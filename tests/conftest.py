@@ -15,13 +15,17 @@ from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
+    CycleCounts,
     GraphProfile,
+    NumericalError,
     ParseError,
+    RouteInapplicableError,
     complete_bipartite,
     even_cycle,
     profile,
     random_biregular,
 )
+from girthspec.graph_core import neighbor_lists
 
 
 # 2 x 2 alist whose columns both list both rows, while row 1 lists column 1
@@ -223,6 +227,24 @@ def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, m, edges)
 
 
+def tutte_8_cage() -> BipartiteGraph:
+    """W(2), the Tutte 8-cage: the incidence graph of the symplectic
+    quadrangle on GF(2)^4. The left side holds the 15 nonzero vectors
+    (vector x is node x - 1), the right side the 15 lines {x, y, x + y}
+    with omega(x, y) = x0 y1 + x1 y0 + x2 y3 + x3 y2 = 0, bit i of x being
+    coordinate i."""
+    def omega(x: int, y: int) -> int:
+        swapped = (y & 0b0101) << 1 | (y & 0b1010) >> 1
+        return bin(x & swapped).count("1") % 2
+
+    lines = sorted({tuple(sorted((x, y, x ^ y)))
+                    for x in range(1, 16) for y in range(1, 16)
+                    if x != y and not omega(x, y)})
+    assert len(lines) == 15
+    return BipartiteGraph.from_edges(15, 15, [
+        (x - 1, i) for i, line in enumerate(lines) for x in line])
+
+
 # (left degree, right degree); the left side has the larger degree in some
 BIREGULAR_DEGREES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4),
                      (4, 3)]
@@ -356,3 +378,43 @@ def line_parse_alist(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
     if len(edges) != sum(row_deg):
         raise ParseError("row degree total disagrees with the edge set")
     return n, m, frozenset(edges)
+
+
+def unpruned_brute_force_counts(g: BipartiteGraph, max_k: int) -> CycleCounts:
+    """The canonical-rooted DFS that ``brute_force_counts`` ran before it
+    pruned by distance back to the root, kept as a test oracle: every
+    simple path from s through nodes above s grows to length max_k - 1.
+    It refuses what ``brute_force_counts`` refuses, bar the size cap."""
+    if max_k < 4 or max_k % 2:
+        raise RouteInapplicableError(f"max_k={max_k} must be an even integer >= 4")
+    if (girth := profile(g).girth) is None:
+        raise RouteInapplicableError("forest input: no cycles to count")
+
+    # neighbors over combined ids: left node u is u, right node w is n + w
+    n, d = g.left_count, g.biadjacency
+    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(d)]
+           + neighbor_lists(d.T.tocsr()))
+    raw = {k: 0 for k in range(4, max_k + 1, 2)}
+    on_path = [False] * g.node_count
+
+    def extend(s: int, u: int, depth: int) -> None:
+        for v in adj[u]:
+            if v == s:
+                if depth + 1 >= 4:
+                    raw[depth + 1] += 1
+            elif v > s and not on_path[v] and depth + 1 < max_k:
+                on_path[v] = True
+                extend(s, v, depth + 1)
+                on_path[v] = False
+
+    for s in range(g.node_count):
+        on_path[s] = True
+        extend(s, s, 0)
+        on_path[s] = False
+
+    counts: dict[int, int] = {}
+    for k in range(girth, max_k + 1, 2):
+        if raw[k] % 2:
+            raise NumericalError("cycle enumeration parity broken")
+        counts[k] = raw[k] // 2
+    return CycleCounts(girth=girth, counts=counts)

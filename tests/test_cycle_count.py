@@ -1,8 +1,10 @@
+import logging
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from girthspec import (
@@ -28,7 +30,31 @@ from girthspec import (
 from girthspec.cli import transfer_spectra
 from girthspec.edge_matrix import EdgeSpectrum
 
-from conftest import biregular_girth6_graphs, random_bipartite
+from conftest import (
+    biregular_girth6_graphs,
+    random_bipartite,
+    tutte_8_cage,
+    unpruned_brute_force_counts,
+)
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple bipartite graphs on up to 7 + 7 nodes and 24 edges: one walk
+    u_0 w_0 u_1 w_1 ... of up to 14 steps, closed back to u_0 or not, plus
+    up to 10 other edges. Cycles of every even length up to 14 are common,
+    and so are leaves, isolated nodes, several components and forests. The
+    edge bound keeps the unpruned oracle fast: on K_{7,7} at max_k = 14 it
+    grows millions of paths from each root."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    steps = draw(st.integers(0, 7))
+    lefts = draw(st.lists(st.integers(0, n - 1), min_size=steps, max_size=steps))
+    rights = draw(st.lists(st.integers(0, m - 1), min_size=steps, max_size=steps))
+    ends = lefts[1:] + lefts[:1] if draw(st.booleans()) else lefts[1:]
+    cells = [(u, w) for u in range(n) for w in range(m)]
+    extra = draw(st.lists(st.sampled_from(cells), max_size=10))
+    return BipartiteGraph.from_edges(
+        n, m, {*zip(lefts, rights), *zip(ends, rights), *extra})
 
 
 def float_transfer_counts(g):
@@ -106,6 +132,49 @@ class TestBruteForce:
         with pytest.raises(RouteInapplicableError):
             brute_force_counts(BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)]),
                                max_k=4)
+
+    # two 4-cycles sharing an edge, with a leaf; a separate 6-cycle; an
+    # isolated node; at max_k = 14 > 2g - 2
+    @example(BipartiteGraph.from_edges(7, 7, [
+        (0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (2, 2), (2, 6),
+        (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 3)]), 14)
+    @given(small_graphs(), st.sampled_from(range(4, 15, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_prune_keeps_every_count(self, g, max_k):
+        try:
+            expected = unpruned_brute_force_counts(g, max_k)
+        except RouteInapplicableError as exc:
+            with pytest.raises(RouteInapplicableError,
+                               match=f"^{re.escape(str(exc))}$"):
+                brute_force_counts(g, max_k)
+            return
+        assert brute_force_counts(g, max_k) == expected
+
+    def test_tutte_8_cage(self):
+        # W(2): girth 8, so 14 = 2g - 2 ends every route's window
+        g = tutte_8_cage()
+        assert profile(g).girth == 8 and profile(g).d_v == profile(g).d_c == 3
+        expected = {8: 90, 10: 72, 12: 300, 14: 1080}
+        assert brute_force_counts(g, max_k=14).counts == expected
+        assert trace_power_counts(g).counts == expected
+        assert transfer_counts(g).counts == expected
+
+    def test_logs_nodes_max_k_and_ball(self, caplog):
+        # C_6 has left 0-2 and right 3-5 and runs 0-3-2-5-1-4-0. Radius 2:
+        # root 0 reaches 3, 4, 2, 1; root 1 reaches 4, 5, 2 (not 0); root
+        # 2 reaches 3, 5; roots 3-5 see only smaller nodes. Radius 3 adds 5
+        # for root 0 and 3 for root 1.
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        brute_force_counts(even_cycle(6), max_k=4)
+        brute_force_counts(even_cycle(6), max_k=6)
+        with pytest.raises(RouteInapplicableError):
+            brute_force_counts(BipartiteGraph.from_edges(1, 1, [(0, 0)]), 4)
+        records = [r for r in caplog.records if r.name == "girthspec"
+                   and r.msg.startswith("brute_force_counts")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert [r.args for r in records] == [(6, 4, 9), (6, 6, 11)]
+        assert records[0].getMessage() == (
+            "brute_force_counts nodes=6 max_k=4 ball=9")
 
     def test_agrees_with_trace_on_random_graphs(self):
         rng = random.Random(6)
