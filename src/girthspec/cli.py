@@ -78,17 +78,13 @@ def _spectra_dict(adj_spec, edge_spec) -> dict:
 
 
 def transfer_spectra(g: BipartiteGraph, *,
-                     zero_tolerance: float | None = None,
-                     cluster_tolerance: float | None = None,
                      dense_cap: int = DEFAULT_DENSE_CAP,
                      ) -> tuple[AdjacencySpectrum, EdgeSpectrum]:
     """Adjacency and edge spectra by the transfer; a graph outside its hypothesis
     is refused before any eigenvalue work. Layers are called by this module's
     names, so patching them here sees every call."""
     params = TransferParameters.from_graph(g)
-    spec = adjacency_spectrum(g, zero_tolerance=zero_tolerance,
-                              cluster_tolerance=cluster_tolerance,
-                              dense_cap=dense_cap)
+    spec = adjacency_spectrum(g, dense_cap=dense_cap)
     return spec, derive_edge_spectrum(spec, params)
 
 
@@ -103,9 +99,7 @@ def _run_transfer(g, args):
     if not (args.emit_spectra or args.command == "verify"):
         return cc, {}
     try:
-        spec, es = transfer_spectra(g, zero_tolerance=args.zero_tol,
-                                    cluster_tolerance=args.cluster_tol,
-                                    dense_cap=_cap(args, DEFAULT_DENSE_CAP))
+        spec, es = transfer_spectra(g, dense_cap=_cap(args, DEFAULT_DENSE_CAP))
     except RouteInapplicableError as exc:
         return cc, {"float_transfer_refused": str(exc)}
     floats = counts_from_spectrum(es, cc.girth, args.max_k)
@@ -143,12 +137,14 @@ ROUTES = {"transfer": _run_transfer, "trace": _run_trace,
 
 def _emit(report: dict, as_table: bool) -> None:
     if as_table:
-        prof = report.get("profile", {})
         print(f"input: {report['input']['path']} ({report['input']['format']})")
-        print("  ".join(f"{k}={v}" for k, v in prof.items()))
-        for k, v in sorted(report.get("counts", {}).items(), key=lambda t: int(t[0])):
+        if report["error"]:
+            print(f"error: {report['error']['message']}")
+            return
+        print("  ".join(f"{k}={v}" for k, v in report["profile"].items()))
+        for k, v in sorted(report["counts"].items(), key=lambda t: int(t[0])):
             print(f"N_{k} = {v}")
-        for r in report.get("routes", []):
+        for r in report["routes"]:
             print(f"route {r['name']}: {r['ms']:.2f} ms")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -260,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["alist", "edgelist", "auto"],
                        default="auto")
         p.add_argument("--max-k", type=int, default=None, dest="max_k")
-        for flag in ("--zero-tol", "--cluster-tol"):
-            p.add_argument(flag, type=float, default=None,
-                           help="float transfer only (--emit-spectra, verify)")
         p.add_argument("--emit-spectra", action="store_true")
         p.add_argument("--force", action="store_true",
                        help="lift dense/enumeration size caps")

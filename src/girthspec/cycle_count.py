@@ -23,7 +23,6 @@ __all__ = [
     "CycleCounts",
     "counts_from_spectrum",
     "brute_force_counts",
-    "complete_bipartite_closed_form",
     "tree_walk_count",
     "g_plus_4_cross_check",
 ]
@@ -103,15 +102,28 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
     dist = [far] * g.node_count
     ball_total = 0
 
-    def extend(s: int, u: int, depth: int) -> None:
-        for v in adj[u]:
-            if v == s:
-                if depth + 1 >= 4:
+    def extend(s: int) -> None:
+        """Grow every pruned path from s on an explicit stack, free of the
+        recursion limit; stack[-1] iterates over path[-1]'s neighbors. A
+        step to v closes a cycle when dist[v] == 1; s itself fails every
+        prune, as its dist is far."""
+        path, stack = [s], [iter(adj[s])]
+        while stack:
+            depth = len(path)  # edges from s to v
+            budget = max_k - depth
+            for v in stack[-1]:
+                if dist[v] > budget or on_path[v]:
+                    continue
+                if dist[v] == 1 and depth >= 3:
                     raw[depth + 1] += 1
-            elif depth + 1 + dist[v] <= max_k and not on_path[v]:
-                on_path[v] = True
-                extend(s, v, depth + 1)
-                on_path[v] = False
+                if budget > 1:  # else no step from v passes the prune
+                    on_path[v] = True
+                    path.append(v)
+                    stack.append(iter(adj[v]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
 
     for s in range(g.node_count):
         ball, start = [s], 0
@@ -124,9 +136,7 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
                         ball.append(v)
             start = end
         ball_total += len(ball) - 1
-        on_path[s] = True
-        extend(s, s, 0)
-        on_path[s] = False
+        extend(s)
         for v in ball:
             dist[v] = far
     log.debug("brute_force_counts nodes=%d max_k=%d ball=%d",
@@ -138,21 +148,6 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
             raise NumericalError("cycle enumeration parity broken")
         counts[k] = raw[k] // 2
     return CycleCounts(girth=girth, counts=counts)
-
-
-def complete_bipartite_closed_form(m: int, n: int, k: int) -> int:
-    """Exact N_4 or N_6 of K_{m,n}."""
-    if m < 1 or n < 1:
-        raise ValueError("side sizes must be positive")
-    if k == 4:
-        num = (m - 1) * (n - 1) * m * n
-        assert num % 4 == 0
-        return num // 4
-    if k == 6:
-        num = m * (m - 1) * (m - 2) * n * (n - 1) * (n - 2)
-        assert num % 6 == 0
-        return num // 6
-    raise ValueError(f"no closed form for k={k}")
 
 
 def tree_walk_count(d_root: int, d_other: int, length: int) -> int:

@@ -11,13 +11,13 @@ so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
 with no transpose. A walk-sum bound picks float64, int64 or Python ints.
 
-``build_edge_matrix`` constructs A_e itself, the reference the tests
-compare against. Arcs are numbered so that arc i and arc |E| + i are
-mutual inverses, with all U -> W arcs first; edges are taken in
-lexicographic (u, w) order, so the construction is deterministic. With
-that order A_e = [[0, X], [Y, 0]], and the ``direct`` baseline gets its
-eigenvalues as the square roots, with both signs, of the eigenvalues of
-the |E| x |E| product XY.
+``build_edge_matrix`` constructs A_e itself; no route calls it, and the
+tests read it as the reference they compare against. Arcs are numbered
+so that arc i and arc |E| + i are mutual inverses, with all U -> W arcs
+first; edges are taken in lexicographic (u, w) order, so the
+construction is deterministic. With that order A_e = [[0, X], [Y, 0]],
+and the ``direct`` baseline gets its eigenvalues as the square roots,
+with both signs, of the eigenvalues of the |E| x |E| product XY.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "trace_powers",
     "trace_power_counts",
     "edge_spectrum_direct",
-    "multiset_matching_distance",
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
@@ -82,9 +81,6 @@ class EdgeSpectrum:
 
     def power_sum(self, k: int) -> complex:
         return sum(mult * value ** k for value, mult in self.eigenvalues)
-
-    def expand(self) -> list[complex]:
-        return [v for v, mult in self.eigenvalues for _ in range(mult)]
 
     def max_abs(self) -> float:
         return max((abs(v) for v, _ in self.eigenvalues), default=0.0)
@@ -274,16 +270,3 @@ def edge_spectrum_direct(g: BipartiteGraph,
         raise NumericalError("edge spectrum clustering lost eigenvalues")
     return EdgeSpectrum(eigenvalues=tuple(clusters), total=total)
 
-
-def multiset_matching_distance(a: EdgeSpectrum, b: EdgeSpectrum) -> float:
-    """Largest pairing distance under the optimal matching of two spectra."""
-    if a.total != b.total:
-        raise NumericalError(
-            f"spectra have different sizes: {a.total} vs {b.total}")
-    from scipy.optimize import linear_sum_assignment
-
-    xs = np.array(a.expand())
-    ys = np.array(b.expand())
-    cost = np.abs(xs[:, None] - ys[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())

@@ -106,8 +106,6 @@ class BipartiteGraph:
             d_v=int(left[0]) if biregular else None,
             d_c=int(right[0]) if biregular else None,
             girth=_girth(d, dt) if d.shape[0] <= d.shape[1] else _girth(dt, d),
-            degree_sequences=(tuple(sorted(left.tolist(), reverse=True)),
-                              tuple(sorted(right.tolist(), reverse=True))),
         )
 
     @property
@@ -148,7 +146,6 @@ class GraphProfile:
     d_v: int | None
     d_c: int | None
     girth: int | None  # None marks infinite girth (forest)
-    degree_sequences: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------

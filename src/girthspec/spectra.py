@@ -4,9 +4,10 @@ For A = [[0, D], [D^T, 0]] the eigenvalues are +/- the singular values of
 the n x m block D, plus |V| - 2 Rank(D) zeros, so the spectrum is
 symmetric about the origin by construction. Singular values are clustered
 into (value, multiplicity) pairs so that downstream integer bookkeeping
-can rely on exact multiplicities. The rank read off the singular values
-is audited exactly over GF(p); a mismatch is an error, not a silent
-choice.
+can rely on exact multiplicities. Both tolerances are fixed, relative to
+the largest singular value: the zero tolerance only has to reproduce the
+rank, which is audited exactly over GF(p), and a mismatch is an error,
+not a silent choice.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .graph_core import BipartiteGraph, neighbor_lists
 
 __all__ = [
     "AdjacencySpectrum",
-    "adjacency_matrix",
     "adjacency_spectrum",
     "rank_of_biadjacency",
 ]
@@ -53,7 +53,6 @@ class AdjacencySpectrum:
     total: int
     rank: int
     nullity: int
-    zero_tolerance: float
 
     def power_sum(self, k: int) -> float:
         return float(sum(mult * value ** k for value, mult in self.eigenvalues))
@@ -62,19 +61,8 @@ class AdjacencySpectrum:
         return max((abs(v) for v, _ in self.eigenvalues), default=0.0)
 
 
-def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
-    """Symmetric |V| x |V| adjacency matrix, U block first; the tests'
-    reference for :func:`adjacency_spectrum`, so it sets entries pair by
-    pair from ``g.edges`` rather than using the sparse algebra of D."""
-    n = g.left_count
-    a = np.zeros((g.node_count, g.node_count))
-    for u, w in g.edges:
-        a[u, n + w] = a[n + w, u] = 1.0
-    return a
-
-
 def _cluster_sorted(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Single-linkage clustering of sorted values with gap threshold tol."""
+    """Single-linkage clustering of ascending values with gap threshold tol."""
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -86,25 +74,19 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
 
 
 def adjacency_spectrum(g: BipartiteGraph,
-                       zero_tolerance: float | None = None,
-                       cluster_tolerance: float | None = None,
                        dense_cap: int = DEFAULT_DENSE_CAP) -> AdjacencySpectrum:
     """Clustered spectrum of the adjacency matrix, from one SVD of D.
 
-    The nonzero eigenvalues are +/- the singular values of D above
-    zero_tolerance; the other |V| - 2 Rank(D) eigenvalues are 0. Defaults:
-    zero_tolerance = 1e-7 * max(1, |lambda|_max) and
-    cluster_tolerance = max(1e-8, 1e-10 * |lambda|_max), where
-    |lambda|_max is the largest singular value.
+    The nonzero eigenvalues are +/- the singular values of D above the
+    zero tolerance 1e-7 * max(1, |lambda|_max), clustered within
+    max(1e-8, 1e-10 * |lambda|_max), where |lambda|_max is the largest
+    singular value; the other |V| - 2 Rank(D) eigenvalues are exactly 0.
     """
     if g.node_count > dense_cap:
         raise SizeCapError(f"|V| = {g.node_count} exceeds dense cap {dense_cap}")
     sv = np.linalg.svd(g.biadjacency.toarray(), compute_uv=False)  # descending
     lam_max = float(sv[0])
-    if cluster_tolerance is None:
-        cluster_tolerance = max(1e-8, 1e-10 * lam_max)
-    if zero_tolerance is None:
-        zero_tolerance = 1e-7 * max(1.0, lam_max)
+    zero_tolerance = 1e-7 * max(1.0, lam_max)
 
     nonzero = sv[sv > zero_tolerance]
     float_rank = len(nonzero)
@@ -121,10 +103,9 @@ def adjacency_spectrum(g: BipartiteGraph,
             f"rank audit failed: {float_rank} singular values of D exceed "
             f"zero_tolerance = {zero_tolerance!r} but D has exact rank {audit} "
             "over GF(p), p near 2^31; largest singular value at or below the "
-            f"tolerance: {largest_below!r}, smallest above: {smallest_above!r}; "
-            "adjust tolerances")
+            f"tolerance: {largest_below!r}, smallest above: {smallest_above!r}")
 
-    clusters = _cluster_sorted(nonzero[::-1], cluster_tolerance)  # ascending
+    clusters = _cluster_sorted(nonzero[::-1], max(1e-8, 1e-10 * lam_max))
     nullity = g.node_count - 2 * float_rank
     eigenvalues = ([(v, m) for v, m in reversed(clusters)]
                    + ([(0.0, nullity)] if nullity else [])
@@ -134,7 +115,6 @@ def adjacency_spectrum(g: BipartiteGraph,
         total=g.node_count,
         rank=2 * float_rank,
         nullity=nullity,
-        zero_tolerance=zero_tolerance,
     )
 
 

@@ -36,7 +36,6 @@ from .spectra import AdjacencySpectrum
 
 __all__ = [
     "TransferParameters",
-    "XiRoots",
     "solve_transfer_quadratic",
     "derive_edge_spectrum",
     "transfer_counts",
@@ -84,26 +83,13 @@ class TransferParameters:
         return cls(q1=d_v - 1, q2=d_c - 1, n=n, m=m, edge_count=g.edge_count)
 
 
-@dataclass(frozen=True)
-class XiRoots:
-    """The two roots of the transfer quadratic for one adjacency eigenvalue."""
-
-    xi1: complex
-    xi2: complex
-
-    def check_vieta(self, lam: float, q1: int, q2: int) -> None:
-        prod, tot = q1 * q2, lam * lam - q1 - q2
-        if abs(self.xi1 * self.xi2 - prod) > VIETA_RTOL * max(1.0, abs(prod)):
-            raise NumericalError("xi root product violates Vieta")
-        if abs(self.xi1 + self.xi2 - tot) > VIETA_RTOL * max(1.0, abs(tot)):
-            raise NumericalError("xi root sum violates Vieta")
-
-
-def solve_transfer_quadratic(lam: float, params: TransferParameters) -> XiRoots:
-    """Stable roots of xi^2 + (q1 + q2 - lambda^2) xi + q1 q2 = 0.
+def solve_transfer_quadratic(lam: float,
+                             params: TransferParameters) -> tuple[complex, complex]:
+    """Stable roots (xi1, xi2) of xi^2 + (q1 + q2 - lambda^2) xi + q1 q2 = 0.
 
     The larger-magnitude root uses the sign-aware formula; the smaller one
-    comes from the Vieta product, avoiding cancellation.
+    comes from the Vieta product, avoiding cancellation. Both Vieta
+    relations are checked to VIETA_RTOL.
     """
     q1, q2 = params.q1, params.q2
     b = float(q1 + q2 - lam * lam)
@@ -112,12 +98,16 @@ def solve_transfer_quadratic(lam: float, params: TransferParameters) -> XiRoots:
     if disc >= 0.0:
         sq = math.sqrt(disc)
         big = (-b - sq) / 2.0 if b >= 0.0 else (-b + sq) / 2.0
-        roots = XiRoots(complex(big), complex(c / big))
+        xi1, xi2 = complex(big), complex(c / big)
     else:
         re, im = -b / 2.0, math.sqrt(-disc) / 2.0
-        roots = XiRoots(complex(re, im), complex(re, -im))
-    roots.check_vieta(lam, q1, q2)
-    return roots
+        xi1, xi2 = complex(re, im), complex(re, -im)
+    prod, tot = q1 * q2, lam * lam - q1 - q2
+    if abs(xi1 * xi2 - prod) > VIETA_RTOL * max(1.0, abs(prod)):
+        raise NumericalError("xi root product violates Vieta")
+    if abs(xi1 + xi2 - tot) > VIETA_RTOL * max(1.0, abs(tot)):
+        raise NumericalError("xi root sum violates Vieta")
+    return xi1, xi2
 
 
 def derive_edge_spectrum(spec: AdjacencySpectrum,
@@ -135,13 +125,12 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
     d_prod = (params.q1 + 1) * (params.q2 + 1)  # d_v * d_c
     entries: list[tuple[complex, int]] = []
 
-    # Step 1: strictly negative eigenvalues through the quadratic.
+    # Step 1: negative eigenvalues through the quadratic; the zero is exact.
     step1 = 0
     for lam, mult in spec.eigenvalues:
-        if lam >= -spec.zero_tolerance:
+        if lam >= 0.0:
             continue
-        roots = solve_transfer_quadratic(lam, params)
-        for xi in (roots.xi1, roots.xi2):
+        for xi in solve_transfer_quadratic(lam, params):
             if abs(xi - 1.0) <= XI_ONE_TOL:
                 if abs(lam * lam - d_prod) > LAMBDA_MAX_TOL * max(1.0, d_prod):
                     raise NumericalError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import random
@@ -12,10 +14,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from girthspec import (
     BipartiteGraph,
     CycleCounts,
+    EdgeSpectrum,
     GraphProfile,
     NumericalError,
     ParseError,
@@ -99,8 +103,6 @@ def reference_profile(g: BipartiteGraph) -> GraphProfile:
         d_v=left[0] if biregular else None,
         d_c=right[0] if biregular else None,
         girth=reference_girth(adj),
-        degree_sequences=(tuple(sorted(left, reverse=True)),
-                          tuple(sorted(right, reverse=True))),
     )
 
 
@@ -227,22 +229,46 @@ def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, m, edges)
 
 
-def tutte_8_cage() -> BipartiteGraph:
-    """W(2), the Tutte 8-cage: the incidence graph of the symplectic
-    quadrangle on GF(2)^4. The left side holds the 15 nonzero vectors
-    (vector x is node x - 1), the right side the 15 lines {x, y, x + y}
-    with omega(x, y) = x0 y1 + x1 y0 + x2 y3 + x3 y2 = 0, bit i of x being
-    coordinate i."""
-    def omega(x: int, y: int) -> int:
-        swapped = (y & 0b0101) << 1 | (y & 0b1010) >> 1
-        return bin(x & swapped).count("1") % 2
+@functools.cache
+def symplectic_quadrangle(q: int) -> BipartiteGraph:
+    """W(q), q prime: the incidence graph of the points and the totally
+    isotropic lines of PG(3, q) under omega(x, y) = x0 y1 - x1 y0 + x2 y3
+    - x3 y2. It is (q + 1)-regular and connected, of girth 8, with
+    (q + 1)(q^2 + 1) nodes a side; W(2) is the Tutte 8-cage. A point is a
+    vector whose first nonzero coordinate is 1. The lines through p are
+    the spans of p and each other point x of its perp, and such a line is
+    its own perp: the points orthogonal to both p and x."""
+    points = np.array([v for v in itertools.product(range(q), repeat=4)
+                       if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1])
+    omega = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    perp = points @ omega @ points.T % q == 0
+    lines = sorted({tuple(np.flatnonzero(perp[p] & perp[x]).tolist())
+                    for p in range(len(points)) for x in np.flatnonzero(perp[p])
+                    if x != p})
+    return BipartiteGraph.from_edges(len(points), len(lines), [
+        (x, i) for i, line in enumerate(lines) for x in line])
 
-    lines = sorted({tuple(sorted((x, y, x ^ y)))
-                    for x in range(1, 16) for y in range(1, 16)
-                    if x != y and not omega(x, y)})
-    assert len(lines) == 15
-    return BipartiteGraph.from_edges(15, 15, [
-        (x - 1, i) for i, line in enumerate(lines) for x in line])
+
+def symplectic_quadrangle_counts(q: int) -> dict[int, int]:
+    """N_8 .. N_14 of W(q), sharing no code with the package, from its
+    known adjacency spectrum (Brouwer, Cohen & Neumaier 1989): +/- (q + 1)
+    once, +/- sqrt(2q) s times each, s = q (q + 1)^2 / 2, and 0 otherwise,
+    P = (q + 1)(q^2 + 1) nodes a side. The paper's three transfer steps
+    take -(q + 1) to +/- q, -sqrt(2q) to the four square roots of +/- i q
+    (s times each), the zeros to +/- i sqrt(q) (P - 1 - s times on each
+    side), and add +/- 1 at the cyclomatic number P (q - 1) + 1. So, for
+    h = k / 2, tr(A_e^k) = 2 q^k + 4 s q^h Re(i^h) + 4 (P - 1 - s) q^h
+    (-1)^h + 2 (P (q - 1) + 1), and N_k = tr(A_e^k) / 2k."""
+    points, s = (q + 1) * (q * q + 1), q * (q + 1) ** 2 // 2
+    counts = {}
+    for k in range(8, 15, 2):
+        h = k // 2
+        trace = (2 * q ** k + 4 * s * q ** h * (1, 0, -1, 0)[h % 4]
+                 + 4 * (points - 1 - s) * q ** h * (-1) ** h
+                 + 2 * (points * (q - 1) + 1))
+        assert trace % (2 * k) == 0
+        counts[k] = trace // (2 * k)
+    return counts
 
 
 # (left degree, right degree); the left side has the larger degree in some
@@ -268,6 +294,49 @@ def biregular_graphs(draw):
             parts.append(random_biregular(d_right * t, d_left * t, d_left,
                                           d_right, seed=draw(st.integers(0, 999))))
     return disjoint_union(*parts)
+
+
+# ---------------------------------------------------------------------------
+# References for the spectra and the counts, read only by the tests.
+# ---------------------------------------------------------------------------
+
+def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
+    """Symmetric |V| x |V| adjacency matrix, U block first; the reference
+    for ``adjacency_spectrum``, so it sets entries pair by pair from
+    ``g.edges`` rather than using the sparse algebra of D."""
+    n = g.left_count
+    a = np.zeros((g.node_count, g.node_count))
+    for u, w in g.edges:
+        a[u, n + w] = a[n + w, u] = 1.0
+    return a
+
+
+def complete_bipartite_closed_form(m: int, n: int, k: int) -> int:
+    """Exact N_4 or N_6 of K_{m,n}."""
+    if m < 1 or n < 1:
+        raise ValueError("side sizes must be positive")
+    if k == 4:
+        num = (m - 1) * (n - 1) * m * n
+        assert num % 4 == 0
+        return num // 4
+    if k == 6:
+        num = m * (m - 1) * (m - 2) * n * (n - 1) * (n - 2)
+        assert num % 6 == 0
+        return num // 6
+    raise ValueError(f"no closed form for k={k}")
+
+
+def multiset_matching_distance(a: EdgeSpectrum, b: EdgeSpectrum) -> float:
+    """Largest pairing distance under the optimal matching of two spectra,
+    each expanded to one value per multiplicity."""
+    if a.total != b.total:
+        raise NumericalError(
+            f"spectra have different sizes: {a.total} vs {b.total}")
+    xs, ys = (np.array([v for v, mult in spec.eigenvalues for _ in range(mult)])
+              for spec in (a, b))
+    cost = np.abs(xs[:, None] - ys[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from girthspec import (
     counts_from_spectrum,
     edge_spectrum_direct,
     g_plus_4_cross_check,
-    multiset_matching_distance,
     profile,
     random_biregular,
     rank_of_biadjacency,
@@ -25,7 +24,12 @@ from girthspec import (
 )
 from girthspec.cli import transfer_spectra
 
-from conftest import biregular_girth6_graphs, random_bipartite, step_totals
+from conftest import (
+    biregular_girth6_graphs,
+    multiset_matching_distance,
+    random_bipartite,
+    step_totals,
+)
 
 RESIDUAL_TOL = 1e-4
 MATCH_TOL = 1e-5

@@ -18,10 +18,15 @@ from girthspec import (
     write_alist,
     write_edge_list,
 )
-from girthspec import cli, edge_matrix, spectral_transfer
+from girthspec import cli, edge_matrix, spectra, spectral_transfer
 from girthspec.cli import main
 
-from conftest import ROW_SIDE_SHORT_ALIST, disjoint_union
+from conftest import (
+    ROW_SIDE_SHORT_ALIST,
+    disjoint_union,
+    symplectic_quadrangle,
+    symplectic_quadrangle_counts,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -214,6 +219,19 @@ class TestCount:
         assert code == 0
         assert "N_4 = 18" in out
 
+    @pytest.mark.parametrize("text,code,message", [
+        ("2 1\n0 0\n1 0\n", 2, "forest input: no cycles to count"),
+        ("2 1\n0 x\n", 4, "line 2: non-integer token in '0 x'")])
+    def test_table_mode_prints_the_error(self, capsys, tmp_path, text, code,
+                                         message):
+        path = tmp_path / "bad.el"
+        path.write_text(text)
+        assert main(["count", "--input", str(path), "--table"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"input: {path} (auto)"
+        assert lines[1].startswith("error: ") and message in lines[1]
+        assert len(lines) == 2
+
     def test_successive_calls_are_independent(self, capsys, k34_alist, q4_el):
         """One parser serves every call in a process; no flag, default or
         subcommand of one call carries over to the next."""
@@ -328,20 +346,26 @@ class TestCount:
         assert code == 0
         assert report["counts"] == {"4": 18, "6": 24, "8": 0}  # 7 nodes
 
-    def test_zero_tol_swallowing_a_singular_value_exits_3(self, capsys, q4_el):
-        # the tesseract's D has singular values 4, 2 (x4), 0 (x3)
+    def test_rank_audit_disagreeing_with_the_svd_exits_3(self, capsys, q4_el,
+                                                         monkeypatch):
+        # the tesseract's D has singular values 4, 2 (x4), 0 (x3); an audit
+        # that over-counts by one trips the gate
+        exact = spectra._rank_mod_p
+        monkeypatch.setattr(spectra, "_rank_mod_p",
+                            lambda rows, p: exact(rows, p) + 1)
         code, report = run_json(capsys, ["count", "--input", q4_el,
                                          "--route", "transfer",
-                                         "--emit-spectra", "--zero-tol", "2.5"])
+                                         "--emit-spectra"])
         assert code == 3
         assert report["error"]["code"] == 3
         message = report["error"]["message"]
-        assert "1 singular values of D exceed zero_tolerance = 2.5" in message
-        assert "exact rank 5" in message
+        tol = re.search(r"5 singular values of D exceed zero_tolerance = "
+                        r"([0-9.e+-]+) but D has exact rank 6", message)
+        assert float(tol.group(1)) == pytest.approx(4e-7)  # 1e-7 * sigma_max
         below = re.search(r"at or below the tolerance: ([0-9.e+-]+)", message)
         above = re.search(r"smallest above: ([0-9.e+-]+)", message)
-        assert float(below.group(1)) == pytest.approx(2.0, abs=1e-9)
-        assert float(above.group(1)) == pytest.approx(4.0, abs=1e-9)
+        assert abs(float(below.group(1))) < 1e-12
+        assert float(above.group(1)) == pytest.approx(2.0, abs=1e-9)
 
 
 class TestVerify:
@@ -365,6 +389,18 @@ class TestVerify:
         code, report = run_json(capsys, ["verify", "--input", path])
         assert code == 0
         assert report["cross_check_g_plus_4"] == report["counts"][str(gi + 4)]
+
+    def test_symplectic_quadrangle_at_girth_8(self, capsys, tmp_path):
+        # W(5): 156 + 156 nodes, 936 edges, over brute's cap
+        path = tmp_path / "w5.el"
+        path.write_text(write_edge_list(symplectic_quadrangle(5)))
+        code, report = run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 0
+        assert [r["name"] for r in report["routes"]] == [
+            "transfer", "trace", "direct"]
+        assert report["counts"] == {
+            str(k): n for k, n in symplectic_quadrangle_counts(5).items()}
+        assert report["cross_check_g_plus_4"] == 20280000
 
     def test_skips_transfer_over_the_dense_cap(self, capsys, q4_el,
                                                monkeypatch):

@@ -15,7 +15,6 @@ from girthspec import (
     adjacency_spectrum,
     brute_force_counts,
     complete_bipartite,
-    complete_bipartite_closed_form,
     counts_from_spectrum,
     edge_spectrum_direct,
     even_cycle,
@@ -32,8 +31,10 @@ from girthspec.edge_matrix import EdgeSpectrum
 
 from conftest import (
     biregular_girth6_graphs,
+    complete_bipartite_closed_form,
     random_bipartite,
-    tutte_8_cage,
+    symplectic_quadrangle,
+    symplectic_quadrangle_counts,
     unpruned_brute_force_counts,
 )
 
@@ -152,12 +153,18 @@ class TestBruteForce:
 
     def test_tutte_8_cage(self):
         # W(2): girth 8, so 14 = 2g - 2 ends every route's window
-        g = tutte_8_cage()
+        g = symplectic_quadrangle(2)
         assert profile(g).girth == 8 and profile(g).d_v == profile(g).d_c == 3
         expected = {8: 90, 10: 72, 12: 300, 14: 1080}
+        assert symplectic_quadrangle_counts(2) == expected
         assert brute_force_counts(g, max_k=14).counts == expected
         assert trace_power_counts(g).counts == expected
         assert transfer_counts(g).counts == expected
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # paths of up to 1200 nodes, past Python's default limit of 1000
+        g = even_cycle(1200)
+        assert brute_force_counts(g, 1200, edge_cap=10 ** 9).counts == {1200: 1}
 
     def test_logs_nodes_max_k_and_ball(self, caplog):
         # C_6 has left 0-2 and right 3-5 and runs 0-3-2-5-1-4-0. Radius 2:
@@ -183,6 +190,33 @@ class TestBruteForce:
             tr = trace_power_counts(g)
             br = brute_force_counts(g, max_k=max(tr.counts))
             assert {k: br.counts[k] for k in tr.counts} == tr.counts
+
+
+class TestSymplecticQuadrangle:
+    """W(q), girth 8: both exact routes against a closed form from its
+    known spectrum, pinned to the values it gives."""
+
+    @pytest.mark.parametrize("q,expected", [
+        (2, (90, 72, 300, 1080)),
+        (3, (1620, 5184, 43200, 336960)),
+        (5, (73125, 936000, 20280000, 435240000)),
+        (7, (960400, 27659520, 1152480000, 48423916800))])
+    def test_exact_routes_equal_the_closed_form(self, q, expected):
+        g = symplectic_quadrangle(q)
+        points = (q + 1) * (q * q + 1)
+        prof = profile(g)
+        assert g.left_count == g.right_count == points
+        assert (prof.girth, prof.d_v, prof.d_c) == (8, q + 1, q + 1)
+        assert prof.is_connected
+        counts = symplectic_quadrangle_counts(q)
+        assert counts == dict(zip((8, 10, 12, 14), expected))
+        # N_8 by counting: an 8-cycle is a quadrangle of points, picked as
+        # a non-collinear pair and 2 of the q + 1 points collinear with
+        # both; each quadrangle has two such diagonals
+        assert counts[8] == (points * (points - 1 - q * (q + 1)) // 2
+                             * math.comb(q + 1, 2) // 2)
+        assert transfer_counts(g).counts == counts
+        assert trace_power_counts(g).counts == counts
 
 
 class TestClosedForm:

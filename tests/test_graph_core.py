@@ -471,7 +471,6 @@ class TestProfile:
         prof = profile(complete_bipartite(3, 4))
         assert prof.girth == 4
         assert prof.is_biregular and prof.is_connected
-        assert prof.degree_sequences == ((4, 4, 4), (3, 3, 3, 3))
 
     def test_single_edge_is_forest(self):
         prof = profile(BipartiteGraph.from_edges(1, 1, [(0, 0)]))
@@ -547,16 +546,14 @@ class TestProfileEquivalence:
 
     # large inputs, checked against their known profiles
     def test_cycle_2000(self):
-        assert profile(even_cycle(2000)) == GraphProfile(
-            True, True, 2, 2, 2000, ((2,) * 1000, (2,) * 1000))
+        assert profile(even_cycle(2000)) == GraphProfile(True, True, 2, 2, 2000)
 
     def test_path_2000(self):
-        assert profile(path(2000)) == GraphProfile(
-            True, False, None, None, None, ((2,) * 999 + (1,), (2,) * 999 + (1,)))
+        assert profile(path(2000)) == GraphProfile(True, False, None, None, None)
 
     def test_k300_300(self):
         assert profile(complete_bipartite(300, 300)) == GraphProfile(
-            True, True, 300, 300, 4, ((300,) * 300, (300,) * 300))
+            True, True, 300, 300, 4)
 
     @pytest.mark.parametrize("g, record", [
         (complete_bipartite(3, 4), "roots=3 levels=2 peak_nnz=12"),

@@ -18,9 +18,9 @@ from girthspec import (
     tesseract,
 )
 from girthspec import spectra
-from girthspec.spectra import RANK_PRIMES, adjacency_matrix
+from girthspec.spectra import RANK_PRIMES
 
-from conftest import bipartite_graphs, random_bipartite
+from conftest import adjacency_matrix, bipartite_graphs, random_bipartite
 
 
 def as_multiset(spec, digits=6):
@@ -124,17 +124,23 @@ class TestAdjacencySpectrum:
         assert spec.total == g.node_count
         assert spec.rank == 2 * rank_of_biadjacency(g)
 
-    def test_tolerance_swallowing_a_singular_value_fails_with_numbers(self):
-        # tesseract: singular values of D are 4, 2 (x4), 0 (x3)
+    def test_rank_mismatch_fails_with_numbers(self, monkeypatch):
+        # tesseract: singular values of D are 4, 2 (x4), 0 (x3); an audit
+        # that over-counts by one disagrees with the 5 above the tolerance
+        exact = spectra._rank_mod_p
+        monkeypatch.setattr(spectra, "_rank_mod_p",
+                            lambda rows, p: exact(rows, p) + 1)
         with pytest.raises(NumericalError) as err:
-            adjacency_spectrum(tesseract(), zero_tolerance=3.0)
+            adjacency_spectrum(tesseract())
         message = str(err.value)
-        assert "1 singular values of D exceed zero_tolerance = 3.0" in message
-        assert "exact rank 5" in message
+        tol = re.search(r"5 singular values of D exceed zero_tolerance = "
+                        r"([0-9.e+-]+) but D has exact rank 6", message)
+        assert float(tol.group(1)) == pytest.approx(4e-7)  # 1e-7 * sigma_max
         below = re.search(r"at or below the tolerance: ([0-9.e+-]+)", message)
         above = re.search(r"smallest above: ([0-9.e+-]+)", message)
-        assert float(below.group(1)) == pytest.approx(2.0, abs=1e-9)
-        assert float(above.group(1)) == pytest.approx(4.0, abs=1e-9)
+        assert abs(float(below.group(1))) < 1e-12
+        assert float(above.group(1)) == pytest.approx(2.0, abs=1e-9)
+        assert not message.endswith("tolerances")
 
     def test_second_prime_retries_an_undercount(self, monkeypatch):
         exact = spectra._rank_mod_p

@@ -18,7 +18,6 @@ from girthspec import (
     derive_edge_spectrum,
     edge_spectrum_direct,
     even_cycle,
-    multiset_matching_distance,
     profile,
     random_biregular,
     solve_transfer_quadratic,
@@ -35,6 +34,7 @@ from conftest import (
     biregular_graphs,
     disjoint_union,
     logged_tiers,
+    multiset_matching_distance,
     random_bipartite,
     step_totals,
 )
@@ -48,7 +48,7 @@ def params_for(g):
 
 def root_set(roots, digits=9):
     return {complex(round(x.real, digits), round(x.imag, digits))
-            for x in (roots.xi1, roots.xi2)}
+            for x in roots}
 
 
 class TestTransferParameters:
@@ -99,9 +99,9 @@ class TestTransferQuadratic:
     def test_vieta_holds_over_lambda_range(self):
         _, _, params = params_for(random_biregular(8, 6, 3, 4, seed=1))
         for lam in (-3.3, -2.0, -1.0, -0.5, 0.0, 1.7):
-            roots = solve_transfer_quadratic(lam, params)
-            assert abs(roots.xi1 * roots.xi2 - params.q1 * params.q2) < 1e-9
-            assert abs(roots.xi1 + roots.xi2 - (lam * lam - params.q1 - params.q2)) < 1e-9
+            xi1, xi2 = solve_transfer_quadratic(lam, params)
+            assert abs(xi1 * xi2 - params.q1 * params.q2) < 1e-9
+            assert abs(xi1 + xi2 - (lam * lam - params.q1 - params.q2)) < 1e-9
 
 
 def spectrum_as_dict(es, digits=6):
@@ -194,8 +194,7 @@ class TestDeriveEdgeSpectrum:
         # notices, and step 1 does when the total is left as it was
         bad = spec.__class__(
             eigenvalues=spec.eigenvalues[:-1] + ((spec.eigenvalues[-1][0], 2),),
-            total=spec.total + 1, rank=spec.rank, nullity=spec.nullity,
-            zero_tolerance=spec.zero_tolerance)
+            total=spec.total + 1, rank=spec.rank, nullity=spec.nullity)
         with pytest.raises(NumericalError):
             derive_edge_spectrum(bad, params)
         with pytest.raises(NumericalError, match="step 1 produced 4"):
