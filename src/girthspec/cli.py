@@ -2,13 +2,15 @@
 
 JSON output follows the stable "girthspec/1" schema. Exit codes:
 0 ok, 1 verification disagreement, 2 route inapplicable, 3 numerical
-failure, 4 I/O or parse error.
+failure, 4 I/O or parse error, 141 (128 + SIGPIPE) stdout closed before
+the whole report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import suppress
@@ -46,6 +48,7 @@ EXIT_DISAGREE = 1
 EXIT_INAPPLICABLE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_PIPE = 141
 
 SCHEMA = "girthspec/1"
 
@@ -285,6 +288,19 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed reader shows here
+    except BrokenPipeError:
+        # the reader closed stdout early: point stdout at os.devnull, so
+        # that the flush at exit cannot fail too, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
+def _run(args) -> int:
+    """The subcommand's exit code, with its error reported as the code."""
     try:
         return args.func(args)
     except GirthspecError as exc:

@@ -91,9 +91,9 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         raise RouteInapplicableError("forest input: no cycles to count")
 
     # neighbors over combined ids: left node u is u, right node w is n + w
-    n, d = g.left_count, g.biadjacency
-    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(d)]
-           + neighbor_lists(d.T.tocsr()))
+    n = g.left_count
+    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(g)]
+           + neighbor_lists(g.transpose))
     raw = {k: 0 for k in range(4, max_k + 1, 2)}
     on_path = [False] * g.node_count
     # dist[v] for the current root's ball; far, for every other node

@@ -9,7 +9,8 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. A walk-sum bound picks float64, int64 or Python ints.
+with no transpose. A walk-sum bound picks float64, int64 or Python ints;
+only the int64 tier, sparse, imports scipy.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -26,7 +27,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, SizeCapError
@@ -107,10 +107,13 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
+def power_traces(d, loss: np.ndarray, top: int) -> list[int]:
     """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for an n x m
-    integer block D and L = diag(loss); tr(M^k) = 0 for odd k, as M is
-    bipartite as a digraph.
+    integer block D, given as a numpy or scipy sparse array or as a graph,
+    and L = diag(loss); tr(M^k) = 0 for odd k, as M is bipartite as a
+    digraph. A graph's D is read as a dense int64 array while both sides
+    are at most DENSE_MAX_SIZE, so that the dense and big-integer tiers
+    run on numpy alone, and as its scipy view otherwise.
 
     P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
     even c (S_c, T_c). Its W columns follow from T_0 = I, R_c = D T_(c-1) +
@@ -125,15 +128,16 @@ def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
     of tr(|M|^(2a)). So twice the largest walk sum 1^T |M|^t 1, t <= 2 top,
     in float64 (the factor 2 covers its rounding), bounds every number
     computed and picks the tier: dense Python integers from INT64_LIMIT,
-    dense float64 (exact below 2^53) while D is at most DENSE_MAX_SIZE on
-    each side, sparse int64 otherwise.
+    dense float64 numpy (exact below 2^53) while D is at most
+    DENSE_MAX_SIZE on each side, scipy sparse int64 otherwise.
     """
-    d = d.tocsr()
     n, m = d.shape
     small = max(n, m) <= DENSE_MAX_SIZE
+    if isinstance(d, BipartiteGraph):
+        d = d.dense(np.int64) if small else d.biadjacency
     # 1^T |M|^t 1 = 1^T (y_t + y_(t-1)) for y_t = |A| y_(t-1) + |L| y_(t-2)
     # and y_0 = y_(-1) = 1
-    walks = abs(d.toarray() if small else d).astype(np.float64)
+    walks = abs(d).astype(np.float64)
     prev = cur = np.ones(n + m)
     bound = 2.0 * (n + m)
     for _ in range(2 * top):
@@ -143,10 +147,17 @@ def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
     bound *= 2
     tier = ("bigint" if bound >= INT64_LIMIT else
             "dense" if bound < 2 ** 53 and small else "sparse")
+    if tier == "sparse":  # sparse products need D^T in CSR
+        import scipy.sparse as sp
+
+        d = sp.csr_array(d)
+        dt = d.T.tocsr()
+    else:  # dense blocks take D^T as a view
+        d = (d if isinstance(d, np.ndarray) else d.toarray()).astype(
+            object if tier == "bigint" else np.float64)
+        dt = d.T
     if tier == "bigint":
-        d, loss = d.toarray().astype(object), loss.astype(object)
-    # sparse products need D^T in CSR; dense blocks take it as a view
-    dt = d.T.tocsr() if tier == "sparse" else d.T
+        loss = loss.astype(object)
     sides = [(d, dt, loss[:n], loss[n:])]
     if loss.any():
         sides.append((dt, d, loss[n:], loss[:n]))
@@ -162,8 +173,8 @@ def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
 
     for side, (x, xt, lr, lc) in enumerate(sides):  # blocks of x's columns
         if dense:
-            kind = loss.dtype if tier == "bigint" else np.float64
-            prev, cur = np.zeros(x.shape, kind), np.eye(x.shape[1], dtype=kind)
+            prev = np.zeros(x.shape, d.dtype)
+            cur = np.eye(x.shape[1], dtype=d.dtype)
         else:
             prev = sp.csr_array(x.shape, dtype=np.int64)
             cur = sp.eye_array(x.shape[1], dtype=np.int64, format="csr")
@@ -192,10 +203,8 @@ def power_traces(d: sp.sparray, loss: np.ndarray, top: int) -> list[int]:
 def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
     """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e: Ihara-Bass,
     tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k) for M with L = I - deg."""
-    d = g.biadjacency
-    degrees = np.concatenate([np.diff(d.indptr),
-                              np.bincount(d.indices, minlength=g.right_count)])
-    traces = power_traces(d, 1 - degrees, max_k // 2)
+    degrees = np.concatenate([np.diff(g.indptr), np.diff(g.transpose.indptr)])
+    traces = power_traces(g, 1 - degrees, max_k // 2)
     shift = 2 * (g.edge_count - g.node_count)
     return {k: 0 if k % 2 else traces[k // 2] + shift
             for k in range(1, max_k + 1)}
@@ -254,9 +263,8 @@ def edge_spectrum_direct(g: BipartiteGraph,
     if 2 * e > dense_cap:
         raise SizeCapError(f"2|E| = {2 * e} exceeds dense cap {dense_cap}")
     # edges in lexicographic (u, w) order, as build_edge_matrix takes them
-    d = g.biadjacency
-    u, w = np.repeat(np.arange(g.left_count), np.diff(d.indptr)), d.indices
-    linked = d.toarray().astype(bool)
+    u, w = np.repeat(np.arange(g.left_count), np.diff(g.indptr)), g.indices
+    linked = g.dense(bool)
     # XY is the U -> W corner of A_e^2: arc u_i -> w_i reaches arc u_j -> w_j
     # through arc w_i -> u_j, so XY[i, j] = 1 iff (u_j, w_i) is an edge
     # other than edges i and j.

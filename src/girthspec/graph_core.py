@@ -2,18 +2,24 @@
 
 Node identity is 0-based dense indices per side: ``u`` indexes the left
 (variable) side ``U`` and ``w`` indexes the right (check) side ``W``.
-A graph stores one structure, its biadjacency block D on
-``BipartiteGraph.biadjacency``: a read-only CSR array with sorted rows,
+A graph stores one structure, its biadjacency block D in CSR form: two
+read-only int32 numpy arrays, ``indptr`` and ``indices`` (sorted rows),
 built by ``_from_keys`` from the edge keys u * right_count + w. The
 parsers in ``graph_io``, ``from_edges`` and the generators all reduce
-their input to those keys. Every layer reads D, the writers and the DFS
-through ``neighbor_lists``. ``edges``, the (u, w) pairs derived from D, is
-read only by the references the tests check the package against.
-``profile`` reads everything off D: the degrees from its row pointers,
-connectivity from one BFS over its index lists, and the exact girth from
-counts of non-backtracking walks (the walks A_e counts) rooted on the
-smaller side, one sparse product per BFS level, to depth g/2. Like
-``edges`` it is cached on the graph, so every layer calls ``profile(g)``.
+their input to those keys. Derived forms are built on first use and
+cached: ``transpose``, the same graph with its sides swapped (D^T, from
+the swapped keys w * left_count + u), and ``biadjacency``, a scipy CSR
+array over the stored arrays. Only the sparse tiers read
+``biadjacency``, and scipy is imported there, so a graph whose sides are
+at most DENSE_MAX_SIZE is counted by numpy alone; the other layers read
+the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
+pairs, is read only by the references the tests check the package
+against. ``profile`` reads
+everything off D: the degrees from the row pointers of D and D^T,
+connectivity from one BFS over their index lists, and the exact girth
+from counts of non-backtracking walks (the walks A_e counts) rooted on
+the smaller side, one product per BFS level, to depth g/2. Like ``edges``
+it is cached on the graph, so every layer calls ``profile(g)``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GenerationError, ParseError
 
@@ -40,18 +45,22 @@ __all__ = [
     "tesseract",
 ]
 
-# Largest side of D for dense float64 products, sparse int64 above, in
-# edge_matrix.power_traces and in _girth. One BLAS thread, dense vs sparse
-# ms, median of 15 warm calls. power_traces (top g - 1), L = I - deg, n x m:
-# array codes 186 x 93 2.04 vs 3.64, 222 x 111 2.68 vs 4.01, 258 x 129 3.85
-# vs 3.59, 366 x 183 8.87 vs 4.15; configuration models 240 x 162 3.48 vs
-# 4.35, 300 x 205 4.24 vs 3.22; L = 0: 186 x 93 0.84 vs 1.52, 366 x 183
-# 1.02 vs 1.28. _girth, roots x others: array codes 93 x 186 0.36 vs 0.51,
-# 141 x 282 1.43 vs 0.44; configuration models 205 x 300 0.95 vs 0.33;
-# random (2,3)-regular 120 x 180 0.25 vs 0.16. Dense products cost roots^2
-# x others, so _girth goes dense only when both sides fit. Crossovers: the
-# engine near 250 (above 366 for L = 0), _girth below 282; at 200 each
-# stays within about a factor 1.5 of its faster tier.
+# Largest side of D for dense float64 numpy products, scipy sparse int64
+# above, in edge_matrix.power_traces and in _girth; up to it scipy is
+# imported only when power_traces' bound rules out float64. One BLAS
+# thread, dense vs sparse ms, each the median of 3 runs of the median of
+# 15 warm calls. power_traces (top g - 1), L = I - deg, n x m: array codes
+# 186 x 93 2.58 vs 2.34, 222 x 111 3.97 vs 2.82, 258 x 129 5.12 vs 3.04,
+# 366 x 183 12.49 vs 3.12; configuration models 240 x 162 3.64 vs 1.66,
+# 300 x 205 6.13 vs 2.70; L = 0: 186 x 93 0.85 vs 1.44, 366 x 183 5.39 vs
+# 1.68. _girth, roots x others: array codes 93 x 186 0.29 vs 0.36, 141 x
+# 282 0.69 vs 0.41; configuration models 205 x 300 0.52 vs 0.21; random
+# (2,3)-regular 120 x 180 0.16 vs 0.11. Dense products cost roots^2 x
+# others, so _girth goes dense only when both sides fit. Crossovers: the
+# engine near 186 (L = I - deg; between 186 and 366 for L = 0), _girth
+# near 120 x 180. At 200 each stays within about a factor 1.5 of its
+# faster tier, and a lower cap would bring the scipy import back onto
+# small graphs, where it costs more than any tier.
 DENSE_MAX_SIZE = 200
 GENERATION_ATTEMPTS = 200  # seeds random_biregular tries before giving up
 
@@ -62,16 +71,17 @@ log = logging.getLogger("girthspec")
 class BipartiteGraph:
     """Simple bipartite graph with ``left_count`` + ``right_count`` nodes.
 
-    ``biadjacency`` is the left_count x right_count 0/1 block D, the one
-    structure a graph stores: int64 CSR with int32 indices and sorted,
-    duplicate-free rows, so ``indptr`` holds the left degrees; read-only.
+    ``indptr`` and ``indices`` hold the left_count x right_count 0/1 block
+    D in CSR form, the one structure a graph stores: int32, read-only,
+    with sorted, duplicate-free rows, so ``indptr`` holds the left degrees.
     Build graphs with :meth:`from_edges`, a parser or a generator, which
     all go through ``_from_keys``. Graphs compare by identity.
     """
 
     left_count: int
     right_count: int
-    biadjacency: sp.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(cls, left_count: int, right_count: int,
@@ -86,31 +96,67 @@ class BipartiteGraph:
                              f"({left_count} x {right_count})")
         return _from_keys(left_count, right_count, u * right_count + w)
 
+    def _rows(self) -> np.ndarray:
+        """The left end of each stored edge, in storage order."""
+        return np.repeat(np.arange(self.left_count, dtype=np.int32),
+                         np.diff(self.indptr))
+
+    def dense(self, dtype=np.float64) -> np.ndarray:
+        """D as a new dense array of the given dtype."""
+        d = np.zeros(self.shape, dtype=dtype)
+        d[self._rows(), self.indices] = 1
+        return d
+
+    @cached_property
+    def transpose(self) -> "BipartiteGraph":
+        """The same graph with its sides swapped, so that it stores D^T,
+        built from the swapped keys w * left_count + u. Sorting these
+        int64 keys took 0.12 ms on 6780 edges, a stable argsort of
+        ``indices`` 0.44 ms."""
+        return _from_keys(self.right_count, self.left_count,
+                          self.indices * np.int64(self.left_count)
+                          + self._rows())
+
+    @cached_property
+    def biadjacency(self):
+        """D as a scipy ``csr_array`` over the stored arrays, with a
+        read-only int64 ``data`` of ones; for the sparse tiers only, as it
+        imports scipy."""
+        import scipy.sparse as sp
+
+        ones = np.ones(self.edge_count, dtype=np.int64)
+        ones.flags.writeable = False
+        return sp.csr_array((ones, self.indices, self.indptr),
+                            shape=self.shape)
+
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The (u, w) pairs, read off D; for the references only."""
-        d = self.biadjacency
-        rows = np.repeat(np.arange(self.left_count), np.diff(d.indptr))
-        return frozenset(zip(rows.tolist(), d.indices.tolist()))
+        return frozenset(zip(self._rows().tolist(), self.indices.tolist()))
 
     @cached_property
     def _profile(self) -> GraphProfile:
         """What :func:`profile` returns, computed on first use."""
-        d = self.biadjacency
-        dt = d.T.tocsr()
-        left, right = np.diff(d.indptr), np.diff(dt.indptr)
+        t = self.transpose
+        left, right = np.diff(self.indptr), np.diff(t.indptr)
         biregular = bool(left.min() == left.max() and right.min() == right.max())
         return GraphProfile(
-            is_connected=_connected(d, dt),
+            is_connected=_connected(self),
             is_biregular=biregular,
             d_v=int(left[0]) if biregular else None,
             d_c=int(right[0]) if biregular else None,
-            girth=_girth(d, dt) if d.shape[0] <= d.shape[1] else _girth(dt, d),
+            girth=(_girth(self, t) if self.left_count <= self.right_count
+                   else _girth(t, self)),
         )
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of D."""
+        return self.left_count, self.right_count
+
+    @property
     def edge_count(self) -> int:
-        return self.biadjacency.nnz
+        return len(self.indices)
 
     @property
     def node_count(self) -> int:
@@ -130,11 +176,10 @@ def _from_keys(n: int, m: int, keys: np.ndarray) -> BipartiteGraph:
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     keys = keys[new]
     indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32)
-    d = sp.csr_array((np.ones(len(keys), dtype=np.int64),
-                      (keys % m).astype(np.int32), indptr), shape=(n, m))
-    for array in (d.data, d.indices, d.indptr):
+    indices = (keys % m).astype(np.int32)
+    for array in (indptr, indices):
         array.flags.writeable = False
-    return BipartiteGraph(n, m, d)
+    return BipartiteGraph(n, m, indptr, indices)
 
 
 @dataclass(frozen=True)
@@ -152,19 +197,18 @@ class GraphProfile:
 # Profiling
 # ---------------------------------------------------------------------------
 
-def neighbor_lists(d: sp.csr_array) -> list[list[int]]:
-    """The column indices of each row of a CSR matrix, ascending in a
-    sorted one, as Python lists: the neighbors of each left node for
-    ``g.biadjacency``, and of each right node for its transpose."""
-    ptr, idx = d.indptr.tolist(), d.indices.tolist()
+def neighbor_lists(g: BipartiteGraph) -> list[list[int]]:
+    """The neighbours of each left node, ascending, as Python lists;
+    ``neighbor_lists(g.transpose)`` gives those of each right node."""
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
     return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-def _connected(d: sp.csr_array, dt: sp.csr_array) -> bool:
+def _connected(g: BipartiteGraph) -> bool:
     """Whether a BFS from left node 0 over the index lists of D and D^T
     reaches every node."""
-    sides = [neighbor_lists(d), neighbor_lists(dt)]
-    seen = [[False] * d.shape[0], [False] * d.shape[1]]
+    sides = [neighbor_lists(g), neighbor_lists(g.transpose)]
+    seen = [[False] * g.left_count, [False] * g.right_count]
     seen[0][0] = True
     frontier, side, reached = [0], 0, 1
     while frontier:
@@ -176,29 +220,35 @@ def _connected(d: sp.csr_array, dt: sp.csr_array) -> bool:
                     nxt.append(b)
         reached += len(nxt)
         frontier, side = nxt, 1 - side
-    return reached == d.shape[0] + d.shape[1]
+    return reached == g.node_count
 
 
-def _girth(x: sp.csr_array, y: sp.csr_array) -> int | None:
+def _girth(g: BipartiteGraph, t: BipartiteGraph) -> int | None:
     """Exact girth from non-backtracking walk counts; None for forests.
 
-    x is the roots x others biadjacency, roots on the smaller side, and
-    y = x^T. W_l[r, v] counts the non-backtracking walks of length l from
-    root r to v: W_1 = x, W_2 = x y - diag(deg), and W_{l+1} = W_l s -
-    W_{l-1} diag(deg - 1), with s alternating y and x and deg taken on the
-    side of W_{l-1}'s columns. Balls of radius below g/2 are trees, so
-    W_l is 0/1 for l < g/2, and a root on a shortest cycle has two walks
-    to its antipode at l = g/2: the girth is 2l for the first l with an
-    entry >= 2. Every cycle meets both sides, so these roots see them
-    all, and W_l dies out exactly when no cycle is reachable. The products
-    are dense float64, exact on these small counts, while both sides are
-    at most DENSE_MAX_SIZE, and sparse int64 otherwise.
+    g's left side holds the roots, the smaller side, and t is g.transpose;
+    x is g's roots x others block D and y = x^T. W_l[r, v] counts the
+    non-backtracking walks of length l from root r to v: W_1 = x, W_2 =
+    x y - diag(deg), and W_{l+1} = W_l s - W_{l-1} diag(deg - 1), with s
+    alternating y and x and deg taken on the side of W_{l-1}'s columns.
+    Balls of radius below g/2 are trees, so W_l is 0/1 for l < g/2, and a
+    root on a shortest cycle has two walks to its antipode at l = g/2: the
+    girth is 2l for the first l with an entry >= 2. Every cycle meets both
+    sides, so these roots see them all, and W_l dies out exactly when no
+    cycle is reachable. The products are dense float64 numpy, exact on
+    these small counts, while both sides are at most DENSE_MAX_SIZE, and
+    scipy sparse int64 otherwise.
     """
-    roots = x.shape[0]
-    degs = (np.diff(x.indptr), np.diff(y.indptr))  # roots' side, others'
-    dense = max(x.shape) <= DENSE_MAX_SIZE
+    roots = g.left_count
+    degs = (np.diff(g.indptr), np.diff(t.indptr))  # roots', others'
+    dense = max(roots, g.right_count) <= DENSE_MAX_SIZE
     if dense:
-        x, y = x.toarray().astype(np.float64), y.toarray().astype(np.float64)
+        x = g.dense()
+        y = x.T
+    else:
+        import scipy.sparse as sp
+
+        x, y = g.biadjacency, t.biadjacency
     prev, cur = x, x @ y
     if dense:
         cur.flat[::roots + 1] -= degs[0]
@@ -206,7 +256,7 @@ def _girth(x: sp.csr_array, y: sp.csr_array) -> int | None:
         rows = np.repeat(np.arange(roots), np.diff(cur.indptr))
         diagonal = cur.indices == rows
         cur.data[diagonal] -= degs[0][rows[diagonal]]
-    level, peak, girth = 2, int(degs[0].sum()), None  # W_1 has |E| entries
+    level, peak, girth = 2, g.edge_count, None  # W_1 has |E| entries
     while True:
         values = cur if dense else cur.data
         nnz = np.count_nonzero(values)
@@ -230,9 +280,9 @@ def _girth(x: sp.csr_array, y: sp.csr_array) -> int | None:
 
 
 def profile(g: BipartiteGraph) -> GraphProfile:
-    """Connectivity, bi-regularity, degree sequences and exact girth, all
-    read off the biadjacency block D in CSR form; computed by the first
-    call and cached on g, as D is read-only."""
+    """Connectivity, bi-regularity and exact girth, all read off the
+    biadjacency block D and its transpose; computed by the first call and
+    cached on g, as D is read-only."""
     return g._profile
 
 

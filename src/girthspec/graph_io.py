@@ -211,7 +211,7 @@ def parse_edge_list(text) -> BipartiteGraph:
 
 def write_edge_list(g: BipartiteGraph) -> str:
     lines = [f"{g.left_count} {g.right_count}"]
-    for u, nbrs in enumerate(neighbor_lists(g.biadjacency)):
+    for u, nbrs in enumerate(neighbor_lists(g)):
         lines.extend(f"{u} {w}" for w in nbrs)
     return "\n".join(lines) + "\n"
 
@@ -295,9 +295,8 @@ def parse_alist(text) -> BipartiteGraph:
 
 
 def write_alist(g: BipartiteGraph) -> str:
-    d = g.biadjacency
-    col_adj = [[w + 1 for w in nbrs] for nbrs in neighbor_lists(d)]
-    row_adj = [[u + 1 for u in nbrs] for nbrs in neighbor_lists(d.T.tocsr())]
+    col_adj = [[w + 1 for w in nbrs] for nbrs in neighbor_lists(g)]
+    row_adj = [[u + 1 for u in nbrs] for nbrs in neighbor_lists(g.transpose)]
     max_col = max((len(a) for a in col_adj), default=0)
     max_row = max((len(a) for a in row_adj), default=0)
     lines = [

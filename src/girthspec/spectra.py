@@ -84,7 +84,7 @@ def adjacency_spectrum(g: BipartiteGraph,
     """
     if g.node_count > dense_cap:
         raise SizeCapError(f"|V| = {g.node_count} exceeds dense cap {dense_cap}")
-    sv = np.linalg.svd(g.biadjacency.toarray(), compute_uv=False)  # descending
+    sv = np.linalg.svd(g.dense(), compute_uv=False)  # descending
     lam_max = float(sv[0])
     zero_tolerance = 1e-7 * max(1.0, lam_max)
 
@@ -128,9 +128,9 @@ def rank_of_biadjacency(g: BipartiteGraph, *,
     the 6-cycle's D has rank 3 over Q but 2 over GF(2). Rows are taken
     from the smaller side, so at most min(n, m) pivots are eliminated.
     """
-    d = g.biadjacency if g.left_count <= g.right_count else g.biadjacency.T
+    rows = g if g.left_count <= g.right_count else g.transpose
     return _rank_mod_p([dict.fromkeys(nbrs, 1)
-                        for nbrs in neighbor_lists(d.tocsr())], prime)
+                        for nbrs in neighbor_lists(rows)], prime)
 
 
 def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:

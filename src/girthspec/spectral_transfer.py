@@ -47,14 +47,14 @@ VIETA_RTOL = 1e-9
 
 
 def _sorted_sides(g: BipartiteGraph):
-    """D, d_v, d_c of a bi-regular graph, sides swapped so that d_v <= d_c:
-    D's columns are then the smaller side."""
+    """A bi-regular graph and its d_v, d_c, sides swapped so that d_v <=
+    d_c: D's columns are then the smaller side."""
     prof = profile(g)
     if not prof.is_biregular:
         raise RouteInapplicableError("graph is not bi-regular")
     if prof.d_v <= prof.d_c:
-        return g.biadjacency, prof.d_v, prof.d_c
-    return g.biadjacency.T, prof.d_c, prof.d_v
+        return g, prof.d_v, prof.d_c
+    return g.transpose, prof.d_c, prof.d_v
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,8 @@ def bipartite_graphs():
 def stored_edges(g: BipartiteGraph) -> list[tuple[int, int]]:
     """The (u, w) pairs D stores, in storage order, read off its index
     arrays rather than through ``g.edges``."""
-    d = g.biadjacency
-    rows = np.repeat(np.arange(g.left_count), np.diff(d.indptr))
-    return list(zip(rows.tolist(), d.indices.tolist()))
+    rows = np.repeat(np.arange(g.left_count), np.diff(g.indptr))
+    return list(zip(rows.tolist(), g.indices.tolist()))
 
 
 @contextmanager
@@ -460,9 +459,9 @@ def unpruned_brute_force_counts(g: BipartiteGraph, max_k: int) -> CycleCounts:
         raise RouteInapplicableError("forest input: no cycles to count")
 
     # neighbors over combined ids: left node u is u, right node w is n + w
-    n, d = g.left_count, g.biadjacency
-    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(d)]
-           + neighbor_lists(d.T.tocsr()))
+    n = g.left_count
+    adj = ([[n + w for w in nbrs] for nbrs in neighbor_lists(g)]
+           + neighbor_lists(g.transpose))
     raw = {k: 0 for k in range(4, max_k + 1, 2)}
     on_path = [False] * g.node_count
 

@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import logging
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,15 +22,31 @@ from girthspec import (
 )
 from girthspec import cli, edge_matrix, spectra, spectral_transfer
 from girthspec.cli import main
+from girthspec.graph_core import DENSE_MAX_SIZE
 
 from conftest import (
     ROW_SIDE_SHORT_ALIST,
+    array_code,
+    configuration_model,
     disjoint_union,
     symplectic_quadrangle,
     symplectic_quadrangle_counts,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# One CLI call in a fresh interpreter: its exit code, its JSON report and
+# whether it imported scipy.
+CHILD = """
+import contextlib, io, json, sys
+from girthspec.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
+                  "scipy": "scipy" in sys.modules}))
+"""
 
 
 @pytest.fixture
@@ -546,3 +564,59 @@ class TestTracedLayers:
         assert targets
         for target in targets:
             assert tracing._resolve(target) is not None, target
+
+
+def child(args, **kwargs):
+    """``python args`` with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          timeout=120, **kwargs)
+
+
+def run_child(argv):
+    """One CLI call in a fresh interpreter, as CHILD reports it."""
+    proc = child(["-c", CHILD, *argv], capture_output=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestFreshProcess:
+    """What a cold ``girthspec`` call imports, and how it exits when its
+    reader goes away."""
+
+    @pytest.mark.parametrize("command, g", [
+        ("count", tesseract()), ("verify", tesseract()),
+        ("count", configuration_model(40, 1)),
+        ("verify", array_code(31, 6))],
+        ids=["count Q4", "verify Q4", "count irregular", "verify (3,6) p=31"])
+    def test_small_graph_leaves_scipy_unloaded(self, tmp_path, command, g):
+        assert max(g.left_count, g.right_count) <= DENSE_MAX_SIZE
+        path = tmp_path / "g.el"
+        path.write_text(write_edge_list(g))
+        got = run_child([command, "--input", str(path)])
+        assert got["code"] == 0 and got["report"]["agreement"]["ok"]
+        assert not got["scipy"]
+
+    @pytest.mark.parametrize("g, route, counts", [
+        (array_code(37, 6), "transfer", {"6": 444, "8": 4995, "10": 18204}),
+        (configuration_model(240, 0), "trace", {"4": 108, "6": 1482})],
+        ids=["(3,6) p=37", "irregular n=240"])
+    def test_large_side_loads_scipy(self, tmp_path, g, route, counts):
+        assert max(g.left_count, g.right_count) > DENSE_MAX_SIZE
+        path = tmp_path / "g.el"
+        path.write_text(write_edge_list(g))
+        got = run_child(["count", "--input", str(path)])
+        assert got["code"] == 0 and got["scipy"]
+        assert [r["name"] for r in got["report"]["routes"]] == [route]
+        assert got["report"]["counts"] == counts
+
+    @pytest.mark.parametrize("mode", ["--json", "--table"])
+    def test_closed_stdout_exits_141(self, q4_el, mode):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            proc = child(["-m", "girthspec.cli", "count", "--input", q4_el,
+                          mode], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_PIPE == 141
+        assert proc.stderr == ""

@@ -130,32 +130,34 @@ def engine_inputs(draw):
 
 class TestPowerTraces:
     @pytest.mark.parametrize("tier", FORCE)
-    @given(engine_inputs(), st.integers(0, 5))
+    @given(engine_inputs(), st.integers(0, 5), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_equals_matrix_power_traces(self, tier, inputs, top):
+    def test_equals_matrix_power_traces(self, tier, inputs, top, sparse):
         d, loss = inputs
         mat = reference_matrix(d, loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
                   for j in range(top + 1)]
         with forced(tier):
-            assert power_traces(sp.csr_array(d), loss, top) == expect
+            assert power_traces(sp.csr_array(d) if sparse else d, loss,
+                                top) == expect
 
     def test_dense_tier_stops_at_2_53(self):
         # D = [[3]] and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j; 9^j is
         # odd, so float64 cannot hold it from 2^53 on (j = 17); int64 can
-        with logged_tiers() as tiers:
-            traces = power_traces(sp.csr_array(np.array([[3]])),
-                                  np.zeros(2, dtype=np.int64), 18)
-        assert tiers == ["sparse"]
-        assert traces == [4] + [2 * 9 ** j for j in range(1, 19)]
+        for d in (np.array([[3]]), sp.csr_array(np.array([[3]]))):
+            with logged_tiers() as tiers:
+                traces = power_traces(d, np.zeros(2, dtype=np.int64), 18)
+            assert tiers == ["sparse"]
+            assert traces == [4] + [2 * 9 ** j for j in range(1, 19)]
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        d = tesseract().biadjacency  # 8 x 8, every degree 4
+        d = tesseract()  # D is 8 x 8, every degree 4
         bounds = {}
         for form, loss in (("ihara-bass", np.full(16, -3)),
                            ("adjacency", np.zeros(16, dtype=np.int64))):
-            walks = np.abs(reference_matrix(d.toarray(), loss)).astype(np.int64)
+            walks = np.abs(reference_matrix(d.dense(np.int64), loss)).astype(
+                np.int64)
             bounds[form] = 2 * max(
                 int(np.linalg.matrix_power(walks, t).sum()) for t in range(7))
         ihara_bass = np.full(16, -3)
@@ -205,11 +207,11 @@ class TestTracePowers:
 
     def test_bigint_matches_int64(self):
         g = complete_bipartite(4, 5)
-        d, loss = g.biadjacency, 1 - np.array([5] * 4 + [4] * 5)
+        loss = 1 - np.array([5] * 4 + [4] * 5)
         with forced("sparse"):
-            int64 = power_traces(d, loss, 3)
+            int64 = power_traces(g, loss, 3)
         with forced("bigint"):
-            assert power_traces(d, loss, 3) == int64
+            assert power_traces(g, loss, 3) == int64
         # 2 * 9^25 is past int64
         with logged_tiers() as tiers:
             traces = power_traces(sp.csr_array(np.array([[3]])),

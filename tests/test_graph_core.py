@@ -160,19 +160,49 @@ class TestBiadjacency:
     def test_matches_edges_and_is_read_only(self, drawn):
         n, m, edges = drawn
         g = BipartiteGraph.from_edges(n, m, edges)
-        d = g.biadjacency
-        assert d.shape == (g.left_count, g.right_count) == (n, m)
-        assert d.indices.dtype == d.indptr.dtype == np.int32
-        assert d.data.dtype == np.int64
+        assert g.shape == (g.left_count, g.right_count) == (n, m)
+        assert g.indices.dtype == g.indptr.dtype == np.int32
+        assert len(g.indptr) == n + 1
         # (row, index) pairs in storage order: the edges, each row sorted
         assert stored_edges(g) == sorted(edges)
-        assert np.all(d.data == 1)
-        for array in (d.data, d.indices, d.indptr):
+        for array in (g.indices, g.indptr):
             with pytest.raises(ValueError):
                 array[:1] = 0
         # the derived view: the same pairs, immutable, built once
         assert g.edges == edges and isinstance(g.edges, frozenset)
         assert g.edges is g.edges
+
+    @given(edge_sets())
+    def test_transpose_stores_d_transposed(self, drawn):
+        n, m, edges = drawn
+        g = BipartiteGraph.from_edges(n, m, edges)
+        t = g.transpose
+        assert t is g.transpose
+        assert (t.left_count, t.right_count) == (m, n)
+        assert t.indices.dtype == t.indptr.dtype == np.int32
+        assert stored_edges(t) == sorted((w, u) for u, w in edges)
+        for array in (t.indices, t.indptr):
+            with pytest.raises(ValueError):
+                array[:1] = 0
+        d = g.dense(np.int64)
+        assert d.dtype == np.int64 and np.array_equal(t.dense(np.int64), d.T)
+        assert d.sum() == len(edges) and all(d[u, w] for u, w in edges)
+
+    @given(edge_sets())
+    def test_sparse_view_shares_the_stored_arrays(self, drawn):
+        n, m, edges = drawn
+        g = BipartiteGraph.from_edges(n, m, edges)
+        view = g.biadjacency
+        assert view is g.biadjacency
+        assert view.format == "csr" and view.shape == (n, m)
+        assert view.data.dtype == np.int64 and np.all(view.data == 1)
+        assert np.array_equal(view.toarray(), g.dense(np.int64))
+        for ours, its in ((g.indices, view.indices), (g.indptr, view.indptr)):
+            assert np.array_equal(ours, its)
+            assert np.shares_memory(ours, its) or not len(ours)
+        for array in (view.data, view.indices, view.indptr):
+            with pytest.raises(ValueError):
+                array[:1] = 0
 
     def test_repeats_collapse_and_ranges_are_checked(self):
         g = BipartiteGraph.from_edges(2, 3, [(1, 2), (0, 0), (1, 2)])
@@ -428,7 +458,7 @@ def test_large_relabelled_graphs_parse_to_the_generators_d(g):
     edge_list = header + "".join(f"{u} {w}\n" for u, w in pairs)
     for parsed in (parse_edge_list(edge_list.encode()),
                    parse_alist(write_alist(relabelled).encode())):
-        assert parsed.biadjacency.shape == (g.left_count, g.right_count)
+        assert parsed.shape == (g.left_count, g.right_count)
         assert stored_edges(parsed) == sorted(pairs)
 
 
@@ -503,7 +533,8 @@ class TestProfile:
         assert profile(g) is profile(g)
         assert [r.getMessage()[:11] for r in caplog.records] == [
             "girth tier="]  # one girth walk
-        fresh = BipartiteGraph(g.left_count, g.right_count, g.biadjacency)
+        fresh = BipartiteGraph(g.left_count, g.right_count, g.indptr,
+                               g.indices)
         assert profile(fresh) is not profile(g)
         assert profile(fresh) == profile(g)
 
@@ -566,7 +597,8 @@ class TestProfileEquivalence:
         for tier, cap in GIRTH_TIERS.items():
             monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
             # a fresh graph per tier: the profile is cached on the graph
-            profile(BipartiteGraph(g.left_count, g.right_count, g.biadjacency))
+            profile(BipartiteGraph(g.left_count, g.right_count, g.indptr,
+                                   g.indices))
         assert [r.getMessage() for r in caplog.records] == [
             f"girth tier={tier} {record}" for tier in GIRTH_TIERS]
 
