@@ -9,8 +9,9 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. A walk-sum bound picks float64, int64 or Python ints;
-only the int64 tier, sparse, imports scipy.
+with no transpose. The engine reads D and D^T off the graph in the form
+of the tier a walk-sum bound picks: float64, int64 (sparse, the one tier
+that imports scipy) or Python ints; with L = 0 it runs one side alone.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -107,21 +108,21 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def power_traces(d, loss: np.ndarray, top: int) -> list[int]:
-    """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for an n x m
-    integer block D, given as a numpy or scipy sparse array or as a graph,
-    and L = diag(loss); tr(M^k) = 0 for odd k, as M is bipartite as a
-    digraph. A graph's D is read as a dense int64 array while both sides
-    are at most DENSE_MAX_SIZE, so that the dense and big-integer tiers
-    run on numpy alone, and as its scipy view otherwise.
+def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
+    """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for the n x m
+    biadjacency block D of a graph and L = diag(loss); tr(M^k) = 0 for odd
+    k, as M is bipartite as a digraph. D is read in its tier's form: the
+    dense tiers take ``g.dense()`` in float64 or Python integers, with D^T
+    as a view, and the sparse tier takes ``g.biadjacency`` with D^T from
+    ``g.transpose``, both cached on the graph.
 
     P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
     even c (S_c, T_c). Its W columns follow from T_0 = I, R_c = D T_(c-1) +
     L_U R_(c-2), T_c = D^T R_(c-1) + L_W T_(c-2), its U columns from the
     same chain with D^T for D; each side adds its columns' terms of the sum
-    of squares. With L = 0 both sides give the same sums, so the W side
-    runs alone and counts twice (callers put the smaller side there); else
-    the U side stops short of an odd top, as R_top^T has R_top's squares.
+    of squares. With L = 0 both sides give the same sums, so the side with
+    fewer columns runs alone and counts twice; else the U side stops short
+    of an odd top, as R_top^T has R_top's squares.
 
     Each entry of P_c, and each partial sum forming it, is at most that of
     P_c for |M| in absolute value, and each summed term is at most a term
@@ -131,39 +132,35 @@ def power_traces(d, loss: np.ndarray, top: int) -> list[int]:
     dense float64 numpy (exact below 2^53) while D is at most
     DENSE_MAX_SIZE on each side, scipy sparse int64 otherwise.
     """
-    n, m = d.shape
+    n, m = g.shape
     small = max(n, m) <= DENSE_MAX_SIZE
-    if isinstance(d, BipartiteGraph):
-        d = d.dense(np.int64) if small else d.biadjacency
+    d = g.dense() if small else g.biadjacency
+    dt = d.T if small else g.transpose.biadjacency
     # 1^T |M|^t 1 = 1^T (y_t + y_(t-1)) for y_t = |A| y_(t-1) + |L| y_(t-2)
-    # and y_0 = y_(-1) = 1
-    walks = abs(d).astype(np.float64)
+    # and y_0 = y_(-1) = 1; D is 0/1, so |A| is A
     prev = cur = np.ones(n + m)
     bound = 2.0 * (n + m)
     for _ in range(2 * top):
-        prev, cur = cur, (np.concatenate([walks @ cur[n:], walks.T @ cur[:n]])
+        prev, cur = cur, (np.concatenate([d @ cur[n:], dt @ cur[:n]])
                           + np.abs(loss) * prev)
         bound = max(bound, float(cur.sum() + prev.sum()))
     bound *= 2
     tier = ("bigint" if bound >= INT64_LIMIT else
             "dense" if bound < 2 ** 53 and small else "sparse")
-    if tier == "sparse":  # sparse products need D^T in CSR
+    if tier == "sparse":
         import scipy.sparse as sp
 
-        d = sp.csr_array(d)
-        dt = d.T.tocsr()
-    else:  # dense blocks take D^T as a view
-        d = (d if isinstance(d, np.ndarray) else d.toarray()).astype(
-            object if tier == "bigint" else np.float64)
+        d, dt = g.biadjacency, g.transpose.biadjacency
+    elif tier == "bigint":
+        d, loss = g.dense(object), loss.astype(object)
         dt = d.T
-    if tier == "bigint":
-        loss = loss.astype(object)
-    sides = [(d, dt, loss[:n], loss[n:])]
-    if loss.any():
-        sides.append((dt, d, loss[n:], loss[:n]))
-    log.debug("power_traces tier=%s form=%s shape=%s top=%d bound=%.3g",
-              tier, "ihara-bass" if len(sides) == 2 else "adjacency",
-              (n, m), top, bound)
+    sides = {"W": (d, dt, loss[:n], loss[n:]),
+             "U": (dt, d, loss[n:], loss[:n])}
+    if not loss.any():  # one side gives the sums: the one with fewer columns
+        del sides["W" if n < m else "U"]
+    log.debug("power_traces tier=%s form=%s shape=%s top=%d bound=%.3g "
+              "sides=%s", tier, "ihara-bass" if len(sides) == 2 else
+              "adjacency", (n, m), top, bound, "".join(sorted(sides)))
     traces = [2 * (n + m)] + [0] * top
     dense = tier != "sparse"
     short = len(sides) == 2 and top % 2 == 1
@@ -171,13 +168,16 @@ def power_traces(d, loss: np.ndarray, top: int) -> list[int]:
     def rows(x, w):  # w over the rows of block x, shaped like its values
         return w[:, None] if dense else np.repeat(w, np.diff(x.indptr))
 
-    for side, (x, xt, lr, lc) in enumerate(sides):  # blocks of x's columns
+    for side, (x, xt, lr, lc) in enumerate(sides.values()):  # on x's columns
+        k = x.shape[1]
         if dense:
             prev = np.zeros(x.shape, d.dtype)
-            cur = np.eye(x.shape[1], dtype=d.dtype)
+            cur = np.eye(k, dtype=d.dtype)
         else:
             prev = sp.csr_array(x.shape, dtype=np.int64)
-            cur = sp.eye_array(x.shape[1], dtype=np.int64, format="csr")
+            cur = sp.csr_array((np.ones(k, np.int64),  # D's int32 indices
+                                np.arange(k, dtype=np.int32),
+                                np.arange(k + 1, dtype=np.int32)), shape=(k, k))
         for c in range(top + 1 - (short and side)):
             rw = lr if c % 2 else lc  # L on the rows of block c
             if c:
@@ -263,7 +263,7 @@ def edge_spectrum_direct(g: BipartiteGraph,
     if 2 * e > dense_cap:
         raise SizeCapError(f"2|E| = {2 * e} exceeds dense cap {dense_cap}")
     # edges in lexicographic (u, w) order, as build_edge_matrix takes them
-    u, w = np.repeat(np.arange(g.left_count), np.diff(g.indptr)), g.indices
+    u, w = g._rows(), g.indices
     linked = g.dense(bool)
     # XY is the U -> W corner of A_e^2: arc u_i -> w_i reaches arc u_j -> w_j
     # through arc w_i -> u_j, so XY[i, j] = 1 iff (u_j, w_i) is an edge

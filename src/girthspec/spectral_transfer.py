@@ -46,15 +46,15 @@ LAMBDA_MAX_TOL = 1e-5      # cross-check |lambda^2 - d_v d_c| for that root
 VIETA_RTOL = 1e-9
 
 
-def _sorted_sides(g: BipartiteGraph):
-    """A bi-regular graph and its d_v, d_c, sides swapped so that d_v <=
-    d_c: D's columns are then the smaller side."""
+def _sorted_sides(g: BipartiteGraph) -> tuple[int, int, int, int]:
+    """d_v, d_c, n, m of a bi-regular graph, its sides sorted so that d_v
+    <= d_c: n counts the side of degree d_v, m that of degree d_c."""
     prof = profile(g)
     if not prof.is_biregular:
         raise RouteInapplicableError("graph is not bi-regular")
     if prof.d_v <= prof.d_c:
-        return g, prof.d_v, prof.d_c
-    return g.transpose, prof.d_c, prof.d_v
+        return prof.d_v, prof.d_c, g.left_count, g.right_count
+    return prof.d_c, prof.d_v, g.right_count, g.left_count
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,13 @@ class TransferParameters:
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "TransferParameters":
-        d, d_v, d_c = _sorted_sides(g)
+        d_v, d_c, n, m = _sorted_sides(g)
         if not profile(g).is_connected:
             raise RouteInapplicableError("graph is not connected")
         if d_c < 3 or d_v < 2:
             raise RouteInapplicableError(
                 f"degrees (d_v={d_v}, d_c={d_c}) outside the q2 >= 2, q1 >= 1 "
                 "hypothesis; use the trace route instead")
-        n, m = d.shape
         return cls(q1=d_v - 1, q2=d_c - 1, n=n, m=m, edge_count=g.edge_count)
 
 
@@ -199,14 +198,13 @@ def transfer_counts(g: BipartiteGraph,
     p_1 = x - q1 - q2, p_j = (x - q1 - q2) p_{j-1} - q1 q2 p_{j-2}:
     tr(A_e^{2j}) = sum_t c_{j,t} a_t + 2 (n - m)(-q1)^j + 2 (|E| - |V|),
     with a_t = tr(A^{2t}) = 2 tr((D^T D)^t) for t >= 1 and a_0 = 2m. The
-    a_t come from ``power_traces`` with L = 0, the d_c side carrying the
-    m x m blocks."""
-    d, d_v, d_c = _sorted_sides(g)
+    a_t come from ``power_traces`` with L = 0, which runs the smaller side,
+    the d_c side, alone."""
+    d_v, d_c, n, m = _sorted_sides(g)
     girth = profile(g).girth
     max_k = cycle_window_end(girth, max_k)
 
-    n, m = d.shape
-    traces = power_traces(d, np.zeros(n + m, dtype=np.int64), max_k // 2)
+    traces = power_traces(g, np.zeros(n + m, dtype=np.int64), max_k // 2)
     traces[0] = 2 * m
 
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count

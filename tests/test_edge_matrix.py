@@ -116,39 +116,37 @@ def reference_matrix(d, loss):
 
 @st.composite
 def engine_inputs(draw):
-    """A signed n x m block D and a signed diagonal L, zero in some draws
-    (the adjacency form)."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entries = st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m)
-    d = np.array(draw(entries), dtype=np.int64).reshape(n, m)
-    loss = np.array(draw(st.lists(st.integers(-3, 3), min_size=n + m,
-                                  max_size=n + m)), dtype=np.int64)
+    """A graph and a signed diagonal L, zero in some draws (the adjacency
+    form)."""
+    g = draw(bipartite_graphs())
+    loss = np.array(draw(st.lists(st.integers(-3, 3), min_size=g.node_count,
+                                  max_size=g.node_count)), dtype=np.int64)
     if draw(st.booleans()):
         loss[:] = 0
-    return d, loss
+    return g, loss
 
 
 class TestPowerTraces:
     @pytest.mark.parametrize("tier", FORCE)
-    @given(engine_inputs(), st.integers(0, 5), st.booleans())
+    @given(engine_inputs(), st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
-    def test_equals_matrix_power_traces(self, tier, inputs, top, sparse):
-        d, loss = inputs
-        mat = reference_matrix(d, loss)
+    def test_equals_matrix_power_traces(self, tier, inputs, top):
+        g, loss = inputs
+        mat = reference_matrix(g.dense(np.int64), loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
                   for j in range(top + 1)]
         with forced(tier):
-            assert power_traces(sp.csr_array(d) if sparse else d, loss,
-                                top) == expect
+            assert power_traces(g, loss, top) == expect
 
     def test_dense_tier_stops_at_2_53(self):
-        # D = [[3]] and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j; 9^j is
-        # odd, so float64 cannot hold it from 2^53 on (j = 17); int64 can
-        for d in (np.array([[3]]), sp.csr_array(np.array([[3]]))):
-            with logged_tiers() as tiers:
-                traces = power_traces(d, np.zeros(2, dtype=np.int64), 18)
-            assert tiers == ["sparse"]
-            assert traces == [4] + [2 * 9 ** j for j in range(1, 19)]
+        # K_{3,3} and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j for j >= 1;
+        # 9^j is odd, so float64 cannot hold it from 2^53 on (j = 17); int64
+        # can
+        with logged_tiers() as tiers:
+            traces = power_traces(complete_bipartite(3, 3),
+                                  np.zeros(6, dtype=np.int64), 18)
+        assert tiers == ["sparse"]
+        assert traces == [12] + [2 * 9 ** j for j in range(1, 19)]
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
@@ -175,8 +173,10 @@ class TestPowerTraces:
         assert {r.args[2:4] for r in records} == {((8, 8), 3)}
         assert [r.args[4] for r in records] == [bounds["ihara-bass"]] * 3 + [
             bounds["adjacency"]]
+        assert [r.args[5] for r in records] == ["UW"] * 3 + ["W"]
         assert records[0].getMessage().startswith(
             "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 bound=")
+        assert records[0].getMessage().endswith(" sides=UW")
 
 
 class TestTracePowers:
@@ -212,12 +212,12 @@ class TestTracePowers:
             int64 = power_traces(g, loss, 3)
         with forced("bigint"):
             assert power_traces(g, loss, 3) == int64
-        # 2 * 9^25 is past int64
+        # 2 * 9^25, a trace of K_{3,3}, is past int64
         with logged_tiers() as tiers:
-            traces = power_traces(sp.csr_array(np.array([[3]])),
-                                  np.zeros(2, dtype=np.int64), 25)
+            traces = power_traces(complete_bipartite(3, 3),
+                                  np.zeros(6, dtype=np.int64), 25)
         assert tiers == ["bigint"]
-        assert traces == [4] + [2 * 9 ** j for j in range(1, 26)]
+        assert traces == [12] + [2 * 9 ** j for j in range(1, 26)]
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)

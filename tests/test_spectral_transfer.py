@@ -1,11 +1,11 @@
 import cmath
 import dataclasses
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 
 from girthspec import (
@@ -260,22 +260,19 @@ class TestTransferCounts:
     @pytest.mark.parametrize("g", [complete_bipartite(7, 5),
                                    complete_bipartite(5, 7), two_random_23()],
                              ids=["K75", "K57", "two (2,3)"])
-    def test_gram_matrix_is_on_the_smaller_side(self, g, monkeypatch):
+    def test_gram_matrix_is_on_the_smaller_side(self, g, caplog):
         # the identity holds with either side's Gram matrix (p_j(0) =
         # (-q1)^j + (-q2)^j absorbs the n - m extra zeros); with L = 0 the
-        # engine runs on D's column side alone, so the swap hands it D with
-        # the smaller side as columns: its m x m blocks stand for B
-        received = []
-        real = spectral_transfer.power_traces
-
-        def spy(d, loss, top):
-            received.append((d.shape, loss.any()))
-            return real(d, loss, top)
-
-        monkeypatch.setattr(spectral_transfer, "power_traces", spy)
-        assert transfer_counts(g).counts == trace_counts(g)
-        sides = sorted((g.left_count, g.right_count), reverse=True)
-        assert received == [(tuple(sides), False)]
+        # engine runs the side with fewer nodes alone, and its blocks on
+        # that side stand for B
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        counts = transfer_counts(g).counts
+        records = [r for r in caplog.records
+                   if r.msg.startswith("power_traces")]
+        assert counts == trace_counts(g)
+        smaller = "U" if g.left_count < g.right_count else "W"
+        assert [(r.args[1], r.args[5]) for r in records] == [
+            ("adjacency", smaller)]
 
     def test_counts_graphs_the_float_pipeline_refuses(self):
         for g in (even_cycle(8), *FIXED_UNIONS.values()):
@@ -341,8 +338,8 @@ class TestTransferCounts:
         tiers = {}
         for cap in (0, 10 ** 9):
             monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", cap)
-            tiers[cap] = power_traces(sp.csr_array(d),
-                                      np.zeros(g.node_count, dtype=np.int64), 7)
+            tiers[cap] = power_traces(g, np.zeros(g.node_count, dtype=np.int64),
+                                      7)
             assert transfer_counts(g).counts == trace_counts(g)
         assert tiers[0] == tiers[10 ** 9] == expect
 
