@@ -9,9 +9,10 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. The engine reads D and D^T off the graph in the form
-of the tier a walk-sum bound picks: float64, int64 (sparse, the one tier
-that imports scipy) or Python ints; with L = 0 it runs one side alone.
+with no transpose. Each level's tier is picked by guards on the numbers
+it forms, and the engine reads D and D^T off the graph in that tier's
+form: float64, int64 (sparse, the one tier that imports scipy) or Python
+ints; with L = 0 it runs one side alone.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -31,7 +32,7 @@ import numpy as np
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, SizeCapError
-from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, profile
+from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, _plus_diagonal, profile
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -44,7 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
-INT64_LIMIT = 2 ** 62  # power_traces leaves int64 from this bound on
+INT64_LIMIT = 2 ** 62  # a power_traces level leaves int64 from this guard on
+TIERS = ("dense", "sparse", "bigint")  # power_traces' tiers, in climbing order
 # edge_spectrum_direct's cluster distance, looser than for a symmetric
 # matrix: nonsymmetric eigenproblems are less well conditioned
 DIRECT_CLUSTER_TOL = 1e-6
@@ -111,93 +113,176 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
 def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
     """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for the n x m
     biadjacency block D of a graph and L = diag(loss); tr(M^k) = 0 for odd
-    k, as M is bipartite as a digraph. D is read in its tier's form: the
-    dense tiers take ``g.dense()`` in float64 or Python integers, with D^T
-    as a view, and the sparse tier takes ``g.biadjacency`` with D^T from
-    ``g.transpose``, both cached on the graph.
+    k, as M is bipartite as a digraph.
 
     P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
-    even c (S_c, T_c). Its W columns follow from T_0 = I, R_c = D T_(c-1) +
-    L_U R_(c-2), T_c = D^T R_(c-1) + L_W T_(c-2), its U columns from the
-    same chain with D^T for D; each side adds its columns' terms of the sum
-    of squares. With L = 0 both sides give the same sums, so the side with
-    fewer columns runs alone and counts twice; else the U side stops short
-    of an odd top, as R_top^T has R_top's squares.
+    even c (S_c, T_c). Its W columns follow from T_0 = I, R_1 = D, T_2 =
+    D^T D + L_W, R_c = D T_(c-1) + L_U R_(c-2) and T_c = D^T R_(c-1) +
+    L_W T_(c-2), its U columns from the same chain with D^T for D; each
+    side adds its columns' terms of the sum of squares, and T_0 = I adds
+    only its L-weighted ones. The side profile roots its girth walk from
+    takes its Gram block from ``g.gram``. With L = 0 both sides give the
+    same sums, so that side, the smaller (U on a tie), runs alone and
+    counts twice; else the U side stops short of an odd top, as R_top^T
+    has R_top's squares.
 
-    Each entry of P_c, and each partial sum forming it, is at most that of
-    P_c for |M| in absolute value, and each summed term is at most a term
-    of tr(|M|^(2a)). So twice the largest walk sum 1^T |M|^t 1, t <= 2 top,
-    in float64 (the factor 2 covers its rounding), bounds every number
-    computed and picks the tier: dense Python integers from INT64_LIMIT,
-    dense float64 numpy (exact below 2^53) while D is at most
-    DENSE_MAX_SIZE on each side, scipy sparse int64 otherwise.
+    Each level is guarded by the numbers it forms. Every partial sum of
+    X_c = s X_(c-1) + L X_(c-2) is at most maxdeg max|X_(c-1)| + max|L|
+    max|X_(c-2)|, and each sum of squares of X_c, plain or weighted by
+    one or two entries of L, at most nnz max|X_c|^2 max(1, max|L|)^2. The
+    maxima are first taken from the recursive bound b_c = maxdeg b_(c-1)
+    + max|L| b_(c-2), and from one abs-max pass over the blocks only when
+    that bound reaches the limit. A chain starts in dense float64 numpy
+    (exact below 2^53) while D is at most DENSE_MAX_SIZE on each side,
+    else in scipy sparse int64 (below INT64_LIMIT); a level whose guard
+    reaches its tier's limit moves its live blocks, exactly, to the next
+    tier: sparse int64, then dense Python integers, which have no limit.
+    The DEBUG record gives the highest tier that ran, each side's levels
+    by the initial of their tier, the largest guard met and the limit of
+    each tier that ran.
     """
     n, m = g.shape
-    small = max(n, m) <= DENSE_MAX_SIZE
-    d = g.dense() if small else g.biadjacency
-    dt = d.T if small else g.transpose.biadjacency
-    # 1^T |M|^t 1 = 1^T (y_t + y_(t-1)) for y_t = |A| y_(t-1) + |L| y_(t-2)
-    # and y_0 = y_(-1) = 1; D is 0/1, so |A| is A
-    prev = cur = np.ones(n + m)
-    bound = 2.0 * (n + m)
-    for _ in range(2 * top):
-        prev, cur = cur, (np.concatenate([d @ cur[n:], dt @ cur[:n]])
-                          + np.abs(loss) * prev)
-        bound = max(bound, float(cur.sum() + prev.sum()))
-    bound *= 2
-    tier = ("bigint" if bound >= INT64_LIMIT else
-            "dense" if bound < 2 ** 53 and small else "sparse")
-    if tier == "sparse":
-        import scipy.sparse as sp
+    # float64 is exact below 2^53; no tier's limit is above the next one's
+    limits = {"dense": min(2 ** 53, INT64_LIMIT), "sparse": INT64_LIMIT}
+    maxdeg = int(max(np.diff(g.indptr).max(), np.diff(g.transpose.indptr).max()))
+    lmax = int(np.abs(loss).max())
+    weights = max(1, lmax) ** 2
+    peak = 2 * (n + m)  # tr(M^0)
 
-        d, dt = g.biadjacency, g.transpose.biadjacency
-    elif tier == "bigint":
-        d, loss = g.dense(object), loss.astype(object)
-        dt = d.T
-    sides = {"W": (d, dt, loss[:n], loss[n:]),
-             "U": (dt, d, loss[n:], loss[:n])}
-    if not loss.any():  # one side gives the sums: the one with fewer columns
-        del sides["W" if n < m else "U"]
-    log.debug("power_traces tier=%s form=%s shape=%s top=%d bound=%.3g "
-              "sides=%s", tier, "ihara-bass" if len(sides) == 2 else
-              "adjacency", (n, m), top, bound, "".join(sorted(sides)))
+    def checked(tier, value):
+        """The first tier from ``tier`` on whose limit is above value."""
+        nonlocal peak
+        if tier in limits:
+            peak = max(peak, value)
+        while tier in limits and value >= limits[tier]:
+            tier = TIERS[TIERS.index(tier) + 1]
+        return tier
+
+    start = checked("dense" if max(n, m) <= DENSE_MAX_SIZE else "sparse", peak)
+    gram_side = "U" if n <= m else "W"  # the side of g.gram
+    sides = {"W": (g, g.transpose, loss[:n], loss[n:]),
+             "U": (g.transpose, g, loss[n:], loss[:n])}
+    if not lmax:
+        sides = {gram_side: sides[gram_side]}
     traces = [2 * (n + m)] + [0] * top
-    dense = tier != "sparse"
     short = len(sides) == 2 and top % 2 == 1
-
-    def rows(x, w):  # w over the rows of block x, shaped like its values
-        return w[:, None] if dense else np.repeat(w, np.diff(x.indptr))
-
-    for side, (x, xt, lr, lc) in enumerate(sides.values()):  # on x's columns
-        k = x.shape[1]
-        if dense:
-            prev = np.zeros(x.shape, d.dtype)
-            cur = np.eye(k, dtype=d.dtype)
-        else:
-            prev = sp.csr_array(x.shape, dtype=np.int64)
-            cur = sp.csr_array((np.ones(k, np.int64),  # D's int32 indices
-                                np.arange(k, dtype=np.int32),
-                                np.arange(k + 1, dtype=np.int32)), shape=(k, k))
-        for c in range(top + 1 - (short and side)):
-            rw = lr if c % 2 else lc  # L on the rows of block c
-            if c:
-                step = (x if c % 2 else xt) @ cur
-                if rw.any():  # block c - 2 is not needed again: scale in place
-                    data = prev if dense else prev.data
-                    data *= rows(prev, rw)
-                    step = step + prev
-                prev, cur = cur, step
-            data = cur if dense else cur.data
-            if c:
-                traces[c] += int(np.vdot(data, data)) * (1 + (short and c == top))
+    ran, levels = {start}, []
+    for side, (a, b, lr, lc) in sides.items():  # on a's right side's columns
+        if top and lc.any():  # T_0 = I: squares weighted by L_j, then L_i
+            traces[1] += 2 * int(lc.sum())
+            if top > 1:
+                traces[2] += int((lc * lc).sum())
+        tier, letters = start, ""
+        x, xt, wr, wc = _forms(a, b, lr, lc, tier)
+        prev = cur = None  # X_(c-2), X_(c-1) once formed
+        b_prev, b_cur = 0, 1  # bounds on their largest |entry|
+        for c in range(1, top + 1 - (short and side == "U")):
+            bound = maxdeg * b_cur + lmax * b_prev
+            if c > 2 and tier in limits and bound >= limits[tier]:
+                b_prev, b_cur = _absmax(prev), _absmax(cur)
+                bound = maxdeg * b_cur + lmax * b_prev
+            up = checked(tier, bound)
+            if up != tier:
+                tier = up
+                x, xt, wr, wc = _forms(a, b, lr, lc, tier)
+                prev, cur = _in_tier(prev, tier), _in_tier(cur, tier)
+            rw = wr if c % 2 else wc  # L on the rows of block c
+            if c == 1:
+                new, bound = x, 1
+            elif c == 2:
+                new = _in_tier(g.gram if side == gram_side else xt @ x, tier)
+                new = _plus_diagonal(new, wc)
+            else:
+                new = (x if c % 2 else xt) @ cur
+                if rw.any():
+                    new = new + _scaled(prev, rw)
+            total = new.size * bound ** 2 * weights  # nnz, when sparse
+            if tier in limits and total >= limits[tier]:
+                bound = _absmax(new)
+                total = new.size * bound ** 2 * weights
+            up = checked(tier, total)
+            if up != tier:
+                tier = up
+                x, xt, wr, wc = _forms(a, b, lr, lc, tier)
+                new, cur = _in_tier(new, tier), _in_tier(cur, tier)
+            dense = tier != "sparse"
+            data = new if dense else new.data
+            traces[c] += int(np.vdot(data, data)) * (1 + (short and c == top))
             if c < top and lc.any():  # squares weighted by L_j, then by L_i
-                t = data * data * (lc if dense else lc[cur.indices])
+                t = data * data * (wc if dense else wc[new.indices])
                 traces[c + 1] += 2 * int(t.sum())
                 if c < top - 1:
-                    traces[c + 2] += int((t * rows(cur, rw)).sum())
+                    traces[c + 2] += int((t * _rows(new, rw)).sum())
+            letters += tier[0]
+            ran.add(tier)
+            prev, cur, b_prev, b_cur = cur, new, b_cur, bound
+        levels.append(f"{side}:{letters}")
     if len(sides) == 1:
         traces[1:] = [2 * t for t in traces[1:]]
+    ran = [t for t in TIERS if t in ran]
+    log.debug("power_traces tier=%s form=%s shape=%s top=%d peak=%.3g "
+              "sides=%s levels=%s limits=%s", ran[-1],
+              "ihara-bass" if len(sides) == 2 else "adjacency", (n, m), top,
+              peak, "".join(sorted(sides)), " ".join(levels),
+              ",".join(f"{t}:{limits[t]:.4g}" if t in limits else f"{t}:none"
+                       for t in ran))
     return traces
+
+
+def _forms(a: BipartiteGraph, b: BipartiteGraph, lr: np.ndarray,
+           lc: np.ndarray, tier: str):
+    """D_a, D_a^T = D_b and the two parts of L in the form of ``tier``;
+    a dense D is read-only, so no chain scales it in place."""
+    if tier == "sparse":
+        return a.biadjacency, b.biadjacency, lr, lc
+    x = a.dense(np.float64 if tier == "dense" else object)
+    x.flags.writeable = False
+    if tier == "bigint":
+        lr, lc = lr.astype(object), lc.astype(object)
+    return x, x.T, lr, lc
+
+
+def _in_tier(block, tier: str):
+    """An integer block, dense or sparse, in the form of ``tier``; as
+    it is, when it has that form already or is None (not formed yet)."""
+    if block is None:
+        return None
+    if tier == "sparse":
+        if not isinstance(block, np.ndarray):
+            return block
+        import scipy.sparse as sp
+
+        return sp.csr_array(block.astype(np.int64))
+    if not isinstance(block, np.ndarray):
+        block = block.toarray()
+    dtype = np.float64 if tier == "dense" else object
+    return block if block.dtype == dtype else block.astype(np.int64).astype(dtype)
+
+
+def _absmax(block) -> int:
+    """The largest |entry|, read off the stored values: scipy's abs sorts
+    the indices in place, which a cached block does not allow."""
+    values = block if isinstance(block, np.ndarray) else block.data
+    return int(abs(values).max()) if values.size else 0
+
+
+def _rows(block, w: np.ndarray):
+    """w over the rows of block, shaped like its values."""
+    if isinstance(block, np.ndarray):
+        return w[:, None]
+    return np.repeat(w, np.diff(block.indptr))
+
+
+def _scaled(block, w: np.ndarray):
+    """diag(w) block; in place when the block's values are writable."""
+    values = block if isinstance(block, np.ndarray) else block.data
+    if values.flags.writeable:
+        values *= _rows(block, w)
+        return block
+    if isinstance(block, np.ndarray):
+        return block * w[:, None]
+    return type(block)((values * _rows(block, w), block.indices,
+                        block.indptr), shape=block.shape)
 
 
 def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:

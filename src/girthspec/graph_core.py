@@ -14,12 +14,14 @@ array over the stored arrays. Only the sparse tiers read
 at most DENSE_MAX_SIZE is counted by numpy alone; the other layers read
 the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
 pairs, is read only by the references the tests check the package
-against. ``profile`` reads
-everything off D: the degrees from the row pointers of D and D^T,
-connectivity from one BFS over their index lists, and the exact girth
-from counts of non-backtracking walks (the walks A_e counts) rooted on
-the smaller side, one product per BFS level, to depth g/2. Like ``edges``
-it is cached on the graph, so every layer calls ``profile(g)``.
+against. ``gram``, the Gram block of the smaller side, is cached too: it
+is the first level of the girth walk and one level of the trace engine's
+chain. ``profile`` reads everything off D: the degrees from the row
+pointers of D and D^T, connectivity from components labelled in numpy
+over the edge arrays, and the exact girth from counts of
+non-backtracking walks (the walks A_e counts) rooted on the smaller
+side, one product per BFS level, to depth g/2. Like ``edges`` it is
+cached on the graph, so every layer calls ``profile(g)``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
 
 # Largest side of D for dense float64 numpy products, scipy sparse int64
 # above, in edge_matrix.power_traces and in _girth; up to it scipy is
-# imported only when power_traces' bound rules out float64. One BLAS
+# imported only when a level of power_traces outgrows float64. One BLAS
 # thread, dense vs sparse ms, each the median of 3 runs of the median of
 # 15 warm calls. power_traces (top g - 1), L = I - deg, n x m: array codes
 # 186 x 93 2.58 vs 2.34, 222 x 111 3.97 vs 2.82, 258 x 129 5.12 vs 3.04,
@@ -129,6 +131,29 @@ class BipartiteGraph:
         return sp.csr_array((ones, self.indices, self.indptr),
                             shape=self.shape)
 
+    def _roots(self) -> tuple["BipartiteGraph", "BipartiteGraph"]:
+        """(r, r^T) for r the graph whose left side is this graph's smaller
+        side, the left on a tie: the side the girth walk roots from."""
+        if self.left_count <= self.right_count:
+            return self, self.transpose
+        return self.transpose, self
+
+    @cached_property
+    def gram(self):
+        """The Gram block of the smaller side, the left on a tie: D D^T if
+        left_count <= right_count, else D^T D. Read-only; dense float64
+        while both sides are at most DENSE_MAX_SIZE, scipy int64 above."""
+        r, t = self._roots()
+        if max(self.shape) <= DENSE_MAX_SIZE:
+            x = r.dense()
+            gram = x @ x.T
+            gram.flags.writeable = False
+        else:
+            gram = r.biadjacency @ t.biadjacency
+            for array in (gram.data, gram.indices, gram.indptr):
+                array.flags.writeable = False
+        return gram
+
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The (u, w) pairs, read off D; for the references only."""
@@ -137,16 +162,18 @@ class BipartiteGraph:
     @cached_property
     def _profile(self) -> GraphProfile:
         """What :func:`profile` returns, computed on first use."""
-        t = self.transpose
-        left, right = np.diff(self.indptr), np.diff(t.indptr)
+        left, right = np.diff(self.indptr), np.diff(self.transpose.indptr)
         biregular = bool(left.min() == left.max() and right.min() == right.max())
+        connected, hooks = _connected(self)
+        girth, walk = _girth(self)
+        log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d hooks=%d",
+                  *walk, hooks)
         return GraphProfile(
-            is_connected=_connected(self),
+            is_connected=connected,
             is_biregular=biregular,
             d_v=int(left[0]) if biregular else None,
             d_c=int(right[0]) if biregular else None,
-            girth=(_girth(self, t) if self.left_count <= self.right_count
-                   else _girth(t, self)),
+            girth=girth,
         )
 
     @property
@@ -204,58 +231,58 @@ def neighbor_lists(g: BipartiteGraph) -> list[list[int]]:
     return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-def _connected(g: BipartiteGraph) -> bool:
-    """Whether a BFS from left node 0 over the index lists of D and D^T
-    reaches every node."""
-    sides = [neighbor_lists(g), neighbor_lists(g.transpose)]
-    seen = [[False] * g.left_count, [False] * g.right_count]
-    seen[0][0] = True
-    frontier, side, reached = [0], 0, 1
-    while frontier:
-        adj, other, nxt = sides[side], seen[1 - side], []
-        for a in frontier:
-            for b in adj[a]:
-                if not other[b]:
-                    other[b] = True
-                    nxt.append(b)
-        reached += len(nxt)
-        frontier, side = nxt, 1 - side
-    return reached == g.node_count
+def _connected(g: BipartiteGraph) -> tuple[bool, int]:
+    """Whether the graph is connected, and the hooking rounds it took.
+
+    Components are labelled over the edge arrays (Shiloach & Vishkin
+    1982): each round hooks the larger label of every edge whose ends
+    differ onto the smaller, then jumps pointers until every label is a
+    root. Labels only fall, so no hook makes a cycle. The arrays are intp:
+    with int32 ids the labelling took 1.4 times as long on 6803 edges."""
+    label = np.arange(g.node_count, dtype=np.intp)
+    a = g._rows().astype(np.intp)  # the edge ends, in combined ids
+    b = g.indices + np.intp(g.left_count)
+    rounds = 0
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return bool((label == 0).all()), rounds
+        rounds += 1
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
-def _girth(g: BipartiteGraph, t: BipartiteGraph) -> int | None:
-    """Exact girth from non-backtracking walk counts; None for forests.
+def _girth(g: BipartiteGraph) -> tuple[int | None, tuple[str, int, int, int]]:
+    """Exact girth from non-backtracking walk counts, None for forests,
+    and the walk's tier, root count, last level and peak nnz.
 
-    g's left side holds the roots, the smaller side, and t is g.transpose;
-    x is g's roots x others block D and y = x^T. W_l[r, v] counts the
-    non-backtracking walks of length l from root r to v: W_1 = x, W_2 =
-    x y - diag(deg), and W_{l+1} = W_l s - W_{l-1} diag(deg - 1), with s
-    alternating y and x and deg taken on the side of W_{l-1}'s columns.
-    Balls of radius below g/2 are trees, so W_l is 0/1 for l < g/2, and a
-    root on a shortest cycle has two walks to its antipode at l = g/2: the
-    girth is 2l for the first l with an entry >= 2. Every cycle meets both
-    sides, so these roots see them all, and W_l dies out exactly when no
-    cycle is reachable. The products are dense float64 numpy, exact on
-    these small counts, while both sides are at most DENSE_MAX_SIZE, and
-    scipy sparse int64 otherwise.
+    The roots are g's smaller side, the left side of h, and t = h^T; x
+    is h's roots x others block D, y = x^T and ``g.gram`` is x y.
+    W_l[r, v] counts the non-backtracking walks of length l from root r to
+    v: W_1 = x, W_2 = x y - diag(deg), and W_{l+1} = W_l s - W_{l-1}
+    diag(deg - 1), with s alternating y and x and deg taken on the side of
+    W_{l-1}'s columns. Balls of radius below g/2 are trees, so W_l is 0/1
+    for l < g/2, and a root on a shortest cycle has two walks to its
+    antipode at l = g/2: the girth is 2l for the first l with an entry
+    >= 2. Every cycle meets both sides, so these roots see them all, and
+    W_l dies out exactly when no cycle is reachable. The products take
+    the Gram block's form: dense float64 numpy, exact on these small
+    counts, or scipy sparse int64.
     """
-    roots = g.left_count
-    degs = (np.diff(g.indptr), np.diff(t.indptr))  # roots', others'
-    dense = max(roots, g.right_count) <= DENSE_MAX_SIZE
+    h, t = g._roots()
+    roots = h.left_count
+    degs = (np.diff(h.indptr), np.diff(t.indptr))  # roots', others'
+    dense = isinstance(g.gram, np.ndarray)
     if dense:
-        x = g.dense()
+        x = h.dense()
         y = x.T
     else:
         import scipy.sparse as sp
 
-        x, y = g.biadjacency, t.biadjacency
-    prev, cur = x, x @ y
-    if dense:
-        cur.flat[::roots + 1] -= degs[0]
-    else:
-        rows = np.repeat(np.arange(roots), np.diff(cur.indptr))
-        diagonal = cur.indices == rows
-        cur.data[diagonal] -= degs[0][rows[diagonal]]
+        x, y = h.biadjacency, t.biadjacency
+    prev, cur = x, _plus_diagonal(g.gram, -degs[0])
     level, peak, girth = 2, g.edge_count, None  # W_1 has |E| entries
     while True:
         values = cur if dense else cur.data
@@ -274,9 +301,33 @@ def _girth(g: BipartiteGraph, t: BipartiteGraph) -> int | None:
                                  prev.indptr), shape=prev.shape)
         prev, cur = cur, cur @ (x if level % 2 == 0 else y) - back
         level += 1
-    log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d",
-              "dense" if dense else "sparse", roots, level, peak)
-    return girth
+    return girth, ("dense" if dense else "sparse", roots, level, peak)
+
+
+def _plus_diagonal(block, w: np.ndarray):
+    """block + diag(w) for a square dense or scipy block; a new block
+    unless w is 0. A Gram block stores every diagonal entry but those of
+    nodes with no edge, so a sparse one takes w on a copy of its values;
+    the general add, which cost as much as a product, runs only when such
+    a node needs a nonzero entry."""
+    if not w.any():
+        return block
+    k = len(w)
+    if isinstance(block, np.ndarray):
+        block = block.copy()
+        block.flat[::k + 1] += w
+        return block
+    rows = np.repeat(np.arange(k), np.diff(block.indptr))
+    on = block.indices == rows
+    stored = np.zeros(k, dtype=bool)
+    stored[rows[on]] = True
+    if w[~stored].any():
+        return block + type(block)((w, np.arange(k, dtype=np.int32),
+                                    np.arange(k + 1, dtype=np.int32)),
+                                   shape=(k, k))
+    data = block.data.copy()
+    data[on] += w[rows[on]]
+    return type(block)((data, block.indices, block.indptr), shape=block.shape)
 
 
 def profile(g: BipartiteGraph) -> GraphProfile:

@@ -200,8 +200,9 @@ class TestSymplecticQuadrangle:
         (2, (90, 72, 300, 1080)),
         (3, (1620, 5184, 43200, 336960)),
         (5, (73125, 936000, 20280000, 435240000)),
-        (7, (960400, 27659520, 1152480000, 48423916800))])
-    def test_exact_routes_equal_the_closed_form(self, q, expected):
+        (7, (960400, 27659520, 1152480000, 48423916800)),
+        (11, (32151636, 2572130880, 261499972800, 27123120129600))])
+    def test_exact_routes_equal_the_closed_form(self, q, expected, caplog):
         g = symplectic_quadrangle(q)
         points = (q + 1) * (q * q + 1)
         prof = profile(g)
@@ -215,8 +216,13 @@ class TestSymplecticQuadrangle:
         # both; each quadrangle has two such diagonals
         assert counts[8] == (points * (points - 1 - q * (q + 1)) // 2
                              * math.comb(q + 1, 2) // 2)
+        caplog.set_level(logging.DEBUG, logger="girthspec")
         assert transfer_counts(g).counts == counts
         assert trace_power_counts(g).counts == counts
+        # every level's guard stays under INT64_LIMIT: no level leaves int64
+        levels = [r.args[6] for r in caplog.records
+                  if r.msg.startswith("power_traces")]
+        assert len(levels) == 2 and not any("b" in s for s in levels)
 
 
 class TestClosedForm:

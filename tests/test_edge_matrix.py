@@ -23,7 +23,7 @@ from girthspec import (
     transfer_counts,
     write_edge_list,
 )
-from girthspec import edge_matrix
+from girthspec import edge_matrix, graph_core
 from girthspec.cli import main
 from girthspec.edge_matrix import power_traces, trace_powers
 
@@ -114,6 +114,11 @@ def reference_matrix(d, loss):
     return mat
 
 
+def engine_records(caplog):
+    """The engine's DEBUG records among those captured."""
+    return [r for r in caplog.records if r.msg.startswith("power_traces")]
+
+
 @st.composite
 def engine_inputs(draw):
     """A graph and a signed diagonal L, zero in some draws (the adjacency
@@ -138,45 +143,97 @@ class TestPowerTraces:
         with forced(tier):
             assert power_traces(g, loss, top) == expect
 
-    def test_dense_tier_stops_at_2_53(self):
+    @given(engine_inputs(), st.integers(0, 5), st.integers(1, 400),
+           st.sampled_from(["dense", "sparse"]))
+    # level 1's squares, 9 * 3^2 = 81, move it up: past X_0, before X_1
+    @example((complete_bipartite(3, 3), np.full(6, -3)), 2, 50, "dense")
+    # level 2's guard, 56 * 4^2, takes an abs-max of the Gram block itself
+    @example((tesseract(), np.zeros(16, dtype=np.int64)), 3, 100, "sparse")
+    @settings(max_examples=150, deadline=None)
+    def test_levels_climb_mid_chain_exactly(self, inputs, top, limit, start):
+        # a limit this small moves the chain up at any level, from either
+        # start; started sparse, the guards also read the cached Gram block
+        # in its scipy form, read-only and with unsorted indices
+        g, loss = inputs
+        mat = reference_matrix(g.dense(np.int64), loss)
+        expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
+                  for j in range(top + 1)]
+        with mock.patch.multiple(edge_matrix, INT64_LIMIT=limit,
+                                 **FORCE[start]), \
+                mock.patch.multiple(graph_core, **FORCE[start]):
+            assert power_traces(g, loss, top) == expect
+
+    def test_dense_tier_stops_at_2_53(self, caplog):
         # K_{3,3} and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j for j >= 1;
         # 9^j is odd, so float64 cannot hold it from 2^53 on (j = 17); int64
-        # can
-        with logged_tiers() as tiers:
-            traces = power_traces(complete_bipartite(3, 3),
-                                  np.zeros(6, dtype=np.int64), 18)
-        assert tiers == ["sparse"]
+        # can. U runs alone with X_c = 3^(c-1) J, whose squares sum to 9^c:
+        # level 17 is the first whose guard reaches 2^53
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        traces = power_traces(complete_bipartite(3, 3),
+                              np.zeros(6, dtype=np.int64), 18)
         assert traces == [12] + [2 * 9 ** j for j in range(1, 19)]
+        [record] = engine_records(caplog)
+        assert record.args[0] == "sparse"
+        assert record.args[6] == "U:" + "d" * 16 + "s" * 2
+        assert record.args[4] == 9 ** 18
+
+    @pytest.mark.parametrize("start", ["dense", "sparse"])
+    def test_guard_at_the_limit_moves_the_level_up(self, caplog, monkeypatch,
+                                                   start):
+        # K_{3,3}, L = 0: the recursive bound 3^(c-1) on X_c is exact, so
+        # level c's guard is 9 * 9^(c-1) = 9^c, and level 5 meets 9^5. A
+        # guard under the limit keeps the level in its tier; one at the
+        # limit moves it on, past a sparse tier of the same limit
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        if start == "sparse":
+            monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 0)
+        g, loss = complete_bipartite(3, 3), np.zeros(6, dtype=np.int64)
+        mat = reference_matrix(g.dense(np.int64), loss)
+        expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
+                  for j in range(6)]
+        for limit, levels, ran in (
+                (9 ** 5 + 1, start[0] * 5, f"{start}:5.905e+04"),
+                (9 ** 5, start[0] * 4 + "b", f"{start}:5.905e+04,bigint:none")):
+            monkeypatch.setattr(edge_matrix, "INT64_LIMIT", limit)
+            caplog.clear()
+            assert power_traces(g, loss, 5) == expect
+            [record] = engine_records(caplog)
+            assert record.args[0] == ("bigint" if "b" in levels else start)
+            assert record.args[4] == 9 ** 5
+            assert record.args[5:] == ("U", "U:" + levels, ran)
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
         d = tesseract()  # D is 8 x 8, every degree 4
-        bounds = {}
-        for form, loss in (("ihara-bass", np.full(16, -3)),
-                           ("adjacency", np.zeros(16, dtype=np.int64))):
-            walks = np.abs(reference_matrix(d.dense(np.int64), loss)).astype(
-                np.int64)
-            bounds[form] = 2 * max(
-                int(np.linalg.matrix_power(walks, t).sum()) for t in range(7))
         ihara_bass = np.full(16, -3)
         power_traces(d, ihara_bass, 3)
         monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 7)
         power_traces(d, ihara_bass, 3)
-        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", bounds["ihara-bass"])
+        # above every adjacency guard, the largest being level 3's: 64
+        # entries times the recursive bound 4 * 4 squared; below the
+        # Ihara-Bass guard of W's level 3
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 64 * 16 ** 2 + 1)
         power_traces(d, ihara_bass, 3)
         power_traces(d, np.zeros(16, dtype=np.int64), 3)
-        records = [r for r in caplog.records if r.name == "girthspec"]
+        records = engine_records(caplog)
         assert [r.levelno for r in records] == [logging.DEBUG] * 4
         assert [r.args[:2] for r in records] == [
             ("dense", "ihara-bass"), ("sparse", "ihara-bass"),
             ("bigint", "ihara-bass"), ("sparse", "adjacency")]
         assert {r.args[2:4] for r in records} == {((8, 8), 3)}
-        assert [r.args[4] for r in records] == [bounds["ihara-bass"]] * 3 + [
-            bounds["adjacency"]]
-        assert [r.args[5] for r in records] == ["UW"] * 3 + ["W"]
+        assert [r.args[5:] for r in records] == [
+            ("UW", "W:ddd U:dd", "dense:9.007e+15"),
+            ("UW", "W:sss U:ss", "sparse:4.612e+18"),
+            ("UW", "W:ssb U:ss", "sparse:1.638e+04,bigint:none"),
+            ("U", "U:sss", "sparse:1.638e+04")]
+        # the largest guard met: under each limit, unless a level moved up
+        peaks = [r.args[4] for r in records]
+        assert peaks[0] < 2 ** 53 and peaks[1] < 2 ** 62
+        assert peaks[2] >= 64 * 16 ** 2 + 1 > peaks[3]
         assert records[0].getMessage().startswith(
-            "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 bound=")
-        assert records[0].getMessage().endswith(" sides=UW")
+            "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 peak=")
+        assert records[0].getMessage().endswith(
+            " sides=UW levels=W:ddd U:dd limits=dense:9.007e+15")
 
 
 class TestTracePowers:
@@ -205,19 +262,23 @@ class TestTracePowers:
         traces = trace_powers(tesseract(), 7)
         assert traces[3] == traces[5] == traces[7] == 0
 
-    def test_bigint_matches_int64(self):
+    def test_bigint_matches_int64(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
         g = complete_bipartite(4, 5)
         loss = 1 - np.array([5] * 4 + [4] * 5)
         with forced("sparse"):
             int64 = power_traces(g, loss, 3)
         with forced("bigint"):
             assert power_traces(g, loss, 3) == int64
-        # 2 * 9^25, a trace of K_{3,3}, is past int64
+        # 2 * 9^25, a trace of K_{3,3}, is past int64; level c's guard is
+        # 9^c, at or past 2^53 from c = 17 and 2^62 from c = 20
         with logged_tiers() as tiers:
             traces = power_traces(complete_bipartite(3, 3),
                                   np.zeros(6, dtype=np.int64), 25)
         assert tiers == ["bigint"]
         assert traces == [12] + [2 * 9 ** j for j in range(1, 26)]
+        assert engine_records(caplog)[-1].args[6] == (
+            "U:" + "d" * 16 + "s" * 3 + "b" * 6)
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)

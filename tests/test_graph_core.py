@@ -551,6 +551,104 @@ class TestProfile:
         assert profile(g).girth == 4
 
 
+def relabelled_walk(us: list[int], ws: list[int],
+                    closed: bool) -> BipartiteGraph:
+    """The path us[0] ws[0] us[1] ws[1] ..., closed into a cycle if asked:
+    left node i along it has id us[i], right node i id ws[i]."""
+    t = len(us)
+    edges = [(us[i], ws[i]) for i in range(t)]
+    edges += [(us[i + 1], ws[i]) for i in range(t - 1)]
+    if closed:
+        edges.append((us[0], ws[-1]))
+    return BipartiteGraph.from_edges(t, t, edges)
+
+
+def zigzag(t: int) -> list[int]:
+    """0, t - 1, 1, t - 2, ..."""
+    return [i // 2 if i % 2 == 0 else t - 1 - i // 2 for i in range(t)]
+
+
+def shuffled(t: int, seed: int) -> list[int]:
+    ids = list(range(t))
+    random.Random(seed).shuffle(ids)
+    return ids
+
+
+# ways to number the nodes along a walk of t nodes a side
+WALK_ORDERS = {
+    "rising": lambda t: (list(range(t)), list(range(t))),
+    "falling": lambda t: (list(range(t))[::-1], list(range(t))[::-1]),
+    "zigzag": lambda t: (zigzag(t), zigzag(t)[::-1]),
+    "random": lambda t: (shuffled(t, 1), shuffled(t, 2)),
+}
+
+
+class TestConnectivity:
+    """Components labelled by hooking and pointer jumping, under labels
+    that order the hooks badly, against the BFS of ``reference_profile``."""
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    @pytest.mark.parametrize("order", WALK_ORDERS)
+    def test_relabelled_walks(self, order, closed):
+        g = relabelled_walk(*WALK_ORDERS[order](150), closed)
+        assert profile(g) == reference_profile(g)
+        assert profile(g).is_connected
+
+    @pytest.mark.parametrize("order", WALK_ORDERS)
+    def test_long_relabelled_paths(self, order):
+        g = relabelled_walk(*WALK_ORDERS[order](1000), False)
+        assert profile(g) == GraphProfile(True, False, None, None, None)
+
+    @pytest.mark.parametrize("order", WALK_ORDERS)
+    def test_node_0_isolated(self, order):
+        # left node 0 touches no edge; the rest is one path or cycle
+        us, ws = WALK_ORDERS[order](40)
+        for closed in (False, True):
+            walk = relabelled_walk(us, ws, closed)
+            g = BipartiteGraph.from_edges(41, 40, [(u + 1, w)
+                                                   for u, w in walk.edges])
+            assert profile(g) == reference_profile(g)
+            assert not profile(g).is_connected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_small_components(self, seed):
+        # 20 each of single edges, paths of 3 edges and 4-cycles over
+        # 100 + 100 nodes numbered at random; then a chain of edges through
+        # them, in random order, joins them into one
+        us = iter(shuffled(100, seed))
+        ws = iter(shuffled(100, seed + 10))
+        edges, heads = [], []
+        for kind in [0, 1, 2] * 20:
+            a, b = next(us), next(ws)
+            heads.append((a, b))
+            edges.append((a, b))
+            if kind:  # a - b - c - d, closed by (a, d) for kind 2
+                c, d = next(us), next(ws)
+                edges += [(c, b), (c, d)] + [(a, d)] * (kind == 2)
+        g = BipartiteGraph.from_edges(100, 100, edges)
+        assert profile(g) == reference_profile(g)
+        assert not profile(g).is_connected
+        random.Random(seed).shuffle(heads)
+        joins = [(a, d) for (a, _), (_, d) in zip(heads, heads[1:])]
+        g = BipartiteGraph.from_edges(100, 100, edges + joins)
+        assert profile(g) == reference_profile(g)
+        assert profile(g).is_connected
+
+    @pytest.mark.parametrize("g, connected", [
+        (complete_bipartite(1, 30), True),
+        (complete_bipartite(30, 1), True),
+        # the centre numbered last, next to a node with no edge
+        (BipartiteGraph.from_edges(2, 30, [(1, w) for w in range(30)]), False),
+        (BipartiteGraph.from_edges(30, 2, [(u, 1) for u in range(30)]), False),
+        # two stars whose centres share an edge
+        (BipartiteGraph.from_edges(16, 16, [(0, w) for w in range(16)]
+                                   + [(u, 0) for u in range(16)]), True),
+    ], ids=["K1,30", "K30,1", "left 0 alone", "right 0 alone", "two stars"])
+    def test_stars(self, g, connected):
+        assert profile(g) == reference_profile(g)
+        assert profile(g).is_connected == connected
+
+
 class TestProfileEquivalence:
     """``profile`` against the per-root BFS reference in conftest."""
 
@@ -599,8 +697,9 @@ class TestProfileEquivalence:
             # a fresh graph per tier: the profile is cached on the graph
             profile(BipartiteGraph(g.left_count, g.right_count, g.indptr,
                                    g.indices))
+        # each of these graphs takes two hooking rounds
         assert [r.getMessage() for r in caplog.records] == [
-            f"girth tier={tier} {record}" for tier in GIRTH_TIERS]
+            f"girth tier={tier} {record} hooks=2" for tier in GIRTH_TIERS]
 
 
 class TestRandomBiregular:
