@@ -32,7 +32,9 @@ import numpy as np
 
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, SizeCapError
-from .graph_core import DENSE_MAX_SIZE, BipartiteGraph, _plus_diagonal, profile
+from . import graph_core
+from .graph_core import (BipartiteGraph, _plus_diagonal, _rows, _scaled,
+                         _start_form, profile)
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -120,11 +122,10 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
     D^T D + L_W, R_c = D T_(c-1) + L_U R_(c-2) and T_c = D^T R_(c-1) +
     L_W T_(c-2), its U columns from the same chain with D^T for D; each
     side adds its columns' terms of the sum of squares, and T_0 = I adds
-    only its L-weighted ones. The side profile roots its girth walk from
-    takes its Gram block from ``g.gram``. With L = 0 both sides give the
-    same sums, so that side, the smaller (U on a tie), runs alone and
-    counts twice; else the U side stops short of an odd top, as R_top^T
-    has R_top's squares.
+    only its L-weighted ones. The side ``g._roots()`` picks takes its Gram
+    block from ``g.gram``. With L = 0 both sides give the same sums, so
+    that side runs alone and counts twice; else the U side stops short of
+    an odd top, as R_top^T has R_top's squares.
 
     Each level is guarded by the numbers it forms. Every partial sum of
     X_c = s X_(c-1) + L X_(c-2) is at most maxdeg max|X_(c-1)| + max|L|
@@ -132,14 +133,16 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
     one or two entries of L, at most nnz max|X_c|^2 max(1, max|L|)^2. The
     maxima are first taken from the recursive bound b_c = maxdeg b_(c-1)
     + max|L| b_(c-2), and from one abs-max pass over the blocks only when
-    that bound reaches the limit. A chain starts in dense float64 numpy
-    (exact below 2^53) while D is at most DENSE_MAX_SIZE on each side,
-    else in scipy sparse int64 (below INT64_LIMIT); a level whose guard
-    reaches its tier's limit moves its live blocks, exactly, to the next
-    tier: sparse int64, then dense Python integers, which have no limit.
-    The DEBUG record gives the highest tier that ran, each side's levels
-    by the initial of their tier, the largest guard met and the limit of
-    each tier that ran.
+    that bound reaches the limit. A chain starts in the graph's start
+    form, dense float64 numpy (exact below 2^53) or scipy sparse int64
+    (below INT64_LIMIT); a level whose guard reaches its tier's limit
+    moves its live blocks, exactly, to the next tier: sparse int64, then
+    dense Python integers, which have no limit. The DEBUG record gives the
+    highest tier that ran, each side's levels by the initial of their
+    tier, the limit of each tier that ran and, as ``peak=``, the largest
+    value a guard decided on. Where the recursive bound passed, that value
+    is the bound, which can sit 10-50 times above the largest number
+    formed (W(11)); the headroom under a limit needs the tight value.
     """
     n, m = g.shape
     # float64 is exact below 2^53; no tier's limit is above the next one's
@@ -158,8 +161,8 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
             tier = TIERS[TIERS.index(tier) + 1]
         return tier
 
-    start = checked("dense" if max(n, m) <= DENSE_MAX_SIZE else "sparse", peak)
-    gram_side = "U" if n <= m else "W"  # the side of g.gram
+    start = checked(_start_form(g), peak)
+    gram_side = "U" if g._roots()[0] is g else "W"  # the side of g.gram
     sides = {"W": (g, g.transpose, loss[:n], loss[n:]),
              "U": (g.transpose, g, loss[n:], loss[:n])}
     if not lmax:
@@ -231,15 +234,10 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
 
 def _forms(a: BipartiteGraph, b: BipartiteGraph, lr: np.ndarray,
            lc: np.ndarray, tier: str):
-    """D_a, D_a^T = D_b and the two parts of L in the form of ``tier``;
-    a dense D is read-only, so no chain scales it in place."""
-    if tier == "sparse":
-        return a.biadjacency, b.biadjacency, lr, lc
-    x = a.dense(np.float64 if tier == "dense" else object)
-    x.flags.writeable = False
+    """D_a, D_a^T = D_b and the two parts of L in the form of ``tier``."""
     if tier == "bigint":
         lr, lc = lr.astype(object), lc.astype(object)
-    return x, x.T, lr, lc
+    return (*graph_core._forms(a, b, tier), lr, lc)
 
 
 def _in_tier(block, tier: str):
@@ -264,25 +262,6 @@ def _absmax(block) -> int:
     the indices in place, which a cached block does not allow."""
     values = block if isinstance(block, np.ndarray) else block.data
     return int(abs(values).max()) if values.size else 0
-
-
-def _rows(block, w: np.ndarray):
-    """w over the rows of block, shaped like its values."""
-    if isinstance(block, np.ndarray):
-        return w[:, None]
-    return np.repeat(w, np.diff(block.indptr))
-
-
-def _scaled(block, w: np.ndarray):
-    """diag(w) block; in place when the block's values are writable."""
-    values = block if isinstance(block, np.ndarray) else block.data
-    if values.flags.writeable:
-        values *= _rows(block, w)
-        return block
-    if isinstance(block, np.ndarray):
-        return block * w[:, None]
-    return type(block)((values * _rows(block, w), block.indices,
-                        block.indptr), shape=block.shape)
 
 
 def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:

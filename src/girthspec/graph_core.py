@@ -14,14 +14,14 @@ array over the stored arrays. Only the sparse tiers read
 at most DENSE_MAX_SIZE is counted by numpy alone; the other layers read
 the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
 pairs, is read only by the references the tests check the package
-against. ``gram``, the Gram block of the smaller side, is cached too: it
-is the first level of the girth walk and one level of the trace engine's
-chain. ``profile`` reads everything off D: the degrees from the row
-pointers of D and D^T, connectivity from components labelled in numpy
-over the edge arrays, and the exact girth from counts of
-non-backtracking walks (the walks A_e counts) rooted on the smaller
-side, one product per BFS level, to depth g/2. Like ``edges`` it is
-cached on the graph, so every layer calls ``profile(g)``.
+against. ``gram``, the Gram block of the side ``_roots`` picks, is
+cached too. The walk-block tools the girth walk shares with the trace
+engine live here. ``profile`` reads everything off D: the degrees from
+the row pointers of D and D^T, the component count from labels set in
+numpy over the edge arrays, and, unless |E| = |V| - components (a
+forest), the exact girth from counts of non-backtracking walks (the
+walks A_e counts) rooted on the smaller side, one engine step per level,
+to depth g/2. It is cached on the graph, so every layer calls it.
 """
 
 from __future__ import annotations
@@ -133,25 +133,21 @@ class BipartiteGraph:
 
     def _roots(self) -> tuple["BipartiteGraph", "BipartiteGraph"]:
         """(r, r^T) for r the graph whose left side is this graph's smaller
-        side, the left on a tie: the side the girth walk roots from."""
+        side, the left on a tie: the one side rule of the girth walk's
+        roots, ``gram``, the engine's Gram side and the rank audit's rows."""
         if self.left_count <= self.right_count:
             return self, self.transpose
         return self.transpose, self
 
     @cached_property
     def gram(self):
-        """The Gram block of the smaller side, the left on a tie: D D^T if
-        left_count <= right_count, else D^T D. Read-only; dense float64
-        while both sides are at most DENSE_MAX_SIZE, scipy int64 above."""
-        r, t = self._roots()
-        if max(self.shape) <= DENSE_MAX_SIZE:
-            x = r.dense()
-            gram = x @ x.T
-            gram.flags.writeable = False
-        else:
-            gram = r.biadjacency @ t.biadjacency
-            for array in (gram.data, gram.indices, gram.indptr):
-                array.flags.writeable = False
+        """D_r D_r^T for (r, r^T) = ``_roots()``, read-only, in the start
+        form: dense float64 or scipy int64."""
+        x, xt = _forms(*self._roots(), _start_form(self))
+        gram = x @ xt
+        for array in ((gram,) if isinstance(gram, np.ndarray)
+                      else (gram.data, gram.indices, gram.indptr)):
+            array.flags.writeable = False
         return gram
 
     @cached_property
@@ -164,12 +160,12 @@ class BipartiteGraph:
         """What :func:`profile` returns, computed on first use."""
         left, right = np.diff(self.indptr), np.diff(self.transpose.indptr)
         biregular = bool(left.min() == left.max() and right.min() == right.max())
-        connected, hooks = _connected(self)
-        girth, walk = _girth(self)
-        log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d hooks=%d",
-                  *walk, hooks)
+        parts, hooks = _components(self)
+        girth, walk = _girth(self, parts)
+        log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d parts=%d "
+                  "hooks=%d", *walk, parts, hooks)
         return GraphProfile(
-            is_connected=connected,
+            is_connected=parts == 1,
             is_biregular=biregular,
             d_v=int(left[0]) if biregular else None,
             d_c=int(right[0]) if biregular else None,
@@ -231,8 +227,8 @@ def neighbor_lists(g: BipartiteGraph) -> list[list[int]]:
     return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-def _connected(g: BipartiteGraph) -> tuple[bool, int]:
-    """Whether the graph is connected, and the hooking rounds it took.
+def _components(g: BipartiteGraph) -> tuple[int, int]:
+    """The component count, isolated nodes included, and the hooking rounds.
 
     Components are labelled over the edge arrays (Shiloach & Vishkin
     1982): each round hooks the larger label of every edge whose ends
@@ -246,7 +242,7 @@ def _connected(g: BipartiteGraph) -> tuple[bool, int]:
     while True:
         la, lb = label[a], label[b]
         if np.array_equal(la, lb):
-            return bool((label == 0).all()), rounds
+            return int((label == np.arange(g.node_count)).sum()), rounds
         rounds += 1
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         up = label[label]
@@ -254,54 +250,75 @@ def _connected(g: BipartiteGraph) -> tuple[bool, int]:
             label, up = up, up[up]
 
 
-def _girth(g: BipartiteGraph) -> tuple[int | None, tuple[str, int, int, int]]:
-    """Exact girth from non-backtracking walk counts, None for forests,
+def _girth(g: BipartiteGraph, parts: int) -> tuple[int | None, tuple]:
+    """Exact girth from non-backtracking walk counts, None for a forest,
     and the walk's tier, root count, last level and peak nnz.
 
-    The roots are g's smaller side, the left side of h, and t = h^T; x
-    is h's roots x others block D, y = x^T and ``g.gram`` is x y.
-    W_l[r, v] counts the non-backtracking walks of length l from root r to
-    v: W_1 = x, W_2 = x y - diag(deg), and W_{l+1} = W_l s - W_{l-1}
-    diag(deg - 1), with s alternating y and x and deg taken on the side of
-    W_{l-1}'s columns. Balls of radius below g/2 are trees, so W_l is 0/1
-    for l < g/2, and a root on a shortest cycle has two walks to its
-    antipode at l = g/2: the girth is 2l for the first l with an entry
-    >= 2. Every cycle meets both sides, so these roots see them all, and
-    W_l dies out exactly when no cycle is reachable. The products take
-    the Gram block's form: dense float64 numpy, exact on these small
-    counts, or scipy sparse int64.
+    A graph of ``parts`` components is a forest iff |E| = |V| - parts,
+    and is not walked ("none" and zeros). Else the roots are the left
+    side of r in (r, t) = ``g._roots()``, x = D_r and xt = D_t = x^T.
+    W_l[v, root] counts the non-backtracking walks of length l between v
+    and a root: W_1 = xt, W_2 = ``g.gram`` - diag(deg), and W_(l+1) = s
+    W_l + diag(1 - deg) W_(l-1), the trace engine's step with L = I - deg
+    on the rows and s alternating xt and x. Balls of radius below g/2 are
+    trees, so W_l is 0/1 for l < g/2, and a root on a shortest cycle has
+    two walks to its antipode at l = g/2: the girth is 2l for the first l
+    with an entry >= 2. Every cycle meets both sides, so these roots see
+    them all. The blocks take the start form: dense float64 (exact on
+    these small counts) or scipy sparse int64.
     """
-    h, t = g._roots()
-    roots = h.left_count
-    degs = (np.diff(h.indptr), np.diff(t.indptr))  # roots', others'
-    dense = isinstance(g.gram, np.ndarray)
-    if dense:
-        x = h.dense()
-        y = x.T
-    else:
-        import scipy.sparse as sp
-
-        x, y = h.biadjacency, t.biadjacency
-    prev, cur = x, _plus_diagonal(g.gram, -degs[0])
-    level, peak, girth = 2, g.edge_count, None  # W_1 has |E| entries
+    if g.edge_count == g.node_count - parts:
+        return None, ("none", 0, 0, 0)
+    r, t = g._roots()
+    tier = _start_form(g)
+    x, xt = _forms(r, t, tier)
+    deg = np.diff(r.indptr)  # the roots'
+    steps = ((x, 1 - deg), (xt, 1 - np.diff(t.indptr)))
+    prev, cur = xt, _plus_diagonal(g.gram, -deg)
+    level, peak = 2, g.edge_count  # W_1 has |E| entries
     while True:
-        values = cur if dense else cur.data
-        nnz = np.count_nonzero(values)
-        peak = max(peak, nnz)
-        if not nnz:
-            break
+        values = cur if tier == "dense" else cur.data
+        peak = max(peak, np.count_nonzero(values))
         if values.max() >= 2:
-            girth = 2 * level
-            break
-        back = degs[(level - 1) % 2] - 1  # on the side of prev's columns
-        if dense:
-            back = prev * back
-        else:
-            back = sp.csr_array((prev.data * back[prev.indices], prev.indices,
-                                 prev.indptr), shape=prev.shape)
-        prev, cur = cur, cur @ (x if level % 2 == 0 else y) - back
+            return 2 * level, (tier, r.left_count, level, peak)
+        s, w = steps[(level + 1) % 2]  # W_(l+1) has W_(l-1)'s rows
+        prev, cur = cur, s @ cur + _scaled(prev, w)
         level += 1
-    return girth, ("dense" if dense else "sparse", roots, level, peak)
+
+
+def _start_form(g: BipartiteGraph) -> str:
+    """The form a graph's walk blocks start in: "dense" float64 numpy
+    while both sides are at most DENSE_MAX_SIZE, else "sparse" int64."""
+    return "dense" if max(g.shape) <= DENSE_MAX_SIZE else "sparse"
+
+
+def _forms(a: BipartiteGraph, b: BipartiteGraph, tier: str):
+    """D_a and D_a^T = D_b in the form of ``tier``: scipy int64, or dense
+    float64 or Python ints, read-only, so no chain scales D in place."""
+    if tier == "sparse":
+        return a.biadjacency, b.biadjacency
+    x = a.dense(np.float64 if tier == "dense" else object)
+    x.flags.writeable = False
+    return x, x.T
+
+
+def _rows(block, w: np.ndarray):
+    """w over the rows of block, shaped like its values."""
+    if isinstance(block, np.ndarray):
+        return w[:, None]
+    return np.repeat(w, np.diff(block.indptr))
+
+
+def _scaled(block, w: np.ndarray):
+    """diag(w) block; in place when the block's values are writable."""
+    values = block if isinstance(block, np.ndarray) else block.data
+    if values.flags.writeable:
+        values *= _rows(block, w)
+        return block
+    if isinstance(block, np.ndarray):
+        return block * w[:, None]
+    return type(block)((values * _rows(block, w), block.indices,
+                        block.indptr), shape=block.shape)
 
 
 def _plus_diagonal(block, w: np.ndarray):

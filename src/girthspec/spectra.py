@@ -128,7 +128,7 @@ def rank_of_biadjacency(g: BipartiteGraph, *,
     the 6-cycle's D has rank 3 over Q but 2 over GF(2). Rows are taken
     from the smaller side, so at most min(n, m) pivots are eliminated.
     """
-    rows = g if g.left_count <= g.right_count else g.transpose
+    rows, _ = g._roots()
     return _rank_mod_p([dict.fromkeys(nbrs, 1)
                         for nbrs in neighbor_lists(rows)], prime)
 

@@ -43,13 +43,32 @@ def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
     For each root, any non-tree edge (u, v) seen during BFS closes a walk of
     length dist(u) + dist(v) + 1 through the root. Minimizing over all roots
     is exact for graphs of even girth, which covers all bipartite inputs.
+    Roots in a component whose first BFS meets no non-tree edge, a tree,
+    are skipped: no cycle passes through them.
     """
     best: int | None = None
     n = len(adj)
     dist = [-1] * n
     parent = [-1] * n
+    cyclic = [None] * n
+    for start in range(n):
+        if cyclic[start] is not None:
+            continue
+        members, queue, closed = [start], deque([start]), False
+        cyclic[start] = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if cyclic[v] is None:
+                    cyclic[v], parent[v] = False, u
+                    members.append(v)
+                    queue.append(v)
+                elif v != parent[u]:
+                    closed = True
+        for v in members:
+            cyclic[v], parent[v] = closed, -1
     for root in range(n):
-        if not adj[root]:
+        if not cyclic[root]:
             continue
         touched = [root]
         dist[root] = 0
@@ -268,6 +287,25 @@ def symplectic_quadrangle_counts(q: int) -> dict[int, int]:
         assert trace % (2 * k) == 0
         counts[k] = trace // (2 * k)
     return counts
+
+
+def subdivision(g: BipartiteGraph) -> BipartiteGraph:
+    """S(g): left side V(g), with left node u as u and right node w as
+    left_count + w, and right side E(g), edge e joined to both its ends.
+    Its cycles are g's at twice the length, so N_2k(S(g)) = N_k(g)."""
+    n, edges = g.left_count, sorted(g.edges)
+    return BipartiteGraph.from_edges(g.node_count, len(edges), [
+        (end, e) for e, (u, w) in enumerate(edges) for end in (u, n + w)])
+
+
+def path_subdivision(g: BipartiteGraph) -> BipartiteGraph:
+    """g with each edge e = (u, w) replaced by the path u x_e y_e w, x_e a
+    new right node and y_e a new left node: g's sides, degrees d and 2,
+    and N_3k = N_k(g)."""
+    n, m, edges = g.left_count, g.right_count, sorted(g.edges)
+    return BipartiteGraph.from_edges(n + len(edges), m + len(edges), [
+        pair for e, (u, w) in enumerate(edges)
+        for pair in ((u, m + e), (n + e, m + e), (n + e, w))])
 
 
 # (left degree, right degree); the left side has the larger degree in some

@@ -29,6 +29,7 @@ from conftest import (
     array_code,
     configuration_model,
     disjoint_union,
+    subdivision,
     symplectic_quadrangle,
     symplectic_quadrangle_counts,
 )
@@ -420,6 +421,22 @@ class TestVerify:
             str(k): n for k, n in symplectic_quadrangle_counts(5).items()}
         assert report["cross_check_g_plus_4"] == 20280000
 
+    @pytest.mark.parametrize("q, routes", [
+        (2, ["transfer", "trace", "direct", "brute"]),
+        (3, ["transfer", "trace", "direct"])])
+    def test_subdivided_quadrangle_at_girth_16(self, capsys, tmp_path, q,
+                                               routes):
+        # S(W(q)): S(W(3))'s 320 edges are over brute's cap
+        path = tmp_path / "sw.el"
+        path.write_text(write_edge_list(subdivision(symplectic_quadrangle(q))))
+        code, report = run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 0 and report["agreement"]["ok"]
+        assert [r["name"] for r in report["routes"]] == routes
+        counts = symplectic_quadrangle_counts(q)
+        assert report["counts"] == {str(k): counts.get(k // 2, 0)
+                                    for k in range(16, 31, 2)}
+        assert report["cross_check_g_plus_4"] == counts[10]
+
     def test_skips_transfer_over_the_dense_cap(self, capsys, q4_el,
                                                monkeypatch):
         monkeypatch.setattr("girthspec.cli.DEFAULT_DENSE_CAP", 10)  # |V| = 16
@@ -608,6 +625,19 @@ class TestFreshProcess:
         assert got["code"] == 0 and got["scipy"]
         assert [r["name"] for r in got["report"]["routes"]] == [route]
         assert got["report"]["counts"] == counts
+
+    def test_forest_over_the_dense_cap_is_not_walked(self, tmp_path):
+        # a path on 5000 + 5000 nodes: no girth walk, so no sparse tier
+        t = 5000
+        assert t > DENSE_MAX_SIZE
+        path = tmp_path / "path.el"
+        path.write_text(f"{t} {t}\n" + "".join(
+            f"{i} {i}\n{i + 1} {i}\n" for i in range(t - 1))
+            + f"{t - 1} {t - 1}\n")
+        got = run_child(["count", "--input", str(path)])
+        assert got["code"] == 2 and not got["scipy"]
+        assert got["report"]["error"]["message"] == (
+            "forest input: no cycles to count")
 
     @pytest.mark.parametrize("mode", ["--json", "--table"])
     def test_closed_stdout_exits_141(self, q4_el, mode):

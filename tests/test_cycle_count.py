@@ -32,7 +32,9 @@ from girthspec.edge_matrix import EdgeSpectrum
 from conftest import (
     biregular_girth6_graphs,
     complete_bipartite_closed_form,
+    path_subdivision,
     random_bipartite,
+    subdivision,
     symplectic_quadrangle,
     symplectic_quadrangle_counts,
     unpruned_brute_force_counts,
@@ -223,6 +225,36 @@ class TestSymplecticQuadrangle:
         levels = [r.args[6] for r in caplog.records
                   if r.msg.startswith("power_traces")]
         assert len(levels) == 2 and not any("b" in s for s in levels)
+
+
+class TestSubdivisions:
+    """Girth 16 and 24: subdivisions of W(q) against W(q)'s closed form,
+    with the lengths mapped and 0 at every other length of the window.
+    Their girth walks run to levels 8 and 12."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_subdivision_doubles_every_length(self, q, caplog):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = subdivision(symplectic_quadrangle(q))
+        prof = profile(g)
+        assert (prof.girth, prof.d_v, prof.d_c) == (16, q + 1, 2)
+        assert " levels=8 " in caplog.records[0].getMessage()
+        counts = symplectic_quadrangle_counts(q)
+        expect = {k: counts.get(k // 2, 0) for k in range(16, 31, 2)}
+        assert transfer_counts(g).counts == expect
+        assert trace_power_counts(g).counts == expect
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_path_subdivision_triples_every_length(self, q, caplog):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = path_subdivision(symplectic_quadrangle(q))
+        prof = profile(g)
+        assert (prof.girth, prof.is_biregular) == (24, False)
+        assert " levels=12 " in caplog.records[0].getMessage()
+        counts = symplectic_quadrangle_counts(q)
+        expect = {k: counts.get(k // 3, 0) if k % 3 == 0 else 0
+                  for k in range(24, 47, 2)}
+        assert trace_power_counts(g).counts == expect
 
 
 class TestClosedForm:

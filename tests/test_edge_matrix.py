@@ -89,16 +89,17 @@ class TestBuildEdgeMatrix:
                 assert (i < e) != (j < e)
 
 
-# engine constants that leave each tier the only one open to small matrices
-FORCE = {"dense": {"DENSE_MAX_SIZE": 10 ** 9},
-         "sparse": {"DENSE_MAX_SIZE": 0},
-         "bigint": {"INT64_LIMIT": 1}}
+# constants, and their modules, that leave each tier the only one open to
+# small matrices
+FORCE = {"dense": (graph_core, {"DENSE_MAX_SIZE": 10 ** 9}),
+         "sparse": (graph_core, {"DENSE_MAX_SIZE": 0}),
+         "bigint": (edge_matrix, {"INT64_LIMIT": 1})}
 
 
 @contextmanager
 def forced(tier):
-    with mock.patch.multiple(edge_matrix, **FORCE[tier]), \
-            logged_tiers() as tiers:
+    module, values = FORCE[tier]
+    with mock.patch.multiple(module, **values), logged_tiers() as tiers:
         yield
     assert tiers == [tier]
 
@@ -158,9 +159,9 @@ class TestPowerTraces:
         mat = reference_matrix(g.dense(np.int64), loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
                   for j in range(top + 1)]
-        with mock.patch.multiple(edge_matrix, INT64_LIMIT=limit,
-                                 **FORCE[start]), \
-                mock.patch.multiple(graph_core, **FORCE[start]):
+        module, values = FORCE[start]
+        with mock.patch.multiple(edge_matrix, INT64_LIMIT=limit), \
+                mock.patch.multiple(module, **values):
             assert power_traces(g, loss, top) == expect
 
     def test_dense_tier_stops_at_2_53(self, caplog):
@@ -186,7 +187,7 @@ class TestPowerTraces:
         # limit moves it on, past a sparse tier of the same limit
         caplog.set_level(logging.DEBUG, logger="girthspec")
         if start == "sparse":
-            monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 0)
+            monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 0)
         g, loss = complete_bipartite(3, 3), np.zeros(6, dtype=np.int64)
         mat = reference_matrix(g.dense(np.int64), loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
@@ -207,7 +208,7 @@ class TestPowerTraces:
         d = tesseract()  # D is 8 x 8, every degree 4
         ihara_bass = np.full(16, -3)
         power_traces(d, ihara_bass, 3)
-        monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", 7)
+        monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 7)
         power_traces(d, ihara_bass, 3)
         # above every adjacency guard, the largest being level 3's: 64
         # entries times the recursive bound 4 * 4 squared; below the
@@ -310,7 +311,7 @@ class TestSparseTier:
                              ids=["array p=37", "irregular n=240"])
     def test_counts_equal_edge_matrix_traces(self, g):
         prof = profile(g)
-        assert max(g.left_count, g.right_count) > edge_matrix.DENSE_MAX_SIZE
+        assert max(g.left_count, g.right_count) > graph_core.DENSE_MAX_SIZE
         with logged_tiers() as tiers:
             cc = trace_power_counts(g)
         assert tiers == ["sparse"]

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     array_code,
     bipartite_graphs,
     configuration_model,
+    disjoint_union,
     edge_sets,
     line_parse_alist,
     line_parse_edge_list,
@@ -687,7 +689,6 @@ class TestProfileEquivalence:
     @pytest.mark.parametrize("g, record", [
         (complete_bipartite(3, 4), "roots=3 levels=2 peak_nnz=12"),
         (even_cycle(8), "roots=4 levels=4 peak_nnz=8"),
-        (path(6), "roots=3 levels=6 peak_nnz=5"),
     ])
     def test_logs_tier_roots_levels_and_peak(self, caplog, monkeypatch, g,
                                              record):
@@ -697,9 +698,58 @@ class TestProfileEquivalence:
             # a fresh graph per tier: the profile is cached on the graph
             profile(BipartiteGraph(g.left_count, g.right_count, g.indptr,
                                    g.indices))
-        # each of these graphs takes two hooking rounds
+        # each of these graphs is one component and takes two hooking rounds
         assert [r.getMessage() for r in caplog.records] == [
-            f"girth tier={tier} {record} hooks=2" for tier in GIRTH_TIERS]
+            f"girth tier={tier} {record} parts=1 hooks=2"
+            for tier in GIRTH_TIERS]
+
+    def test_logs_the_component_count(self, caplog):
+        # two 4-cycles and a 6-cycle, apart, and a node with no edge on
+        # each side: five components; W_1 has the 14 edges
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = disjoint_union(even_cycle(4), even_cycle(6), even_cycle(4),
+                           BipartiteGraph.from_edges(1, 1, []))
+        assert profile(g).girth == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "girth tier=dense roots=8 levels=2 peak_nnz=14 parts=5 hooks=2"]
+
+
+def random_tree(n: int, m: int, seed: int) -> BipartiteGraph:
+    """A random spanning tree on n + m nodes: after a first edge, each
+    node in a random order joins a random earlier node of the other side."""
+    rng = random.Random(seed)
+    rest = [(0, u) for u in range(1, n)] + [(1, w) for w in range(1, m)]
+    rng.shuffle(rest)
+    seen, edges = ([0], [0]), [(0, 0)]
+    for side, node in rest:
+        other = rng.choice(seen[1 - side])
+        edges.append((node, other) if side == 0 else (other, node))
+        seen[side].append(node)
+    return BipartiteGraph.from_edges(n, m, edges)
+
+
+class TestForests:
+    """A forest, |E| = |V| - components, is profiled with no walk level,
+    up to 20 000 nodes."""
+
+    @pytest.mark.parametrize("g, parts", [
+        (path(6), 1),
+        (path(20000), 1),
+        (random_tree(3000, 3000, seed=3), 1),
+        # a tree, a path, a star and 300 + 200 nodes with no edge
+        (disjoint_union(random_tree(150, 120, seed=4), path(400),
+                        complete_bipartite(1, 40),
+                        BipartiteGraph.from_edges(300, 200, [])), 503),
+    ], ids=["path-6", "path-20000", "tree-3000+3000", "forest-isolated"])
+    def test_equal_reference_without_a_level(self, caplog, g, parts):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        # a fresh graph: the profile is cached on the graph
+        g = BipartiteGraph(g.left_count, g.right_count, g.indptr, g.indices)
+        assert profile(g) == reference_profile(g)
+        assert profile(g).girth is None
+        [record] = caplog.records
+        assert re.fullmatch("girth tier=none roots=0 levels=0 peak_nnz=0 "
+                            rf"parts={parts} hooks=\d+", record.getMessage())
 
 
 class TestRandomBiregular:

@@ -25,7 +25,7 @@ from girthspec import (
     trace_power_counts,
     transfer_counts,
 )
-from girthspec import edge_matrix, spectral_transfer
+from girthspec import edge_matrix, graph_core, spectral_transfer
 from girthspec.cli import transfer_spectra
 from girthspec.edge_matrix import power_traces, trace_powers
 from girthspec.spectral_transfer import TransferParameters
@@ -337,7 +337,7 @@ class TestTransferCounts:
             2 * int(np.trace(np.linalg.matrix_power(b, t))) for t in range(1, 8)]
         tiers = {}
         for cap in (0, 10 ** 9):
-            monkeypatch.setattr(edge_matrix, "DENSE_MAX_SIZE", cap)
+            monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
             tiers[cap] = power_traces(g, np.zeros(g.node_count, dtype=np.int64),
                                       7)
             assert transfer_counts(g).counts == trace_counts(g)
