@@ -34,6 +34,7 @@ from .graph_core import (
     GraphProfile,
     complete_bipartite,
     even_cycle,
+    girth,
     profile,
     random_biregular,
     tesseract,

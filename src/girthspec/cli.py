@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     RouteInapplicableError,
 )
-from .graph_core import BipartiteGraph, profile
+from .graph_core import BipartiteGraph, girth, profile
 from .graph_io import parse_alist, parse_edge_list
 from .spectra import DEFAULT_DENSE_CAP, AdjacencySpectrum, adjacency_spectrum
 from .spectral_transfer import (
@@ -118,22 +118,23 @@ def _run_trace(g, args):
 
 
 def _run_direct(g, args):
-    girth = profile(g).girth
-    cycle_window_end(girth, args.max_k)  # before the eigensolve
+    cycle_window_end(girth(g), args.max_k)  # before the eigensolve
     es = edge_spectrum_direct(g, dense_cap=_cap(args, DEFAULT_DIRECT_CAP))
-    return counts_from_spectrum(es, girth, args.max_k), {"edge": es}
+    return counts_from_spectrum(es, girth(g), args.max_k), {"edge": es}
 
 
 def _run_brute(g, args):
-    max_k = (cycle_window_end(profile(g).girth, None) if args.max_k is None
+    max_k = (cycle_window_end(girth(g), None) if args.max_k is None
              else args.max_k)
     return brute_force_counts(g, max_k, _cap(args, DEFAULT_BRUTE_CAP)), {}
 
 
 # name -> run(g, args) -> (CycleCounts, spectra). A route that cannot
-# take a graph raises RouteInapplicableError before any work. Table order is
-# the order verify runs the routes in; the first route that runs is its
-# reference.
+# take a graph raises RouteInapplicableError before any work, bar an
+# invalid window on transfer: transfer reads the girth off its own traces
+# and refuses at level g/2, while the other routes read girth(g), the
+# walk. Table order is the order verify runs the routes in; the first
+# route that runs is its reference.
 ROUTES = {"transfer": _run_transfer, "trace": _run_trace,
           "direct": _run_direct, "brute": _run_brute}
 
@@ -172,7 +173,7 @@ def _report(args, fmt: str, g: BipartiteGraph, timings: list[dict],
             "edges": g.edge_count,
             "d_v": prof.d_v,
             "d_c": prof.d_c,
-            "girth": prof.girth,
+            "girth": cc.girth,
             "connected": prof.is_connected,
             "biregular": prof.is_biregular,
         },
@@ -206,8 +207,8 @@ def cmd_verify(args) -> int:
     g, fmt = load_graph(args.input, args.format)
     # up front, so that a refusal below is the route's own: brute has no
     # window and would otherwise count alone
-    girth = profile(g).girth
-    cycle_window_end(girth, args.max_k)
+    walked = girth(g)
+    cycle_window_end(walked, args.max_k)
     results: dict[str, CycleCounts] = {}
     timings = []
     extras: dict = {}  # what the routes gave besides counts
@@ -221,6 +222,10 @@ def cmd_verify(args) -> int:
 
     ks = sorted(set().union(*(cc.counts for cc in results.values())))
     diffs: dict[str, dict[str, int]] = {}
+    # transfer reads its girth off its own traces, the others take the walk's
+    girths = {r: cc.girth for r, cc in results.items()}
+    if set(girths.values()) != {walked}:
+        diffs["girth"] = {"walk": walked, **girths}
     reference = next(iter(results.values()))
     for k in ks:
         values = {r: cc.counts.get(k) for r, cc in results.items()}
@@ -231,10 +236,10 @@ def cmd_verify(args) -> int:
     if "adjacency" in extras:
         with suppress(RouteInapplicableError):  # null when it refuses
             cross = g_plus_4_cross_check(g, extras["adjacency"], reference)
-    spectral = reference.counts.get(girth + 4)
+    spectral = reference.counts.get(walked + 4)
     if None not in (cross, spectral) and cross != spectral:
-        diffs[str(girth + 4)] = {"tree_walk_cross_check": cross,
-                                 "spectral": spectral}
+        diffs[str(walked + 4)] = {"tree_walk_cross_check": cross,
+                                  "spectral": spectral}
 
     report = _report(args, fmt, g, timings, reference, diffs, extras)
     report["cross_check_g_plus_4"] = cross

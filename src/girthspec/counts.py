@@ -8,6 +8,8 @@ from .errors import NumericalError, RouteInapplicableError
 
 __all__ = ["CycleCounts", "counts_from_traces", "cycle_window_end"]
 
+FOREST = "forest input: no cycles to count"  # every route's refusal
+
 
 @dataclass(frozen=True)
 class CycleCounts:
@@ -28,7 +30,7 @@ def cycle_window_end(girth: int | None, max_k: int | None) -> int:
     length k are exactly the k-cycles, traversed both ways from each node;
     a forest (girth None) has no window."""
     if girth is None:
-        raise RouteInapplicableError("forest input: no cycles to count")
+        raise RouteInapplicableError(FOREST)
     if max_k is None:
         max_k = 2 * girth - 2
     if max_k % 2 or girth % 2 or not girth <= max_k <= 2 * girth - 2:

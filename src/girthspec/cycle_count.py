@@ -13,7 +13,8 @@ from __future__ import annotations
 import logging
 from math import comb
 
-from .counts import CycleCounts, cycle_window_end
+from . import graph_core
+from .counts import FOREST, CycleCounts, cycle_window_end
 from .edge_matrix import EdgeSpectrum
 from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import BipartiteGraph, neighbor_lists, profile
@@ -87,8 +88,8 @@ def brute_force_counts(g: BipartiteGraph, max_k: int,
         raise SizeCapError(f"|E| = {g.edge_count} exceeds brute-force cap {edge_cap}")
     if max_k < 4 or max_k % 2:
         raise RouteInapplicableError(f"max_k={max_k} must be an even integer >= 4")
-    if (girth := profile(g).girth) is None:
-        raise RouteInapplicableError("forest input: no cycles to count")
+    if (girth := graph_core.girth(g)) is None:
+        raise RouteInapplicableError(FOREST)
 
     # neighbors over combined ids: left node u is u, right node w is n + w
     n = g.left_count
@@ -209,7 +210,7 @@ def g_plus_4_cross_check(g_graph: BipartiteGraph, spec: AdjacencySpectrum,
     prof = profile(g_graph)
     if not (prof.is_biregular and prof.is_connected):
         raise RouteInapplicableError("cross-check needs a connected bi-regular graph")
-    g = prof.girth
+    g = graph_core.girth(g_graph)
     if g is None or g < 6:
         raise RouteInapplicableError("cross-check needs girth >= 6")
     if g not in n4_counts.counts or g + 2 not in n4_counts.counts:

@@ -26,6 +26,7 @@ with both signs, of the eigenvalues of the |E| x |E| product XY.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ import numpy as np
 from .counts import CycleCounts, counts_from_traces, cycle_window_end
 from .errors import NumericalError, SizeCapError
 from . import graph_core
+# profile stays bound though unused here: perfbench's traced pass wraps
+# each module's binding of it (perfbench/tracing.py)
 from .graph_core import (BipartiteGraph, _plus_diagonal, _rows, _scaled,
                          _start_form, profile)
 
@@ -112,10 +115,16 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
     return DirectedEdgeMatrix(2 * e, tuple(arcs), tuple(rows))
 
 
-def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
+def power_traces(g: BipartiteGraph, loss: np.ndarray,
+                 top: int | Callable[[list[int]], int | None]) -> list[int]:
     """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for the n x m
     biadjacency block D of a graph and L = diag(loss); tr(M^k) = 0 for odd
     k, as M is bipartite as a digraph.
+
+    ``top`` is the last level, or, with L = 0 only, a rule: after each
+    level c it is given the traces to tr(M^(2c)), all complete, as one
+    side runs, and returns the last level, at least c, or None while it
+    cannot tell yet. It is not called again once it has told.
 
     P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
     even c (S_c, T_c). Its W columns follow from T_0 = I, R_1 = D, T_2 =
@@ -139,16 +148,21 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
     moves its live blocks, exactly, to the next tier: sparse int64, then
     dense Python integers, which have no limit. The DEBUG record gives the
     highest tier that ran, each side's levels by the initial of their
-    tier, the limit of each tier that ran and, as ``peak=``, the largest
-    value a guard decided on. Where the recursive bound passed, that value
-    is the bound, which can sit 10-50 times above the largest number
-    formed (W(11)); the headroom under a limit needs the tight value.
+    tier, the limit of each tier that ran, as ``peak=`` the largest value
+    a guard decided on, and as ``girth=`` the level at which a rule told
+    the last level (g/2 for ``transfer_counts``), or - for an integer
+    top. Where the recursive bound passed, ``peak=`` is the bound, which
+    can sit 10-50 times above the largest number formed (W(11)); the
+    headroom under a limit needs the tight value.
     """
     n, m = g.shape
     # float64 is exact below 2^53; no tier's limit is above the next one's
     limits = {"dense": min(2 ** 53, INT64_LIMIT), "sparse": INT64_LIMIT}
     maxdeg = int(max(np.diff(g.indptr).max(), np.diff(g.transpose.indptr).max()))
     lmax = int(np.abs(loss).max())
+    rule = None if isinstance(top, int) else top
+    if rule is not None and lmax:
+        raise ValueError("a rule for the last level needs L = 0")
     weights = max(1, lmax) ** 2
     peak = 2 * (n + m)  # tr(M^0)
 
@@ -167,8 +181,9 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
              "U": (g.transpose, g, loss[n:], loss[:n])}
     if not lmax:
         sides = {gram_side: sides[gram_side]}
-    traces = [2 * (n + m)] + [0] * top
+    traces = [2 * (n + m)] + [0] * (0 if rule else top)
     short = len(sides) == 2 and top % 2 == 1
+    told = None  # the level at which the rule told the last one
     ran, levels = {start}, []
     for side, (a, b, lr, lc) in sides.items():  # on a's right side's columns
         if top and lc.any():  # T_0 = I: squares weighted by L_j, then L_i
@@ -179,7 +194,11 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
         x, xt, wr, wc = _forms(a, b, lr, lc, tier)
         prev = cur = None  # X_(c-2), X_(c-1) once formed
         b_prev, b_cur = 0, 1  # bounds on their largest |entry|
-        for c in range(1, top + 1 - (short and side == "U")):
+        c = 0
+        while (rule and told is None) or c < top - (short and side == "U"):
+            c += 1
+            if c == len(traces):  # a rule's chain grows level by level
+                traces.append(0)
             bound = maxdeg * b_cur + lmax * b_prev
             if c > 2 and tier in limits and bound >= limits[tier]:
                 b_prev, b_cur = _absmax(prev), _absmax(cur)
@@ -210,8 +229,9 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
                 new, cur = _in_tier(new, tier), _in_tier(cur, tier)
             dense = tier != "sparse"
             data = new if dense else new.data
-            traces[c] += int(np.vdot(data, data)) * (1 + (short and c == top))
-            if c < top and lc.any():  # squares weighted by L_j, then by L_i
+            traces[c] += int(np.vdot(data, data)) * (
+                1 + (len(sides) == 1 or short and c == top))
+            if lc.any() and c < top:  # squares weighted by L_j, then by L_i
                 t = data * data * (wc if dense else wc[new.indices])
                 traces[c + 1] += 2 * int(t.sum())
                 if c < top - 1:
@@ -219,16 +239,16 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray, top: int) -> list[int]:
             letters += tier[0]
             ran.add(tier)
             prev, cur, b_prev, b_cur = cur, new, b_cur, bound
+            if rule and told is None and (last := rule(traces)) is not None:
+                told, top = c, last
         levels.append(f"{side}:{letters}")
-    if len(sides) == 1:
-        traces[1:] = [2 * t for t in traces[1:]]
     ran = [t for t in TIERS if t in ran]
     log.debug("power_traces tier=%s form=%s shape=%s top=%d peak=%.3g "
-              "sides=%s levels=%s limits=%s", ran[-1],
+              "sides=%s levels=%s limits=%s girth=%s", ran[-1],
               "ihara-bass" if len(sides) == 2 else "adjacency", (n, m), top,
               peak, "".join(sorted(sides)), " ".join(levels),
               ",".join(f"{t}:{limits[t]:.4g}" if t in limits else f"{t}:none"
-                       for t in ran))
+                       for t in ran), "-" if told is None else told)
     return traces
 
 
@@ -281,7 +301,7 @@ def trace_power_counts(g: BipartiteGraph,
     Valid for any bipartite graph (irregular included); the window is
     capped at 2g - 2 because TBC walks and cycles part ways at length 2g.
     """
-    girth = profile(g).girth
+    girth = graph_core.girth(g)
     max_k = cycle_window_end(girth, max_k)
     traces = trace_powers(g, max_k)
     return counts_from_traces(girth, {k: traces[k]

@@ -16,12 +16,14 @@ the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
 pairs, is read only by the references the tests check the package
 against. ``gram``, the Gram block of the side ``_roots`` picks, is
 cached too. The walk-block tools the girth walk shares with the trace
-engine live here. ``profile`` reads everything off D: the degrees from
-the row pointers of D and D^T, the component count from labels set in
-numpy over the edge arrays, and, unless |E| = |V| - components (a
-forest), the exact girth from counts of non-backtracking walks (the
-walks A_e counts) rooted on the smaller side, one engine step per level,
-to depth g/2. It is cached on the graph, so every layer calls it.
+engine live here. ``profile`` reads the degrees from the row pointers of
+D and D^T and the component count from labels set in numpy over the edge
+arrays; |E| = |V| - components marks a forest. ``girth`` walks, unless
+the graph is a forest, counts of non-backtracking walks (the walks A_e
+counts) rooted on the smaller side, one engine step per level, to depth
+g/2. Both are cached on the graph as plain values that hold no
+reference back to it, so every layer calls them and a graph is freed
+without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "GraphProfile",
     "neighbor_lists",
     "profile",
+    "girth",
     "random_biregular",
     "complete_bipartite",
     "even_cycle",
@@ -161,16 +164,24 @@ class BipartiteGraph:
         left, right = np.diff(self.indptr), np.diff(self.transpose.indptr)
         biregular = bool(left.min() == left.max() and right.min() == right.max())
         parts, hooks = _components(self)
-        girth, walk = _girth(self, parts)
-        log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d parts=%d "
-                  "hooks=%d", *walk, parts, hooks)
+        log.debug("profile parts=%d hooks=%d", parts, hooks)
         return GraphProfile(
             is_connected=parts == 1,
             is_biregular=biregular,
             d_v=int(left[0]) if biregular else None,
             d_c=int(right[0]) if biregular else None,
-            girth=girth,
+            is_forest=self.edge_count == self.node_count - parts,
         )
+
+    @cached_property
+    def _walked_girth(self) -> int | None:
+        """What :func:`girth` returns, walked on first use."""
+        if self._profile.is_forest:
+            girth, walk = None, ("none", 0, 0, 0)
+        else:
+            girth, walk = _girth(self)
+        log.debug("girth tier=%s roots=%d levels=%d peak_nnz=%d", *walk)
+        return girth
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -213,7 +224,7 @@ class GraphProfile:
     is_biregular: bool
     d_v: int | None
     d_c: int | None
-    girth: int | None  # None marks infinite girth (forest)
+    is_forest: bool  # |E| = |V| - components: no cycle
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +261,21 @@ def _components(g: BipartiteGraph) -> tuple[int, int]:
             label, up = up, up[up]
 
 
-def _girth(g: BipartiteGraph, parts: int) -> tuple[int | None, tuple]:
-    """Exact girth from non-backtracking walk counts, None for a forest,
-    and the walk's tier, root count, last level and peak nnz.
+def _girth(g: BipartiteGraph) -> tuple[int, tuple]:
+    """Exact girth of a graph that is not a forest, from non-backtracking
+    walk counts, and the walk's tier, root count, last level and peak nnz.
 
-    A graph of ``parts`` components is a forest iff |E| = |V| - parts,
-    and is not walked ("none" and zeros). Else the roots are the left
-    side of r in (r, t) = ``g._roots()``, x = D_r and xt = D_t = x^T.
-    W_l[v, root] counts the non-backtracking walks of length l between v
-    and a root: W_1 = xt, W_2 = ``g.gram`` - diag(deg), and W_(l+1) = s
-    W_l + diag(1 - deg) W_(l-1), the trace engine's step with L = I - deg
-    on the rows and s alternating xt and x. Balls of radius below g/2 are
-    trees, so W_l is 0/1 for l < g/2, and a root on a shortest cycle has
-    two walks to its antipode at l = g/2: the girth is 2l for the first l
-    with an entry >= 2. Every cycle meets both sides, so these roots see
-    them all. The blocks take the start form: dense float64 (exact on
-    these small counts) or scipy sparse int64.
+    The roots are the left side of r in (r, t) = ``g._roots()``, x = D_r
+    and xt = D_t = x^T. W_l[v, root] counts the non-backtracking walks of
+    length l between v and a root: W_1 = xt, W_2 = ``g.gram`` - diag(deg),
+    and W_(l+1) = s W_l + diag(1 - deg) W_(l-1), the trace engine's step
+    with L = I - deg on the rows and s alternating xt and x. Balls of
+    radius below g/2 are trees, so W_l is 0/1 for l < g/2, and a root on a
+    shortest cycle has two walks to its antipode at l = g/2: the girth is
+    2l for the first l with an entry >= 2. Every cycle meets both sides,
+    so these roots see them all. The blocks take the start form: dense
+    float64 (exact on these small counts) or scipy sparse int64.
     """
-    if g.edge_count == g.node_count - parts:
-        return None, ("none", 0, 0, 0)
     r, t = g._roots()
     tier = _start_form(g)
     x, xt = _forms(r, t, tier)
@@ -348,10 +355,16 @@ def _plus_diagonal(block, w: np.ndarray):
 
 
 def profile(g: BipartiteGraph) -> GraphProfile:
-    """Connectivity, bi-regularity and exact girth, all read off the
+    """Connectivity, the forest flag and bi-regularity, all read off the
     biadjacency block D and its transpose; computed by the first call and
     cached on g, as D is read-only."""
     return g._profile
+
+
+def girth(g: BipartiteGraph) -> int | None:
+    """The exact girth, None for a forest (which is not walked); walked
+    by the first call and cached on g."""
+    return g._walked_girth
 
 
 # ---------------------------------------------------------------------------

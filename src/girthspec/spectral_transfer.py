@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CycleCounts, counts_from_traces, cycle_window_end
+from .counts import FOREST, CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
 from .graph_core import BipartiteGraph, profile
@@ -188,10 +188,16 @@ def _merge_equal(entries: list[tuple[complex, int]],
     return out
 
 
+def _edge_trace(poly: list[int], a: list[int], tail: int) -> int:
+    """tr(A_e^(2j)) = sum_t c_{j,t} a_t + tail, for p_j's coefficients."""
+    return sum(c * t for c, t in zip(poly, a)) + tail
+
+
 def transfer_counts(g: BipartiteGraph,
                     max_k: int | None = None) -> CycleCounts:
-    """Exact N_k for even k in [g, max_k] of any bi-regular graph; other
-    graphs and an invalid window are refused before any work.
+    """Exact N_k for even k in [g, max_k] of any bi-regular graph, and its
+    girth g, read off the same traces; other graphs and forests are
+    refused before any work, an invalid window at level g/2.
 
     With sides sorted so that d_v <= d_c, q1 = d_v - 1, q2 = d_c - 1, n the
     d_v side, m the d_c side, and c_{j,t} the coefficients of p_0 = 2,
@@ -199,22 +205,38 @@ def transfer_counts(g: BipartiteGraph,
     tr(A_e^{2j}) = sum_t c_{j,t} a_t + 2 (n - m)(-q1)^j + 2 (|E| - |V|),
     with a_t = tr(A^{2t}) = 2 tr((D^T D)^t) for t >= 1 and a_0 = 2m. The
     a_t come from ``power_traces`` with L = 0, which runs the smaller side,
-    the d_c side, alone."""
+    the d_c side, alone. tr(A_e^{2j}) counts closed non-backtracking walks,
+    so it is 0 for 2j < g and 2g N_g at 2j = g: the chain's rule stops it
+    at the first level c with a nonzero edge trace, g = 2c, and runs it on
+    to the window's end. A girth is at most 2 min(n, m), so a chain that
+    finds none by level min(n, m) has gone wrong and fails."""
     d_v, d_c, n, m = _sorted_sides(g)
-    girth = profile(g).girth
-    max_k = cycle_window_end(girth, max_k)
-
-    traces = power_traces(g, np.zeros(n + m, dtype=np.int64), max_k // 2)
-    traces[0] = 2 * m
+    if profile(g).is_forest:
+        raise RouteInapplicableError(FOREST)
 
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count
     s, r = q1 + q2, q1 * q2
-    prev, poly = [2], [-s, 1]  # p_0 and p_1, lowest coefficient first
-    edge_traces = {}
-    for j in range(1, max_k // 2 + 1):
-        if 2 * j >= girth:
-            edge_traces[2 * j] = (sum(c * tr for c, tr in zip(poly, traces))
-                                  + 2 * ((n - m) * (-q1) ** j + shift))
-        prev, poly = poly, [a - s * b - r * c for a, b, c in
-                            zip([0] + poly, poly + [0], prev + [0, 0])]
-    return counts_from_traces(girth, edge_traces)
+    polys = [[2], [-s, 1]]  # p_0 and p_1, lowest coefficient first
+
+    def edge_trace(traces: list[int], j: int) -> int:
+        while len(polys) <= j:
+            prev, poly = polys[-2:]
+            polys.append([a - s * b - r * c for a, b, c in
+                          zip([0] + poly, poly + [0], prev + [0, 0])])
+        return _edge_trace(polys[j], [2 * m, *traces[1:j + 1]],
+                           2 * ((n - m) * (-q1) ** j + shift))
+
+    def last_level(traces: list[int]) -> int | None:
+        c = len(traces) - 1
+        if edge_trace(traces, c):
+            return cycle_window_end(2 * c, max_k) // 2
+        if c >= min(n, m):
+            raise NumericalError(f"no nonzero edge trace by level {c} = "
+                                 "min(n, m), where every girth is met")
+        return None
+
+    traces = power_traces(g, np.zeros(n + m, dtype=np.int64), last_level)
+    edge_traces = {2 * j: edge_trace(traces, j) for j in range(1, len(traces))}
+    girth = min(k for k, t in edge_traces.items() if t)
+    return counts_from_traces(girth, {k: t for k, t in edge_traces.items()
+                                      if k >= girth})

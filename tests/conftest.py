@@ -26,6 +26,7 @@ from girthspec import (
     RouteInapplicableError,
     complete_bipartite,
     even_cycle,
+    girth,
     profile,
     random_biregular,
 )
@@ -37,7 +38,18 @@ from girthspec.graph_core import neighbor_lists
 ROW_SIDE_SHORT_ALIST = "2 2\n2 1\n2 2\n1 0\n1 2\n1 2\n1\n0\n"
 
 
-def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
+def reference_adjacency(g: BipartiteGraph) -> list[list[int]]:
+    """Adjacency lists built from ``g.edges`` pair by pair: left node u
+    has id u, right node w id left_count + w."""
+    n = g.left_count
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, w in g.edges:
+        adj[u].append(n + w)
+        adj[n + w].append(u)
+    return adj
+
+
+def reference_girth(g: BipartiteGraph) -> int | None:
     """Exact girth by a BFS from every node; None for forests.
 
     For each root, any non-tree edge (u, v) seen during BFS closes a walk of
@@ -46,6 +58,7 @@ def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
     Roots in a component whose first BFS meets no non-tree edge, a tree,
     are skipped: no cycle passes through them.
     """
+    adj = reference_adjacency(g)
     best: int | None = None
     n = len(adj)
     dist = [-1] * n
@@ -94,34 +107,33 @@ def reference_girth(adj: tuple[tuple[int, ...], ...]) -> int | None:
 
 
 def reference_profile(g: BipartiteGraph) -> GraphProfile:
-    """The profile read off adjacency lists built from ``g.edges`` by BFS
-    alone, with ``reference_girth``: what ``profile`` must equal on every
-    input. Left node u has id u, right node w id left_count + w."""
-    n = g.left_count
-    adj: list[list[int]] = [[] for _ in range(g.node_count)]
-    for u, w in g.edges:
-        adj[u].append(n + w)
-        adj[n + w].append(u)
+    """The profile read off ``reference_adjacency`` by BFS alone: what
+    ``profile`` must equal on every input. ``reference_girth`` is the
+    reference for ``girth``."""
+    adj = reference_adjacency(g)
     seen = [False] * g.node_count
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
+    parts = 0
+    for root in range(g.node_count):
+        if seen[root]:
+            continue
+        parts += 1
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+    n = g.left_count
     left = [len(a) for a in adj[:n]]
     right = [len(a) for a in adj[n:]]
     biregular = len(set(left)) == 1 and len(set(right)) == 1
     return GraphProfile(
-        is_connected=count == g.node_count,
+        is_connected=parts == 1,
         is_biregular=biregular,
         d_v=left[0] if biregular else None,
         d_c=right[0] if biregular else None,
-        girth=reference_girth(adj),
+        is_forest=g.edge_count == g.node_count - parts,
     )
 
 
@@ -136,7 +148,7 @@ def random_bipartite(rng: random.Random, max_side: int = 8,
         if not edges:
             continue
         g = BipartiteGraph.from_edges(n, m, edges)
-        if not require_cycle or profile(g).girth is not None:
+        if not require_cycle or girth(g) is not None:
             return g
 
 
@@ -149,9 +161,8 @@ def biregular_girth6_graphs(count: int, max_seed: int = 4000):
     while len(out) < count and seed < max_seed:
         n, m, d_v, d_c = families[seed % len(families)]
         g = random_biregular(n, m, d_v, d_c, seed=seed)
-        prof = profile(g)
-        if prof.girth is not None and prof.girth >= 6:
-            out.append((g, prof))
+        if (gi := girth(g)) is not None and gi >= 6:
+            out.append((g, profile(g)))
         seed += 1
     if len(out) < count:
         pytest.fail(f"only found {len(out)} girth>=6 bi-regular graphs")
@@ -216,6 +227,13 @@ def logged_tiers():
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
+
+
+def walk_record(caplog) -> str:
+    """The message of the one girth walk record among those captured."""
+    [message] = [r.getMessage() for r in caplog.records
+                 if r.msg.startswith("girth tier=")]
+    return message
 
 
 def array_code(p: int, k: int) -> BipartiteGraph:
@@ -493,7 +511,7 @@ def unpruned_brute_force_counts(g: BipartiteGraph, max_k: int) -> CycleCounts:
     It refuses what ``brute_force_counts`` refuses, bar the size cap."""
     if max_k < 4 or max_k % 2:
         raise RouteInapplicableError(f"max_k={max_k} must be an even integer >= 4")
-    if (girth := profile(g).girth) is None:
+    if (shortest := girth(g)) is None:
         raise RouteInapplicableError("forest input: no cycles to count")
 
     # neighbors over combined ids: left node u is u, right node w is n + w
@@ -519,8 +537,8 @@ def unpruned_brute_force_counts(g: BipartiteGraph, max_k: int) -> CycleCounts:
         on_path[s] = False
 
     counts: dict[int, int] = {}
-    for k in range(girth, max_k + 1, 2):
+    for k in range(shortest, max_k + 1, 2):
         if raw[k] % 2:
             raise NumericalError("cycle enumeration parity broken")
         counts[k] = raw[k] // 2
-    return CycleCounts(girth=girth, counts=counts)
+    return CycleCounts(girth=shortest, counts=counts)

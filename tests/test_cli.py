@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import logging
@@ -14,7 +15,7 @@ from girthspec import (
     CycleCounts,
     complete_bipartite,
     even_cycle,
-    profile,
+    girth,
     random_biregular,
     tesseract,
     write_alist,
@@ -79,7 +80,7 @@ def girth6_el(tmp_path):
     seed = 0
     while True:
         g = random_biregular(9, 6, 2, 3, seed=seed)
-        if (gi := profile(g).girth) is not None and gi >= 6:
+        if (gi := girth(g)) is not None and gi >= 6:
             break
         seed += 1
     path = tmp_path / "g6.el"
@@ -207,13 +208,33 @@ class TestCount:
 
     @pytest.mark.parametrize("argv", [["verify"], ["count", "--emit-spectra"]])
     def test_one_girth_walk_per_run(self, capsys, caplog, q4_el, argv):
+        # a count by transfer reads the girth off its own traces
         caplog.set_level(logging.DEBUG, logger="girthspec")
+        per_run = argv[0] == "verify"
         for run in (1, 2):
             code, _ = run_json(capsys, [argv[0], "--input", q4_el, *argv[1:]])
             assert code == 0
             walks = [r for r in caplog.records
                      if r.getMessage().startswith("girth tier=")]
-            assert len(walks) == run
+            assert len(walks) == run * per_run
+
+    @pytest.mark.parametrize("argv, walks", [
+        (["count"], 0), (["count", "--emit-spectra"], 0),
+        (["count", "--route", "transfer"], 0),
+        (["count", "--route", "transfer", "--emit-spectra"], 0),
+        (["count", "--route", "trace"], 1), (["count", "--route", "direct"], 1),
+        (["count", "--route", "brute"], 1), (["verify"], 1)])
+    def test_girth_walks_per_route(self, capsys, caplog, q4_el, argv, walks):
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        code, report = run_json(capsys, [argv[0], "--input", q4_el, *argv[1:]])
+        assert code == 0 and report["profile"]["girth"] == 4
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum(m.startswith("girth tier=") for m in messages) == walks
+        # transfer's chain, in every run but trace, direct and brute, names
+        # the level where it met the girth
+        chains = [m for m in messages if " form=adjacency " in m]
+        assert [m.endswith(" girth=2") for m in chains] == [True] * (
+            walks == 0 or argv[0] == "verify")
 
     def test_emit_spectra(self, capsys, q4_el):
         code, report = run_json(capsys, ["count", "--input", q4_el,
@@ -488,6 +509,21 @@ class TestVerify:
         assert code == 0 and report["agreement"]["ok"]
         assert [r["name"] for r in report["routes"]] == ["transfer", "trace"]
         assert reached(calls) == {"svd": True, "eigvals": False, "dfs": False}
+
+    def test_flags_a_transfer_girth_off_the_walk(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # C8, which the float transfer refuses: the transfer's counts stay
+        # right, so the girth is the one diff
+        path = tmp_path / "c8.el"
+        path.write_text(write_edge_list(even_cycle(8)))
+        real = cli.transfer_counts
+        monkeypatch.setattr(cli, "transfer_counts", lambda g, max_k: (
+            dataclasses.replace(real(g, max_k), girth=6)))
+        code, report = run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 1
+        assert report["agreement"]["diffs"] == {"girth": {
+            "walk": 8, "transfer": 6, "trace": 8, "direct": 8, "brute": 8}}
+        assert report["counts"] == {"8": 1, "10": 0, "12": 0, "14": 0}
 
     def test_corrupted_input_fixture(self, capsys, tmp_path):
         # edge list whose declared shape cannot parse

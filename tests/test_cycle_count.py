@@ -19,6 +19,7 @@ from girthspec import (
     edge_spectrum_direct,
     even_cycle,
     g_plus_4_cross_check,
+    girth,
     profile,
     random_biregular,
     tesseract,
@@ -34,10 +35,12 @@ from conftest import (
     complete_bipartite_closed_form,
     path_subdivision,
     random_bipartite,
+    reference_girth,
     subdivision,
     symplectic_quadrangle,
     symplectic_quadrangle_counts,
     unpruned_brute_force_counts,
+    walk_record,
 )
 
 
@@ -63,7 +66,7 @@ def small_graphs(draw):
 def float_transfer_counts(g):
     """Counts by the paper's float pipeline, as the CLI runs it."""
     _, es = transfer_spectra(g)
-    return counts_from_spectrum(es, profile(g).girth)
+    return counts_from_spectrum(es, girth(g))
 
 
 class TestCountsFromSpectrum:
@@ -156,7 +159,7 @@ class TestBruteForce:
     def test_tutte_8_cage(self):
         # W(2): girth 8, so 14 = 2g - 2 ends every route's window
         g = symplectic_quadrangle(2)
-        assert profile(g).girth == 8 and profile(g).d_v == profile(g).d_c == 3
+        assert girth(g) == 8 and profile(g).d_v == profile(g).d_c == 3
         expected = {8: 90, 10: 72, 12: 300, 14: 1080}
         assert symplectic_quadrangle_counts(2) == expected
         assert brute_force_counts(g, max_k=14).counts == expected
@@ -209,7 +212,7 @@ class TestSymplecticQuadrangle:
         points = (q + 1) * (q * q + 1)
         prof = profile(g)
         assert g.left_count == g.right_count == points
-        assert (prof.girth, prof.d_v, prof.d_c) == (8, q + 1, q + 1)
+        assert (girth(g), prof.d_v, prof.d_c) == (8, q + 1, q + 1)
         assert prof.is_connected
         counts = symplectic_quadrangle_counts(q)
         assert counts == dict(zip((8, 10, 12, 14), expected))
@@ -219,8 +222,11 @@ class TestSymplecticQuadrangle:
         assert counts[8] == (points * (points - 1 - q * (q + 1)) // 2
                              * math.comb(q + 1, 2) // 2)
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        assert transfer_counts(g).counts == counts
+        cc = transfer_counts(g)
+        assert cc.counts == counts
         assert trace_power_counts(g).counts == counts
+        # the BFS reference takes 5 s on W(11); its girth is 8 by the above
+        assert cc.girth == girth(g) == (8 if q == 11 else reference_girth(g))
         # every level's guard stays under INT64_LIMIT: no level leaves int64
         levels = [r.args[6] for r in caplog.records
                   if r.msg.startswith("power_traces")]
@@ -237,20 +243,21 @@ class TestSubdivisions:
         caplog.set_level(logging.DEBUG, logger="girthspec")
         g = subdivision(symplectic_quadrangle(q))
         prof = profile(g)
-        assert (prof.girth, prof.d_v, prof.d_c) == (16, q + 1, 2)
-        assert " levels=8 " in caplog.records[0].getMessage()
+        assert (girth(g), prof.d_v, prof.d_c) == (16, q + 1, 2)
+        assert " levels=8 " in walk_record(caplog)
         counts = symplectic_quadrangle_counts(q)
         expect = {k: counts.get(k // 2, 0) for k in range(16, 31, 2)}
-        assert transfer_counts(g).counts == expect
+        cc = transfer_counts(g)
+        assert cc.counts == expect
+        assert cc.girth == girth(g) == reference_girth(g)
         assert trace_power_counts(g).counts == expect
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_path_subdivision_triples_every_length(self, q, caplog):
         caplog.set_level(logging.DEBUG, logger="girthspec")
         g = path_subdivision(symplectic_quadrangle(q))
-        prof = profile(g)
-        assert (prof.girth, prof.is_biregular) == (24, False)
-        assert " levels=12 " in caplog.records[0].getMessage()
+        assert (girth(g), profile(g).is_biregular) == (24, False)
+        assert " levels=12 " in walk_record(caplog)
         counts = symplectic_quadrangle_counts(q)
         expect = {k: counts.get(k // 3, 0) if k % 3 == 0 else 0
                   for k in range(24, 47, 2)}
@@ -271,7 +278,7 @@ class TestClosedForm:
     @settings(max_examples=30)
     def test_matches_brute_force(self, m, n):
         g = complete_bipartite(m, n)
-        if profile(g).girth is None:
+        if girth(g) is None:
             assert complete_bipartite_closed_form(m, n, 4) == 0
             return
         cc = brute_force_counts(g, max_k=6)
@@ -299,7 +306,7 @@ class TestTreeWalkCount:
         # tr(A^l) = n*S(dv,dc,l) + m*S(dc,dv,l) whenever girth > l
         for g, prof in biregular_girth6_graphs(6):
             spec = adjacency_spectrum(g)
-            for ell in range(2, prof.girth, 2):
+            for ell in range(2, girth(g), 2):
                 expect = (g.left_count * tree_walk_count(prof.d_v, prof.d_c, ell)
                           + g.right_count * tree_walk_count(prof.d_c, prof.d_v, ell))
                 assert round(spec.power_sum(ell)) == expect
@@ -308,10 +315,10 @@ class TestTreeWalkCount:
 
 class TestGPlus4CrossCheck:
     def test_agrees_with_spectral_route(self):
-        for g, prof in biregular_girth6_graphs(8):
+        for g, _ in biregular_girth6_graphs(8):
             cc = float_transfer_counts(g)
             assert g_plus_4_cross_check(g, adjacency_spectrum(g), cc) == \
-                cc.counts[prof.girth + 4]
+                cc.counts[girth(g) + 4]
 
     def test_refuses_girth_four(self):
         g = complete_bipartite(3, 4)
@@ -320,9 +327,9 @@ class TestGPlus4CrossCheck:
             g_plus_4_cross_check(g, adjacency_spectrum(g), cc)
 
     def test_needs_lower_counts(self):
-        for g, prof in biregular_girth6_graphs(1):
+        for g, _ in biregular_girth6_graphs(1):
             cc = float_transfer_counts(g)
-            partial = type(cc)(girth=cc.girth, counts={prof.girth: cc.counts[prof.girth]})
+            partial = type(cc)(girth=cc.girth, counts={girth(g): cc.counts[girth(g)]})
             with pytest.raises(RouteInapplicableError, match="N_g"):
                 g_plus_4_cross_check(g, adjacency_spectrum(g), partial)
 
@@ -335,7 +342,7 @@ class TestRouteAgreement:
             a = float_transfer_counts(g).counts
             b = trace_power_counts(g).counts
             c = counts_from_spectrum(edge_spectrum_direct(g),
-                                     profile(g).girth).counts
+                                     girth(g)).counts
             d = brute_force_counts(g, max_k=max(a)).counts
             e = transfer_counts(g).counts
             assert a == b == c == e == {k: d[k] for k in a}

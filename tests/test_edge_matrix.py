@@ -17,6 +17,7 @@ from girthspec import (
     complete_bipartite,
     edge_spectrum_direct,
     even_cycle,
+    girth,
     profile,
     tesseract,
     trace_power_counts,
@@ -120,6 +121,31 @@ def engine_records(caplog):
     return [r for r in caplog.records if r.msg.startswith("power_traces")]
 
 
+def adjacency_chain(g, top):
+    """power_traces with L = 0 to ``top``, a level or a rule, and the args
+    of its DEBUG record."""
+    with mock.patch.object(edge_matrix.log, "debug") as debug:
+        traces = power_traces(g, np.zeros(g.node_count, dtype=np.int64), top)
+    [call] = debug.call_args_list
+    return traces, call.args[1:]
+
+
+def assert_rule_runs_its_top(g, told, last):
+    """A rule that tells the last level at level ``told`` gives the traces
+    and the DEBUG record of the integer top ``last``, bar ``girth=``; at
+    each level it is given the traces so far, complete."""
+    fixed, fixed_args = adjacency_chain(g, last)
+
+    def rule(traces):
+        assert traces == fixed[:len(traces)]
+        return last if len(traces) - 1 == told else None
+
+    ruled, ruled_args = adjacency_chain(g, rule)
+    assert ruled == fixed
+    assert ruled_args[:-1] == fixed_args[:-1]  # tiers, top, peak, levels
+    assert (ruled_args[-1], fixed_args[-1]) == (told, "-")
+
+
 @st.composite
 def engine_inputs(draw):
     """A graph and a signed diagonal L, zero in some draws (the adjacency
@@ -164,6 +190,31 @@ class TestPowerTraces:
                 mock.patch.multiple(module, **values):
             assert power_traces(g, loss, top) == expect
 
+    @pytest.mark.parametrize("tier", FORCE)
+    @given(bipartite_graphs(), st.integers(1, 4), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_a_rule_runs_the_chain_of_its_top(self, tier, g, told, extra):
+        module, values = FORCE[tier]
+        with mock.patch.multiple(module, **values):
+            assert_rule_runs_its_top(g, told, told + extra)
+
+    @given(bipartite_graphs(), st.integers(1, 4), st.integers(0, 2),
+           st.integers(1, 400), st.sampled_from(["dense", "sparse"]))
+    @example(complete_bipartite(3, 3), 2, 3, 50, "dense")
+    @example(tesseract(), 3, 0, 100, "sparse")
+    @settings(max_examples=80, deadline=None)
+    def test_a_rule_climbs_as_its_top_does(self, g, told, extra, limit, start):
+        # the patched limits of test_levels_climb_mid_chain_exactly
+        module, values = FORCE[start]
+        with mock.patch.multiple(edge_matrix, INT64_LIMIT=limit), \
+                mock.patch.multiple(module, **values):
+            assert_rule_runs_its_top(g, told, told + extra)
+
+    def test_a_rule_needs_l_zero(self):
+        # with L != 0 the two sides' traces are complete only at the end
+        with pytest.raises(ValueError, match="needs L = 0"):
+            power_traces(tesseract(), np.full(16, -3), lambda traces: 3)
+
     def test_dense_tier_stops_at_2_53(self, caplog):
         # K_{3,3} and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j for j >= 1;
         # 9^j is odd, so float64 cannot hold it from 2^53 on (j = 17); int64
@@ -201,7 +252,7 @@ class TestPowerTraces:
             [record] = engine_records(caplog)
             assert record.args[0] == ("bigint" if "b" in levels else start)
             assert record.args[4] == 9 ** 5
-            assert record.args[5:] == ("U", "U:" + levels, ran)
+            assert record.args[5:] == ("U", "U:" + levels, ran, "-")
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
@@ -223,10 +274,10 @@ class TestPowerTraces:
             ("bigint", "ihara-bass"), ("sparse", "adjacency")]
         assert {r.args[2:4] for r in records} == {((8, 8), 3)}
         assert [r.args[5:] for r in records] == [
-            ("UW", "W:ddd U:dd", "dense:9.007e+15"),
-            ("UW", "W:sss U:ss", "sparse:4.612e+18"),
-            ("UW", "W:ssb U:ss", "sparse:1.638e+04,bigint:none"),
-            ("U", "U:sss", "sparse:1.638e+04")]
+            ("UW", "W:ddd U:dd", "dense:9.007e+15", "-"),
+            ("UW", "W:sss U:ss", "sparse:4.612e+18", "-"),
+            ("UW", "W:ssb U:ss", "sparse:1.638e+04,bigint:none", "-"),
+            ("U", "U:sss", "sparse:1.638e+04", "-")]
         # the largest guard met: under each limit, unless a level moved up
         peaks = [r.args[4] for r in records]
         assert peaks[0] < 2 ** 53 and peaks[1] < 2 ** 62
@@ -234,7 +285,7 @@ class TestPowerTraces:
         assert records[0].getMessage().startswith(
             "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 peak=")
         assert records[0].getMessage().endswith(
-            " sides=UW levels=W:ddd U:dd limits=dense:9.007e+15")
+            " sides=UW levels=W:ddd U:dd limits=dense:9.007e+15 girth=-")
 
 
 class TestTracePowers:
@@ -322,9 +373,9 @@ class TestSparseTier:
                            shape=(em.arc_count, em.arc_count))
         walks = np.eye(em.arc_count, dtype=np.int64)
         expect = {}
-        for k in range(1, 2 * prof.girth - 1):
+        for k in range(1, 2 * girth(g) - 1):
             walks = a_e @ walks
-            if k >= prof.girth and k % 2 == 0:
+            if k >= girth(g) and k % 2 == 0:
                 expect[k] = int(walks.trace()) // (2 * k)
         assert cc.counts == expect
         if prof.is_biregular:

@@ -1,7 +1,9 @@
+import gc
 import logging
 import random
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from girthspec import (
     ParseError,
     complete_bipartite,
     even_cycle,
+    girth,
     parse_alist,
     parse_edge_list,
     profile,
     random_biregular,
     tesseract,
+    transfer_counts,
     write_alist,
     write_edge_list,
 )
@@ -34,9 +38,17 @@ from conftest import (
     edge_sets,
     line_parse_alist,
     line_parse_edge_list,
+    reference_girth,
     reference_profile,
     stored_edges,
 )
+
+
+def assert_reference(g: BipartiteGraph) -> None:
+    """``profile`` and ``girth`` against the BFS references in conftest."""
+    assert profile(g) == reference_profile(g)
+    assert girth(g) == reference_girth(g)
+
 
 # DENSE_MAX_SIZE values that leave each girth tier the only one open
 GIRTH_TIERS = {"dense": 10 ** 9, "sparse": 0}
@@ -500,24 +512,27 @@ class TestWriters:
 
 class TestProfile:
     def test_k34(self):
-        prof = profile(complete_bipartite(3, 4))
-        assert prof.girth == 4
-        assert prof.is_biregular and prof.is_connected
+        g = complete_bipartite(3, 4)
+        prof = profile(g)
+        assert girth(g) == 4
+        assert prof.is_biregular and prof.is_connected and not prof.is_forest
 
     def test_single_edge_is_forest(self):
-        prof = profile(BipartiteGraph.from_edges(1, 1, [(0, 0)]))
-        assert prof.girth is None
-        assert prof.is_connected
+        g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
+        prof = profile(g)
+        assert girth(g) is None
+        assert prof.is_connected and prof.is_forest
 
     def test_tesseract(self):
-        prof = profile(tesseract())
-        assert prof.girth == 4
+        g = tesseract()
+        prof = profile(g)
+        assert girth(g) == 4
         assert (prof.d_v, prof.d_c) == (4, 4)
         assert prof.is_connected
 
     def test_even_cycle_girth(self):
         for length in (4, 6, 8, 10):
-            assert profile(even_cycle(length)).girth == length
+            assert girth(even_cycle(length)) == length
 
     def test_disconnected(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
@@ -533,24 +548,42 @@ class TestProfile:
         caplog.set_level(logging.DEBUG, logger="girthspec")
         g = tesseract()
         assert profile(g) is profile(g)
+        assert girth(g) == girth(g) == 4
+        # one profile, one girth walk
         assert [r.getMessage()[:11] for r in caplog.records] == [
-            "girth tier="]  # one girth walk
+            "profile par", "girth tier="]
         fresh = BipartiteGraph(g.left_count, g.right_count, g.indptr,
                                g.indices)
         assert profile(fresh) is not profile(g)
         assert profile(fresh) == profile(g)
+        assert girth(fresh) == girth(g)
+
+    @pytest.mark.parametrize("make", [tesseract, lambda: array_code(37, 6)],
+                             ids=["dense", "sparse"])
+    def test_freed_without_the_cyclic_collector(self, make):
+        # nothing cached on a graph refers back to it, so reference counts
+        # alone free it
+        g = make()
+        profile(g), girth(g), transfer_counts(g), g.gram, g.biadjacency
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @given(bipartite_graphs())
     def test_girth_even_or_infinite(self, g):
-        girth = profile(g).girth
-        assert girth is None or (girth % 2 == 0 and girth >= 4)
+        gi = girth(g)
+        assert gi is None or (gi % 2 == 0 and gi >= 4)
 
     def test_two_cycles_sharing_nothing(self):
         # union of a 4-cycle and a 6-cycle, disjoint
         g4, g6 = even_cycle(4), even_cycle(6)
         edges = set(g4.edges) | {(u + 2, w + 2) for u, w in g6.edges}
         g = BipartiteGraph.from_edges(5, 5, edges)
-        assert profile(g).girth == 4
+        assert girth(g) == 4
 
 
 def relabelled_walk(us: list[int], ws: list[int],
@@ -593,13 +626,14 @@ class TestConnectivity:
     @pytest.mark.parametrize("order", WALK_ORDERS)
     def test_relabelled_walks(self, order, closed):
         g = relabelled_walk(*WALK_ORDERS[order](150), closed)
-        assert profile(g) == reference_profile(g)
+        assert_reference(g)
         assert profile(g).is_connected
 
     @pytest.mark.parametrize("order", WALK_ORDERS)
     def test_long_relabelled_paths(self, order):
         g = relabelled_walk(*WALK_ORDERS[order](1000), False)
-        assert profile(g) == GraphProfile(True, False, None, None, None)
+        assert profile(g) == GraphProfile(True, False, None, None, True)
+        assert girth(g) is None
 
     @pytest.mark.parametrize("order", WALK_ORDERS)
     def test_node_0_isolated(self, order):
@@ -609,7 +643,7 @@ class TestConnectivity:
             walk = relabelled_walk(us, ws, closed)
             g = BipartiteGraph.from_edges(41, 40, [(u + 1, w)
                                                    for u, w in walk.edges])
-            assert profile(g) == reference_profile(g)
+            assert_reference(g)
             assert not profile(g).is_connected
 
     @pytest.mark.parametrize("seed", range(3))
@@ -628,12 +662,12 @@ class TestConnectivity:
                 c, d = next(us), next(ws)
                 edges += [(c, b), (c, d)] + [(a, d)] * (kind == 2)
         g = BipartiteGraph.from_edges(100, 100, edges)
-        assert profile(g) == reference_profile(g)
+        assert_reference(g)
         assert not profile(g).is_connected
         random.Random(seed).shuffle(heads)
         joins = [(a, d) for (a, _), (_, d) in zip(heads, heads[1:])]
         g = BipartiteGraph.from_edges(100, 100, edges + joins)
-        assert profile(g) == reference_profile(g)
+        assert_reference(g)
         assert profile(g).is_connected
 
     @pytest.mark.parametrize("g, connected", [
@@ -647,7 +681,7 @@ class TestConnectivity:
                                    + [(u, 0) for u in range(16)]), True),
     ], ids=["K1,30", "K30,1", "left 0 alone", "right 0 alone", "two stars"])
     def test_stars(self, g, connected):
-        assert profile(g) == reference_profile(g)
+        assert_reference(g)
         assert profile(g).is_connected == connected
 
 
@@ -660,31 +694,36 @@ class TestProfileEquivalence:
     def test_equals_reference(self, tier, g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
-            assert profile(g) == reference_profile(g)
+            assert_reference(g)
 
     @pytest.mark.parametrize("tier", GIRTH_TIERS)
     @pytest.mark.parametrize("length", range(4, 42, 2))
     def test_even_cycles(self, monkeypatch, tier, length):
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
         g = even_cycle(length)
-        assert profile(g) == reference_profile(g)
-        assert profile(g).girth == length
+        assert_reference(g)
+        assert girth(g) == length
 
     @pytest.mark.parametrize("tier", GIRTH_TIERS)
     def test_tesseract(self, monkeypatch, tier):
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
-        assert profile(tesseract()) == reference_profile(tesseract())
+        assert_reference(tesseract())
 
     # large inputs, checked against their known profiles
     def test_cycle_2000(self):
-        assert profile(even_cycle(2000)) == GraphProfile(True, True, 2, 2, 2000)
+        g = even_cycle(2000)
+        assert profile(g) == GraphProfile(True, True, 2, 2, False)
+        assert girth(g) == 2000
 
     def test_path_2000(self):
-        assert profile(path(2000)) == GraphProfile(True, False, None, None, None)
+        g = path(2000)
+        assert profile(g) == GraphProfile(True, False, None, None, True)
+        assert girth(g) is None
 
     def test_k300_300(self):
-        assert profile(complete_bipartite(300, 300)) == GraphProfile(
-            True, True, 300, 300, 4)
+        g = complete_bipartite(300, 300)
+        assert profile(g) == GraphProfile(True, True, 300, 300, False)
+        assert girth(g) == 4
 
     @pytest.mark.parametrize("g, record", [
         (complete_bipartite(3, 4), "roots=3 levels=2 peak_nnz=12"),
@@ -695,13 +734,14 @@ class TestProfileEquivalence:
         caplog.set_level(logging.DEBUG, logger="girthspec")
         for tier, cap in GIRTH_TIERS.items():
             monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
-            # a fresh graph per tier: the profile is cached on the graph
-            profile(BipartiteGraph(g.left_count, g.right_count, g.indptr,
-                                   g.indices))
-        # each of these graphs is one component and takes two hooking rounds
+            # a fresh graph per tier: the girth is cached on the graph
+            girth(BipartiteGraph(g.left_count, g.right_count, g.indptr,
+                                 g.indices))
+        # each of these graphs is one component and takes two hooking
+        # rounds; the walk reads the forest flag off the profile first
         assert [r.getMessage() for r in caplog.records] == [
-            f"girth tier={tier} {record} parts=1 hooks=2"
-            for tier in GIRTH_TIERS]
+            message for tier in GIRTH_TIERS for message in (
+                "profile parts=1 hooks=2", f"girth tier={tier} {record}")]
 
     def test_logs_the_component_count(self, caplog):
         # two 4-cycles and a 6-cycle, apart, and a node with no edge on
@@ -709,9 +749,10 @@ class TestProfileEquivalence:
         caplog.set_level(logging.DEBUG, logger="girthspec")
         g = disjoint_union(even_cycle(4), even_cycle(6), even_cycle(4),
                            BipartiteGraph.from_edges(1, 1, []))
-        assert profile(g).girth == 4
+        assert girth(g) == 4
         assert [r.getMessage() for r in caplog.records] == [
-            "girth tier=dense roots=8 levels=2 peak_nnz=14 parts=5 hooks=2"]
+            "profile parts=5 hooks=2",
+            "girth tier=dense roots=8 levels=2 peak_nnz=14"]
 
 
 def random_tree(n: int, m: int, seed: int) -> BipartiteGraph:
@@ -743,13 +784,15 @@ class TestForests:
     ], ids=["path-6", "path-20000", "tree-3000+3000", "forest-isolated"])
     def test_equal_reference_without_a_level(self, caplog, g, parts):
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        # a fresh graph: the profile is cached on the graph
+        # a fresh graph: the profile and girth are cached on the graph
         g = BipartiteGraph(g.left_count, g.right_count, g.indptr, g.indices)
-        assert profile(g) == reference_profile(g)
-        assert profile(g).girth is None
-        [record] = caplog.records
-        assert re.fullmatch("girth tier=none roots=0 levels=0 peak_nnz=0 "
-                            rf"parts={parts} hooks=\d+", record.getMessage())
+        assert_reference(g)
+        assert profile(g).is_forest and girth(g) is None
+        profiled, walked = caplog.records
+        assert re.fullmatch(rf"profile parts={parts} hooks=\d+",
+                            profiled.getMessage())
+        assert walked.getMessage() == (
+            "girth tier=none roots=0 levels=0 peak_nnz=0")
 
 
 class TestRandomBiregular:
@@ -758,7 +801,7 @@ class TestRandomBiregular:
         prof = profile(g)
         assert prof.is_connected  # generator retries until connected
         assert g.edge_count == 8
-        assert prof.girth == 8  # connected 2-regular bipartite = one cycle
+        assert girth(g) == 8  # connected 2-regular bipartite = one cycle
 
     @pytest.mark.parametrize("seed", range(100))
     def test_requested_degrees(self, seed):

@@ -18,6 +18,7 @@ from girthspec import (
     derive_edge_spectrum,
     edge_spectrum_direct,
     even_cycle,
+    girth,
     profile,
     random_biregular,
     solve_transfer_quadratic,
@@ -36,7 +37,9 @@ from conftest import (
     logged_tiers,
     multiset_matching_distance,
     random_bipartite,
+    reference_girth,
     step_totals,
+    symplectic_quadrangle,
 )
 
 
@@ -212,10 +215,19 @@ class TestDeriveEdgeSpectrum:
 def trace_counts(g):
     """N_k = tr(A_e^k) / 2k at every even k in [g, 2g - 2], from the
     Ihara-Bass traces of the trace route."""
-    girth = profile(g).girth
-    traces = trace_powers(g, 2 * girth - 2)
-    assert all(traces[k] % (2 * k) == 0 for k in range(girth, 2 * girth - 1, 2))
-    return {k: traces[k] // (2 * k) for k in range(girth, 2 * girth - 1, 2)}
+    gi = girth(g)
+    traces = trace_powers(g, 2 * gi - 2)
+    assert all(traces[k] % (2 * k) == 0 for k in range(gi, 2 * gi - 1, 2))
+    return {k: traces[k] // (2 * k) for k in range(gi, 2 * gi - 1, 2)}
+
+
+def levels_told(levels):
+    """power_traces, whose rule appends to ``levels`` each level it is
+    given."""
+    def run(g, loss, rule):
+        return power_traces(g, loss, lambda traces: levels.append(
+            len(traces) - 1) or rule(traces))
+    return run
 
 
 def two_random_23():
@@ -234,17 +246,55 @@ class TestTransferCounts:
     @given(biregular_graphs())
     @example(even_cycle(8))
     @example(complete_bipartite(2, 5))  # left degree 5
+    @example(complete_bipartite(7, 5))
+    @example(complete_bipartite(6, 6))
     @example(disjoint_union(even_cycle(8), even_cycle(12)))
     @example(disjoint_union(complete_bipartite(4, 3), complete_bipartite(4, 3)))
     @settings(max_examples=150, deadline=None)
     def test_equal_trace_counts(self, g):
-        assert transfer_counts(g).counts == trace_counts(g)
+        cc = transfer_counts(g)
+        assert cc.counts == trace_counts(g)
+        assert cc.girth == girth(g) == reference_girth(g)
 
     @pytest.mark.parametrize("name", FIXED_UNIONS)
     def test_disjoint_unions(self, name):
         g = FIXED_UNIONS[name]
         assert not profile(g).is_connected
-        assert transfer_counts(g).counts == trace_counts(g)
+        cc = transfer_counts(g)
+        assert cc.counts == trace_counts(g)
+        assert cc.girth == girth(g) == reference_girth(g)
+
+    @pytest.mark.parametrize("g", [
+        complete_bipartite(1, 3), complete_bipartite(4, 1),
+        BipartiteGraph.from_edges(5, 5, [(i, i) for i in range(5)]),
+        disjoint_union(complete_bipartite(1, 3), complete_bipartite(1, 3)),
+        BipartiteGraph.from_edges(3, 2, [])],
+        ids=["K13", "K41", "matching", "two stars", "no edge"])
+    def test_refuses_biregular_forests(self, g):
+        assert profile(g).is_biregular and girth(g) is None
+        with pytest.raises(RouteInapplicableError,
+                           match="^forest input: no cycles to count$"):
+            transfer_counts(g)
+
+    @pytest.mark.parametrize("max_k", [0, 2, 6, 7, 9, 15, 16, 100])
+    def test_refuses_invalid_windows(self, max_k):
+        # W(2): girth 8, so the window is [8, 14]
+        with pytest.raises(RouteInapplicableError) as refused:
+            transfer_counts(symplectic_quadrangle(2), max_k)
+        assert str(refused.value) == (
+            f"max_k={max_k} must be even and within [g, 2g-2] = [8, 14]: "
+            "TBC walks and cycles part ways at length 2g")
+
+    def test_no_edge_trace_by_min_side_fails_loudly(self, monkeypatch):
+        # with every edge trace read as 0, no level meets the girth: the
+        # chain stops at level min(n, m) = 2 of K_{3,2}, not past it
+        levels = []
+        monkeypatch.setattr(spectral_transfer, "_edge_trace", lambda *a: 0)
+        monkeypatch.setattr(spectral_transfer, "power_traces",
+                            levels_told(levels))
+        with pytest.raises(NumericalError, match="by level 2 = min"):
+            transfer_counts(complete_bipartite(3, 2))
+        assert levels == [1, 2]
 
     def test_fixed_union_values(self):
         assert transfer_counts(FIXED_UNIONS["C4+C6"]).counts == {4: 1, 6: 1}
@@ -283,10 +333,9 @@ class TestTransferCounts:
     def test_matches_float_transfer(self):
         for seed in range(3):
             g = random_biregular(8, 6, 3, 4, seed=seed)
-            prof = profile(g)
             _, es = transfer_spectra(g)
             assert (transfer_counts(g).counts
-                    == counts_from_spectrum(es, prof.girth).counts)
+                    == counts_from_spectrum(es, girth(g)).counts)
 
     def test_refuses_irregular_before_any_work(self, monkeypatch):
         def no_traces(*args):
@@ -297,16 +346,22 @@ class TestTransferCounts:
                  if not profile(g).is_biregular)
         with pytest.raises(RouteInapplicableError, match="not bi-regular"):
             transfer_counts(g)
-        with pytest.raises(RouteInapplicableError, match="max_k=8"):
-            transfer_counts(complete_bipartite(3, 4), max_k=8)
         with pytest.raises(RouteInapplicableError, match="forest"):
             transfer_counts(complete_bipartite(1, 3))
+        # the window waits for the girth, which the chain meets at level
+        # g/2 = 2 of K_{3,4}, and no level past it runs
+        levels = []
+        monkeypatch.setattr(spectral_transfer, "power_traces",
+                            levels_told(levels))
+        with pytest.raises(RouteInapplicableError, match="max_k=8"):
+            transfer_counts(complete_bipartite(3, 4), max_k=8)
+        assert levels == [1, 2]
 
     def test_window(self):
         g = random_biregular(30, 20, 2, 3, seed=0)
         full = transfer_counts(g).counts
-        girth = profile(g).girth
-        for max_k in range(girth, 2 * girth - 1, 2):
+        gi = girth(g)
+        for max_k in range(gi, 2 * gi - 1, 2):
             assert transfer_counts(g, max_k).counts == {
                 k: v for k, v in full.items() if k <= max_k}
 
