@@ -9,10 +9,11 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. Each level's tier is picked by guards on the numbers
-it forms, and the engine reads D and D^T off the graph in that tier's
-form: float64, int64 (sparse, the one tier that imports scipy) or Python
-ints; with L = 0 it runs one side alone.
+with no transpose. One guard, on its product, picks each level's tier,
+and the engine reads D and D^T off the graph in that tier's form:
+float64, int64 (sparse, the one tier that imports scipy) or Python ints;
+sums of squares that could pass its limit run in Python ints. With L = 0
+it runs one side alone.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -36,8 +37,8 @@ from .errors import NumericalError, SizeCapError
 from . import graph_core
 # profile stays bound though unused here: perfbench's traced pass wraps
 # each module's binding of it (perfbench/tracing.py)
-from .graph_core import (BipartiteGraph, _plus_diagonal, _rows, _scaled,
-                         _start_form, profile)
+from .graph_core import (BipartiteGraph, _forms, _plus_diagonal, _rows,
+                         _scaled, _start_form, profile)
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
-INT64_LIMIT = 2 ** 62  # a power_traces level leaves int64 from this guard on
+INT64_LIMIT = 2 ** 62  # power_traces' int64 limit, on products and sums
 TIERS = ("dense", "sparse", "bigint")  # power_traces' tiers, in climbing order
 # edge_spectrum_direct's cluster distance, looser than for a symmetric
 # matrix: nonsymmetric eigenproblems are less well conditioned
@@ -136,24 +137,26 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     that side runs alone and counts twice; else the U side stops short of
     an odd top, as R_top^T has R_top's squares.
 
-    Each level is guarded by the numbers it forms. Every partial sum of
-    X_c = s X_(c-1) + L X_(c-2) is at most maxdeg max|X_(c-1)| + max|L|
-    max|X_(c-2)|, and each sum of squares of X_c, plain or weighted by
-    one or two entries of L, at most nnz max|X_c|^2 max(1, max|L|)^2. The
-    maxima are first taken from the recursive bound b_c = maxdeg b_(c-1)
-    + max|L| b_(c-2), and from one abs-max pass over the blocks only when
-    that bound reaches the limit. A chain starts in the graph's start
-    form, dense float64 numpy (exact below 2^53) or scipy sparse int64
-    (below INT64_LIMIT); a level whose guard reaches its tier's limit
-    moves its live blocks, exactly, to the next tier: sparse int64, then
-    dense Python integers, which have no limit. The DEBUG record gives the
-    highest tier that ran, each side's levels by the initial of their
-    tier, the limit of each tier that ran, as ``peak=`` the largest value
-    a guard decided on, and as ``girth=`` the level at which a rule told
-    the last level (g/2 for ``transfer_counts``), or - for an integer
-    top. Where the recursive bound passed, ``peak=`` is the bound, which
-    can sit 10-50 times above the largest number formed (W(11)); the
-    headroom under a limit needs the tight value.
+    Each level takes one tier decision, before its product: every partial
+    sum of X_c = s X_(c-1) + L X_(c-2) is at most maxdeg max|X_(c-1)| +
+    max|L| max|X_(c-2)|, the maxima taken from the recursive bound b_c =
+    maxdeg b_(c-1) + max|L| b_(c-2), or from an abs-max pass over the
+    blocks when that bound reaches the limit. A chain starts in the
+    graph's start form, dense float64 numpy (exact below 2^53) or scipy
+    sparse int64 (below INT64_LIMIT); a level whose product guard reaches
+    its tier's limit moves its live blocks, exactly, to the next tier:
+    sparse int64, then dense Python integers, which have no limit. Each
+    sum of squares of X_c, plain or weighted by one or two entries of L,
+    is at most nnz max|X_c|^2 max(1, max|L|)^2 (tightened by an abs-max
+    of X_c at the limit); from the limit on it runs in Python ints over a
+    copy of the values, and the blocks stay. The DEBUG record gives the
+    highest tier that ran, each side's levels by their tier's initial,
+    upper case where the sums left it, the limit of each tier that ran,
+    as ``peak=`` the largest product guard, and as ``girth=`` the level
+    at which a rule told the last level (g/2 for ``transfer_counts``), or
+    - for an integer top. Where the recursive bound passed, ``peak=`` is
+    the bound, which can sit 10-50 times above the largest number formed
+    (W(11)); the headroom under a limit needs the tight value.
     """
     n, m = g.shape
     # float64 is exact below 2^53; no tier's limit is above the next one's
@@ -191,7 +194,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             if top > 1:
                 traces[2] += int((lc * lc).sum())
         tier, letters = start, ""
-        x, xt, wr, wc = _forms(a, b, lr, lc, tier)
+        x, xt = _forms(a, b, tier)
         prev = cur = None  # X_(c-2), X_(c-1) once formed
         b_prev, b_cur = 0, 1  # bounds on their largest |entry|
         c = 0
@@ -206,37 +209,35 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             up = checked(tier, bound)
             if up != tier:
                 tier = up
-                x, xt, wr, wc = _forms(a, b, lr, lc, tier)
+                x, xt = _forms(a, b, tier)
                 prev, cur = _in_tier(prev, tier), _in_tier(cur, tier)
-            rw = wr if c % 2 else wc  # L on the rows of block c
+            rw = lr if c % 2 else lc  # L on the rows of block c
             if c == 1:
                 new, bound = x, 1
             elif c == 2:
                 new = _in_tier(g.gram if side == gram_side else xt @ x, tier)
-                new = _plus_diagonal(new, wc)
+                new = _plus_diagonal(new, lc)
             else:
                 new = (x if c % 2 else xt) @ cur
                 if rw.any():
                     new = new + _scaled(prev, rw)
+            dense = tier != "sparse"
+            data = new if dense else new.data
             total = new.size * bound ** 2 * weights  # nnz, when sparse
             if tier in limits and total >= limits[tier]:
                 bound = _absmax(new)
                 total = new.size * bound ** 2 * weights
-            up = checked(tier, total)
-            if up != tier:
-                tier = up
-                x, xt, wr, wc = _forms(a, b, lr, lc, tier)
-                new, cur = _in_tier(new, tier), _in_tier(cur, tier)
-            dense = tier != "sparse"
-            data = new if dense else new.data
+            big = tier in limits and total >= limits[tier]
+            if big:  # the sums, not the block, leave the tier
+                data = _in_tier(data, "bigint")
             traces[c] += int(np.vdot(data, data)) * (
                 1 + (len(sides) == 1 or short and c == top))
             if lc.any() and c < top:  # squares weighted by L_j, then by L_i
-                t = data * data * (wc if dense else wc[new.indices])
+                t = data * data * (lc if dense else lc[new.indices])
                 traces[c + 1] += 2 * int(t.sum())
                 if c < top - 1:
                     traces[c + 2] += int((t * _rows(new, rw)).sum())
-            letters += tier[0]
+            letters += tier[0].upper() if big else tier[0]
             ran.add(tier)
             prev, cur, b_prev, b_cur = cur, new, b_cur, bound
             if rule and told is None and (last := rule(traces)) is not None:
@@ -250,14 +251,6 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
               ",".join(f"{t}:{limits[t]:.4g}" if t in limits else f"{t}:none"
                        for t in ran), "-" if told is None else told)
     return traces
-
-
-def _forms(a: BipartiteGraph, b: BipartiteGraph, lr: np.ndarray,
-           lc: np.ndarray, tier: str):
-    """D_a, D_a^T = D_b and the two parts of L in the form of ``tier``."""
-    if tier == "bigint":
-        lr, lc = lr.astype(object), lc.astype(object)
-    return (*graph_core._forms(a, b, tier), lr, lc)
 
 
 def _in_tier(block, tier: str):

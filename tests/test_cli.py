@@ -18,6 +18,7 @@ from girthspec import (
     girth,
     random_biregular,
     tesseract,
+    transfer_counts,
     write_alist,
     write_edge_list,
 )
@@ -36,6 +37,8 @@ from conftest import (
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ENSEMBLE = (Path(__file__).resolve().parents[1] / "scripts"
+            / "count_random_ensemble.py")
 SRC = Path(cli.__file__).resolve().parents[1]
 
 # One CLI call in a fresh interpreter: its exit code, its JSON report and
@@ -686,3 +689,20 @@ class TestFreshProcess:
             os.close(write)
         assert proc.returncode == cli.EXIT_PIPE == 141
         assert proc.stderr == ""
+
+
+class TestEnsembleScript:
+    def test_prints_a_row_per_seed_and_the_girth_histogram(self):
+        proc = child([str(ENSEMBLE), "--n", "12", "--m", "8", "--dv", "2",
+                      "--dc", "3", "--trials", "2", "--seed", "3"],
+                     capture_output=True, check=True)
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        girths = {}
+        for seed, line in zip((3, 4), lines):
+            cc = transfer_counts(random_biregular(12, 8, 2, 3, seed=seed))
+            girths[cc.girth] = girths.get(cc.girth, 0) + 1
+            assert line == f"seed={seed} girth={cc.girth} " + " ".join(
+                f"N_{k}={v}" for k, v in sorted(cc.counts.items()))
+        assert lines[2:4] == [
+            "---", f"girth histogram: {dict(sorted(girths.items()))}"]

@@ -252,6 +252,20 @@ class TestSubdivisions:
         assert cc.girth == girth(g) == reference_girth(g)
         assert trace_power_counts(g).counts == expect
 
+    def test_transfer_keeps_subdivided_w7_in_int64(self, caplog):
+        # plain walks grow like sqrt(8 * 2)^c: the squares bound of levels
+        # 14 and 15, nnz * max^2, passes 2^62, so their sums run in Python
+        # ints, while the largest entry, about 1.4e7, keeps every block in
+        # sparse int64
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = subdivision(symplectic_quadrangle(7))
+        counts = symplectic_quadrangle_counts(7)
+        expect = {k: counts.get(k // 2, 0) for k in range(16, 31, 2)}
+        assert transfer_counts(g).counts == expect
+        [levels] = [r.args[6] for r in caplog.records
+                    if r.msg.startswith("power_traces")]
+        assert levels == "U:" + "s" * 13 + "SS"
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_path_subdivision_triples_every_length(self, q, caplog):
         caplog.set_level(logging.DEBUG, logger="girthspec")

@@ -219,23 +219,27 @@ class TestPowerTraces:
         # K_{3,3} and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j for j >= 1;
         # 9^j is odd, so float64 cannot hold it from 2^53 on (j = 17); int64
         # can. U runs alone with X_c = 3^(c-1) J, whose squares sum to 9^c:
-        # level 17 is the first whose guard reaches 2^53
+        # from level 17 on the sums run in Python ints over the float64
+        # blocks, which stay dense until level 35's product guard, 3^34,
+        # reaches 2^53
         caplog.set_level(logging.DEBUG, logger="girthspec")
         traces = power_traces(complete_bipartite(3, 3),
-                              np.zeros(6, dtype=np.int64), 18)
-        assert traces == [12] + [2 * 9 ** j for j in range(1, 19)]
+                              np.zeros(6, dtype=np.int64), 35)
+        assert traces == [12] + [2 * 9 ** j for j in range(1, 36)]
         [record] = engine_records(caplog)
         assert record.args[0] == "sparse"
-        assert record.args[6] == "U:" + "d" * 16 + "s" * 2
-        assert record.args[4] == 9 ** 18
+        assert record.args[6] == "U:" + "d" * 16 + "D" * 18 + "S"
+        assert record.args[4] == 3 ** 34
 
     @pytest.mark.parametrize("start", ["dense", "sparse"])
     def test_guard_at_the_limit_moves_the_level_up(self, caplog, monkeypatch,
                                                    start):
         # K_{3,3}, L = 0: the recursive bound 3^(c-1) on X_c is exact, so
-        # level c's guard is 9 * 9^(c-1) = 9^c, and level 5 meets 9^5. A
-        # guard under the limit keeps the level in its tier; one at the
-        # limit moves it on, past a sparse tier of the same limit
+        # level c's product guard is 3 * 3^(c-2) = 3^(c-1), and level 5
+        # meets 3^4. A product guard under the limit keeps the level in its
+        # tier; one at the limit moves it on, past a sparse tier of the
+        # same limit. Level c's squares sum to 9^c: from the limit on, that
+        # level's sums run in Python ints and its block stays in its tier
         caplog.set_level(logging.DEBUG, logger="girthspec")
         if start == "sparse":
             monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 0)
@@ -243,49 +247,53 @@ class TestPowerTraces:
         mat = reference_matrix(g.dense(np.int64), loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
                   for j in range(6)]
+        s, big = start[0], start[0].upper()
         for limit, levels, ran in (
-                (9 ** 5 + 1, start[0] * 5, f"{start}:5.905e+04"),
-                (9 ** 5, start[0] * 4 + "b", f"{start}:5.905e+04,bigint:none")):
+                (3 ** 4 + 1, s * 2 + big * 3, f"{start}:82"),
+                (3 ** 4, s + big * 3 + "b", f"{start}:81,bigint:none")):
             monkeypatch.setattr(edge_matrix, "INT64_LIMIT", limit)
             caplog.clear()
             assert power_traces(g, loss, 5) == expect
             [record] = engine_records(caplog)
             assert record.args[0] == ("bigint" if "b" in levels else start)
-            assert record.args[4] == 9 ** 5
+            assert record.args[4] == 3 ** 4
             assert record.args[5:] == ("U", "U:" + levels, ran, "-")
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
         d = tesseract()  # D is 8 x 8, every degree 4
         ihara_bass = np.full(16, -3)
-        power_traces(d, ihara_bass, 3)
+        power_traces(d, ihara_bass, 5)
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 7)
-        power_traces(d, ihara_bass, 3)
-        # above every adjacency guard, the largest being level 3's: 64
-        # entries times the recursive bound 4 * 4 squared; below the
-        # Ihara-Bass guard of W's level 3
-        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 64 * 16 ** 2 + 1)
-        power_traces(d, ihara_bass, 3)
-        power_traces(d, np.zeros(16, dtype=np.int64), 3)
+        power_traces(d, ihara_bass, 5)
+        # above every Ihara-Bass product guard, which the abs-max passes
+        # bring down to 114, and below the adjacency guard of level 5;
+        # under every sum of squares from level 2 on
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 150)
+        power_traces(d, ihara_bass, 5)
+        power_traces(d, np.zeros(16, dtype=np.int64), 5)
         records = engine_records(caplog)
         assert [r.levelno for r in records] == [logging.DEBUG] * 4
         assert [r.args[:2] for r in records] == [
             ("dense", "ihara-bass"), ("sparse", "ihara-bass"),
-            ("bigint", "ihara-bass"), ("sparse", "adjacency")]
-        assert {r.args[2:4] for r in records} == {((8, 8), 3)}
+            ("sparse", "ihara-bass"), ("bigint", "adjacency")]
+        assert {r.args[2:4] for r in records} == {((8, 8), 5)}
         assert [r.args[5:] for r in records] == [
-            ("UW", "W:ddd U:dd", "dense:9.007e+15", "-"),
-            ("UW", "W:sss U:ss", "sparse:4.612e+18", "-"),
-            ("UW", "W:ssb U:ss", "sparse:1.638e+04,bigint:none", "-"),
-            ("U", "U:sss", "sparse:1.638e+04", "-")]
-        # the largest guard met: under each limit, unless a level moved up
+            ("UW", "W:ddddd U:dddd", "dense:9.007e+15", "-"),
+            ("UW", "W:sssss U:ssss", "sparse:4.612e+18", "-"),
+            ("UW", "W:SSSSS U:SSSS", "sparse:150", "-"),
+            ("U", "U:sSSSb", "sparse:150,bigint:none", "-")]
+        # the largest product guard met: the recursive bound b_5 = 4 b_4 +
+        # 3 b_3 = 673 where it passed, the tight value where an abs-max ran;
+        # under each limit, unless a level moved up
         peaks = [r.args[4] for r in records]
-        assert peaks[0] < 2 ** 53 and peaks[1] < 2 ** 62
-        assert peaks[2] >= 64 * 16 ** 2 + 1 > peaks[3]
+        assert peaks[:2] == [673, 673]
+        assert peaks[2] < 150 <= peaks[3]
         assert records[0].getMessage().startswith(
-            "power_traces tier=dense form=ihara-bass shape=(8, 8) top=3 peak=")
+            "power_traces tier=dense form=ihara-bass shape=(8, 8) top=5 "
+            "peak=673 ")
         assert records[0].getMessage().endswith(
-            " sides=UW levels=W:ddd U:dd limits=dense:9.007e+15 girth=-")
+            " sides=UW levels=W:ddddd U:dddd limits=dense:9.007e+15 girth=-")
 
 
 class TestTracePowers:
@@ -322,15 +330,16 @@ class TestTracePowers:
             int64 = power_traces(g, loss, 3)
         with forced("bigint"):
             assert power_traces(g, loss, 3) == int64
-        # 2 * 9^25, a trace of K_{3,3}, is past int64; level c's guard is
-        # 9^c, at or past 2^53 from c = 17 and 2^62 from c = 20
+        # 2 * 9^25, a trace of K_{3,3}, is past int64; level c's product
+        # guard is 3^(c-1), at or past 2^53 from c = 35 and 2^62 from c = 41,
+        # and its sum of squares 9^c, from c = 17 and c = 20
         with logged_tiers() as tiers:
             traces = power_traces(complete_bipartite(3, 3),
-                                  np.zeros(6, dtype=np.int64), 25)
+                                  np.zeros(6, dtype=np.int64), 41)
         assert tiers == ["bigint"]
-        assert traces == [12] + [2 * 9 ** j for j in range(1, 26)]
+        assert traces == [12] + [2 * 9 ** j for j in range(1, 42)]
         assert engine_records(caplog)[-1].args[6] == (
-            "U:" + "d" * 16 + "s" * 3 + "b" * 6)
+            "U:" + "d" * 16 + "D" * 18 + "S" * 6 + "b")
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)
