@@ -2,8 +2,8 @@
 
 JSON output follows the stable "girthspec/1" schema. Exit codes:
 0 ok, 1 verification disagreement, 2 route inapplicable, 3 numerical
-failure, 4 I/O or parse error, 141 (128 + SIGPIPE) stdout closed before
-the whole report was written.
+failure, 4 I/O or parse error or out of memory, 141 (128 + SIGPIPE)
+stdout closed before the whole report was written.
 """
 
 from __future__ import annotations
@@ -310,13 +310,16 @@ def _run(args) -> int:
         return args.func(args)
     except GirthspecError as exc:
         code = next((c for kind, c in EXIT_CODES if isinstance(exc, kind)), None)
-        if code is None or not hasattr(args, "format"):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO if code is None else code
-        _emit({"schema": SCHEMA,
-               "input": {"path": args.input, "format": args.format},
-               "error": {"code": code, "message": str(exc)}}, args.table)
-        return code
+        message = str(exc)
+    except MemoryError as exc:  # an allocation the input asked for failed
+        code, message = EXIT_IO, f"out of memory: {exc}"
+    if code is None or not hasattr(args, "format"):
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_IO if code is None else code
+    _emit({"schema": SCHEMA,
+           "input": {"path": args.input, "format": args.format},
+           "error": {"code": code, "message": message}}, args.table)
+    return code
 
 
 if __name__ == "__main__":

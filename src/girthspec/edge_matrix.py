@@ -9,11 +9,10 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. One guard, on its product, picks each level's tier,
-and the engine reads D and D^T off the graph in that tier's form:
-float64, int64 (sparse, the one tier that imports scipy) or Python ints;
-sums of squares that could pass its limit run in Python ints. With L = 0
-it runs one side alone.
+with no transpose. A chain starts in the graph's start form, dense
+float64 or scipy sparse int64, and one guard, on each level's product,
+moves it to dense Python ints; sums of squares that could pass the start
+form's limit run in Python ints. With L = 0 it runs one side alone.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -39,6 +38,7 @@ from . import graph_core
 # each module's binding of it (perfbench/tracing.py)
 from .graph_core import (BipartiteGraph, _forms, _plus_diagonal, _rows,
                          _scaled, _start_form, profile)
+from .spectra import _cluster
 
 __all__ = [
     "DirectedEdgeMatrix",
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_DIRECT_CAP = 6000  # cap on 2|E| for the dense nonsymmetric eigensolve
-INT64_LIMIT = 2 ** 62  # power_traces' int64 limit, on products and sums
-TIERS = ("dense", "sparse", "bigint")  # power_traces' tiers, in climbing order
+INT64_LIMIT = 2 ** 62  # power_traces' sparse int64 limit, on products and sums
 # edge_spectrum_direct's cluster distance, looser than for a symmetric
 # matrix: nonsymmetric eigenproblems are less well conditioned
 DIRECT_CLUSTER_TOL = 1e-6
@@ -137,30 +136,35 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     that side runs alone and counts twice; else the U side stops short of
     an odd top, as R_top^T has R_top's squares.
 
-    Each level takes one tier decision, before its product: every partial
-    sum of X_c = s X_(c-1) + L X_(c-2) is at most maxdeg max|X_(c-1)| +
-    max|L| max|X_(c-2)|, the maxima taken from the recursive bound b_c =
-    maxdeg b_(c-1) + max|L| b_(c-2), or from an abs-max pass over the
-    blocks when that bound reaches the limit. A chain starts in the
-    graph's start form, dense float64 numpy (exact below 2^53) or scipy
-    sparse int64 (below INT64_LIMIT); a level whose product guard reaches
-    its tier's limit moves its live blocks, exactly, to the next tier:
-    sparse int64, then dense Python integers, which have no limit. Each
-    sum of squares of X_c, plain or weighted by one or two entries of L,
-    is at most nnz max|X_c|^2 max(1, max|L|)^2 (tightened by an abs-max
-    of X_c at the limit); from the limit on it runs in Python ints over a
-    copy of the values, and the blocks stay. The DEBUG record gives the
-    highest tier that ran, each side's levels by their tier's initial,
-    upper case where the sums left it, the limit of each tier that ran,
-    as ``peak=`` the largest product guard, and as ``girth=`` the level
-    at which a rule told the last level (g/2 for ``transfer_counts``), or
-    - for an integer top. Where the recursive bound passed, ``peak=`` is
-    the bound, which can sit 10-50 times above the largest number formed
-    (W(11)); the headroom under a limit needs the tight value.
+    A chain starts in the graph's start form, dense float64 numpy (exact
+    below 2^53) or scipy sparse int64 (below INT64_LIMIT), and may leave
+    it once, for dense Python ints, which have no limit. Before each
+    product, every partial sum of X_c = s X_(c-1) + L X_(c-2) is at most
+    maxdeg max|X_(c-1)| + max|L| max|X_(c-2)|, the maxima taken from the
+    recursive bound b_c = maxdeg b_(c-1) + max|L| b_(c-2), or from an
+    abs-max pass over the blocks when that bound reaches the limit; a
+    level whose guard reaches it moves its live blocks to Python ints.
+    So a graph with both sides at most DENSE_MAX_SIZE never imports
+    scipy, and a chain that takes it past 2^53 (transfer's does on an
+    even cycle of length 58 or more) runs on slower than int64 would.
+    Each sum of squares of X_c, plain or weighted by one or two entries
+    of L, is at most nnz max|X_c|^2 max(1, max|L|)^2 (tightened by an
+    abs-max of X_c at the limit); from the limit on it runs in Python
+    ints over a copy of the values, and the blocks stay. The DEBUG
+    record gives the last form that ran, each side's levels by their
+    form's initial, upper case where the sums left it, the limit of each
+    form that ran, as ``peak=`` the largest product guard, and as
+    ``girth=`` the level at which a rule told the last level (g/2 for
+    ``transfer_counts``), or - for an integer top. Where the recursive
+    bound passed, ``peak=`` is the bound, which can sit 10-50 times
+    above the largest number formed (W(11)); the headroom under a limit
+    needs the tight value.
     """
     n, m = g.shape
-    # float64 is exact below 2^53; no tier's limit is above the next one's
-    limits = {"dense": min(2 ** 53, INT64_LIMIT), "sparse": INT64_LIMIT}
+    form = _start_form(g)
+    # float64 is exact below 2^53; Python ints have no limit
+    limits = {form: min(2 ** 53, INT64_LIMIT) if form == "dense"
+              else INT64_LIMIT}
     maxdeg = int(max(np.diff(g.indptr).max(), np.diff(g.transpose.indptr).max()))
     lmax = int(np.abs(loss).max())
     rule = None if isinstance(top, int) else top
@@ -170,15 +174,14 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     peak = 2 * (n + m)  # tr(M^0)
 
     def checked(tier, value):
-        """The first tier from ``tier`` on whose limit is above value."""
+        """The tier, or "bigint" once value reaches the tier's limit."""
         nonlocal peak
-        if tier in limits:
-            peak = max(peak, value)
-        while tier in limits and value >= limits[tier]:
-            tier = TIERS[TIERS.index(tier) + 1]
-        return tier
+        if tier not in limits:
+            return tier
+        peak = max(peak, value)
+        return "bigint" if value >= limits[tier] else tier
 
-    start = checked(_start_form(g), peak)
+    start = checked(form, peak)
     gram_side = "U" if g._roots()[0] is g else "W"  # the side of g.gram
     sides = {"W": (g, g.transpose, loss[:n], loss[n:]),
              "U": (g.transpose, g, loss[n:], loss[:n])}
@@ -206,16 +209,16 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             if c > 2 and tier in limits and bound >= limits[tier]:
                 b_prev, b_cur = _absmax(prev), _absmax(cur)
                 bound = maxdeg * b_cur + lmax * b_prev
-            up = checked(tier, bound)
-            if up != tier:
-                tier = up
+            if checked(tier, bound) != tier:
+                tier = "bigint"
                 x, xt = _forms(a, b, tier)
-                prev, cur = _in_tier(prev, tier), _in_tier(cur, tier)
+                prev, cur = _as_ints(prev), _as_ints(cur)
             rw = lr if c % 2 else lc  # L on the rows of block c
             if c == 1:
                 new, bound = x, 1
             elif c == 2:
-                new = _in_tier(g.gram if side == gram_side else xt @ x, tier)
+                new = (g.gram if side == gram_side and tier == form
+                       else xt @ x)
                 new = _plus_diagonal(new, lc)
             else:
                 new = (x if c % 2 else xt) @ cur
@@ -229,7 +232,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
                 total = new.size * bound ** 2 * weights
             big = tier in limits and total >= limits[tier]
             if big:  # the sums, not the block, leave the tier
-                data = _in_tier(data, "bigint")
+                data = _as_ints(data)
             traces[c] += int(np.vdot(data, data)) * (
                 1 + (len(sides) == 1 or short and c == top))
             if lc.any() and c < top:  # squares weighted by L_j, then by L_i
@@ -243,7 +246,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             if rule and told is None and (last := rule(traces)) is not None:
                 told, top = c, last
         levels.append(f"{side}:{letters}")
-    ran = [t for t in TIERS if t in ran]
+    ran = [t for t in (form, "bigint") if t in ran]
     log.debug("power_traces tier=%s form=%s shape=%s top=%d peak=%.3g "
               "sides=%s levels=%s limits=%s girth=%s", ran[-1],
               "ihara-bass" if len(sides) == 2 else "adjacency", (n, m), top,
@@ -253,21 +256,14 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     return traces
 
 
-def _in_tier(block, tier: str):
-    """An integer block, dense or sparse, in the form of ``tier``; as
-    it is, when it has that form already or is None (not formed yet)."""
+def _as_ints(block):
+    """An integer block, dense or sparse, or its values, as dense Python
+    ints; None (not formed yet) as it is."""
     if block is None:
         return None
-    if tier == "sparse":
-        if not isinstance(block, np.ndarray):
-            return block
-        import scipy.sparse as sp
-
-        return sp.csr_array(block.astype(np.int64))
     if not isinstance(block, np.ndarray):
         block = block.toarray()
-    dtype = np.float64 if tier == "dense" else object
-    return block if block.dtype == dtype else block.astype(np.int64).astype(dtype)
+    return block.astype(np.int64).astype(object)
 
 
 def _absmax(block) -> int:
@@ -301,31 +297,6 @@ def trace_power_counts(g: BipartiteGraph,
                                       for k in range(girth, max_k + 1, 2)})
 
 
-def _cluster_complex(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Greedy centroid clustering of complex values within distance tol."""
-    order = np.lexsort((values.imag, values.real))
-    centroids: list[complex] = []
-    sums: list[complex] = []
-    sizes: list[int] = []
-    for v in values[order]:
-        v = complex(v)
-        placed = False
-        for idx in range(len(centroids) - 1, -1, -1):
-            if v.real - centroids[idx].real > tol:
-                break
-            if abs(v - centroids[idx]) <= tol:
-                sums[idx] += v
-                sizes[idx] += 1
-                centroids[idx] = sums[idx] / sizes[idx]
-                placed = True
-                break
-        if not placed:
-            centroids.append(v)
-            sums.append(v)
-            sizes.append(1)
-    return sorted(zip(centroids, sizes), key=lambda t: (t[0].real, t[0].imag))
-
-
 def edge_spectrum_direct(g: BipartiteGraph,
                          dense_cap: int = DEFAULT_DIRECT_CAP) -> EdgeSpectrum:
     """Complex eigenvalues of A_e; the O(|E|^3) baseline.
@@ -348,8 +319,7 @@ def edge_spectrum_direct(g: BipartiteGraph,
     xy = (linked[u[None, :], w[:, None]] & (u[:, None] != u[None, :])
           & (w[:, None] != w[None, :])).astype(np.float64)
     roots = np.sqrt(np.linalg.eigvals(xy).astype(complex))
-    clusters = _cluster_complex(np.concatenate([roots, -roots]),
-                                DIRECT_CLUSTER_TOL)
+    clusters = _cluster(np.concatenate([roots, -roots]), DIRECT_CLUSTER_TOL)
     total = sum(m for _, m in clusters)
     if total != 2 * e:
         raise NumericalError("edge spectrum clustering lost eigenvalues")

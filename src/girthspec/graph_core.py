@@ -9,7 +9,7 @@ parsers in ``graph_io``, ``from_edges`` and the generators all reduce
 their input to those keys. Derived forms are built on first use and
 cached: ``transpose``, the same graph with its sides swapped (D^T, from
 the swapped keys w * left_count + u), and ``biadjacency``, a scipy CSR
-array over the stored arrays. Only the sparse tiers read
+array over the stored arrays. Only the sparse form reads
 ``biadjacency``, and scipy is imported there, so a graph whose sides are
 at most DENSE_MAX_SIZE is counted by numpy alone; the other layers read
 the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
@@ -52,7 +52,7 @@ __all__ = [
 
 # Largest side of D for dense float64 numpy products, scipy sparse int64
 # above, in edge_matrix.power_traces and in _girth; up to it scipy is
-# imported only when a level of power_traces outgrows float64. One BLAS
+# never imported, however far a chain of power_traces runs. One BLAS
 # thread, dense vs sparse ms, each the median of 3 runs of the median of
 # 15 warm calls. power_traces (top g - 1), L = I - deg, n x m: array codes
 # 186 x 93 2.58 vs 2.34, 222 x 111 3.97 vs 2.82, 258 x 129 5.12 vs 3.04,
@@ -125,7 +125,7 @@ class BipartiteGraph:
     @cached_property
     def biadjacency(self):
         """D as a scipy ``csr_array`` over the stored arrays, with a
-        read-only int64 ``data`` of ones; for the sparse tiers only, as it
+        read-only int64 ``data`` of ones; for the sparse form only, as it
         imports scipy."""
         import scipy.sparse as sp
 

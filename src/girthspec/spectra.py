@@ -7,7 +7,8 @@ into (value, multiplicity) pairs so that downstream integer bookkeeping
 can rely on exact multiplicities. Both tolerances are fixed, relative to
 the largest singular value: the zero tolerance only has to reproduce the
 rank, which is audited exactly over GF(p), and a mismatch is an error,
-not a silent choice.
+not a silent choice. ``_cluster`` is the one clusterer of all three float
+spectra: this one, the derived edge spectrum and the direct baseline's.
 """
 
 from __future__ import annotations
@@ -61,16 +62,32 @@ class AdjacencySpectrum:
         return max((abs(v) for v, _ in self.eigenvalues), default=0.0)
 
 
-def _cluster_sorted(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Single-linkage clustering of ascending values with gap threshold tol."""
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            chunk = values[start:i]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return clusters
+def _cluster(values: np.ndarray, tol: float,
+             mults: np.ndarray | None = None) -> list[tuple[complex, int]]:
+    """Greedy centroid clustering of real or complex values within
+    distance tol, each counted ``mults`` times (once by default): the
+    (centroid, multiplicity) pairs in (real, imag) order."""
+    order = np.lexsort((values.imag, values.real))
+    weights = [1] * len(order) if mults is None else mults[order].tolist()
+    centroids: list[complex] = []
+    sums: list[complex] = []
+    sizes: list[int] = []
+    for v, w in zip(values[order].tolist(), weights):
+        placed = False
+        for idx in range(len(centroids) - 1, -1, -1):
+            if v.real - centroids[idx].real > tol:
+                break
+            if abs(v - centroids[idx]) <= tol:
+                sums[idx] += w * v
+                sizes[idx] += w
+                centroids[idx] = sums[idx] / sizes[idx]
+                placed = True
+                break
+        if not placed:
+            centroids.append(v)
+            sums.append(w * v)
+            sizes.append(w)
+    return sorted(zip(centroids, sizes), key=lambda t: (t[0].real, t[0].imag))
 
 
 def adjacency_spectrum(g: BipartiteGraph,
@@ -105,7 +122,7 @@ def adjacency_spectrum(g: BipartiteGraph,
             "over GF(p), p near 2^31; largest singular value at or below the "
             f"tolerance: {largest_below!r}, smallest above: {smallest_above!r}")
 
-    clusters = _cluster_sorted(nonzero[::-1], max(1e-8, 1e-10 * lam_max))
+    clusters = _cluster(nonzero, max(1e-8, 1e-10 * lam_max))
     nullity = g.node_count - 2 * float_rank
     eigenvalues = ([(v, m) for v, m in reversed(clusters)]
                    + ([(0.0, nullity)] if nullity else [])

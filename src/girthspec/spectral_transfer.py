@@ -32,7 +32,7 @@ from .counts import FOREST, CycleCounts, counts_from_traces, cycle_window_end
 from .edge_matrix import EdgeSpectrum, power_traces
 from .errors import NumericalError, RouteInapplicableError
 from .graph_core import BipartiteGraph, profile
-from .spectra import AdjacencySpectrum
+from .spectra import AdjacencySpectrum, _cluster
 
 __all__ = [
     "TransferParameters",
@@ -173,19 +173,10 @@ def derive_edge_spectrum(spec: AdjacencySpectrum,
             f"derived spectrum has {total} eigenvalues, expected "
             f"{2 * params.edge_count}")
 
-    return EdgeSpectrum(eigenvalues=tuple(_merge_equal(entries)), total=total)
-
-
-def _merge_equal(entries: list[tuple[complex, int]],
-                 tol: float = 1e-12) -> list[tuple[complex, int]]:
-    """Combine coincident values (e.g. q1 == q2 makes step 2 roots collide)."""
-    out: list[tuple[complex, int]] = []
-    for v, m in sorted(entries, key=lambda t: (t[0].real, t[0].imag)):
-        if out and abs(out[-1][0] - v) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + m)
-        else:
-            out.append((v, m))
-    return out
+    # coincident values merge (q1 == q2 makes step 2 roots collide)
+    values, mults = zip(*entries)
+    return EdgeSpectrum(eigenvalues=tuple(_cluster(
+        np.array(values), 1e-12, np.array(mults))), total=total)
 
 
 def _edge_trace(poly: list[int], a: list[int], tail: int) -> int:

@@ -52,6 +52,12 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
                   "scipy": "scipy" in sys.modules}))
 """
+# CHILD with its address space capped at 2 GiB, so that an allocation the
+# input asks for fails in the child instead of taking the host's memory
+CAPPED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+""" + CHILD
 
 
 @pytest.fixture
@@ -629,9 +635,9 @@ def child(args, **kwargs):
                           timeout=120, **kwargs)
 
 
-def run_child(argv):
-    """One CLI call in a fresh interpreter, as CHILD reports it."""
-    proc = child(["-c", CHILD, *argv], capture_output=True, check=True)
+def run_child(argv, script=CHILD):
+    """One CLI call in a fresh interpreter, as ``script`` reports it."""
+    proc = child(["-c", script, *argv], capture_output=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -677,6 +683,38 @@ class TestFreshProcess:
         assert got["code"] == 2 and not got["scipy"]
         assert got["report"]["error"]["message"] == (
             "forest input: no cycles to count")
+
+    def test_small_graph_past_2_53_leaves_scipy_unloaded(self):
+        # K_{3,3}, L = 0: tr(M^(2j)) = 2 * 9^j passes 2^53 at j = 17 and
+        # level 35's product guard, 3^34, reaches it: the dense blocks
+        # move to Python ints, never to scipy
+        proc = child(["-c", """
+import json, sys
+import numpy as np
+from girthspec.edge_matrix import power_traces
+from girthspec.graph_core import complete_bipartite
+traces = power_traces(complete_bipartite(3, 3), np.zeros(6, dtype=np.int64), 40)
+print(json.dumps({"traces": traces, "scipy": "scipy" in sys.modules}))
+"""], capture_output=True, check=True)
+        got = json.loads(proc.stdout)
+        assert got["traces"] == [12] + [2 * 9 ** j for j in range(1, 41)]
+        assert not got["scipy"]
+
+    @pytest.mark.parametrize("text, code", [
+        ("2 2\n0 0\n0 1\n1 0\n1 1\n", 0),
+        ("2147483647 1\n0 0\n", 4), ("1 2147483647\n0 0\n", 4)],
+        ids=["4-cycle", "U of 2^31 - 1", "W of 2^31 - 1"])
+    def test_out_of_memory_exits_4(self, tmp_path, text, code):
+        # either header asks for an int64 array of 2^31 entries, 16 GiB,
+        # D's indptr or its transpose's; the capped child cannot get it
+        path = tmp_path / "g.el"
+        path.write_text(text)
+        got = run_child(["count", "--input", str(path)], CAPPED)
+        assert got["code"] == code
+        if code:
+            assert got["report"]["error"]["code"] == code
+            assert got["report"]["error"]["message"].startswith(
+                "out of memory: ")
 
     @pytest.mark.parametrize("mode", ["--json", "--table"])
     def test_closed_stdout_exits_141(self, q4_el, mode):

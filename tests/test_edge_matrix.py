@@ -221,14 +221,14 @@ class TestPowerTraces:
         # can. U runs alone with X_c = 3^(c-1) J, whose squares sum to 9^c:
         # from level 17 on the sums run in Python ints over the float64
         # blocks, which stay dense until level 35's product guard, 3^34,
-        # reaches 2^53
+        # reaches 2^53 and moves them straight to Python ints
         caplog.set_level(logging.DEBUG, logger="girthspec")
         traces = power_traces(complete_bipartite(3, 3),
                               np.zeros(6, dtype=np.int64), 35)
         assert traces == [12] + [2 * 9 ** j for j in range(1, 36)]
         [record] = engine_records(caplog)
-        assert record.args[0] == "sparse"
-        assert record.args[6] == "U:" + "d" * 16 + "D" * 18 + "S"
+        assert record.args[0] == "bigint"
+        assert record.args[6] == "U:" + "d" * 16 + "D" * 18 + "b"
         assert record.args[4] == 3 ** 34
 
     @pytest.mark.parametrize("start", ["dense", "sparse"])
@@ -261,10 +261,12 @@ class TestPowerTraces:
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        d = tesseract()  # D is 8 x 8, every degree 4
+        # D is 8 x 8, every degree 4; a fresh graph per cap, as the Gram
+        # block is cached on the graph in the form it was built in
         ihara_bass = np.full(16, -3)
-        power_traces(d, ihara_bass, 5)
+        power_traces(tesseract(), ihara_bass, 5)
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 7)
+        d = tesseract()
         power_traces(d, ihara_bass, 5)
         # above every Ihara-Bass product guard, which the abs-max passes
         # bring down to 114, and below the adjacency guard of level 5;
@@ -331,15 +333,15 @@ class TestTracePowers:
         with forced("bigint"):
             assert power_traces(g, loss, 3) == int64
         # 2 * 9^25, a trace of K_{3,3}, is past int64; level c's product
-        # guard is 3^(c-1), at or past 2^53 from c = 35 and 2^62 from c = 41,
-        # and its sum of squares 9^c, from c = 17 and c = 20
+        # guard is 3^(c-1), at or past 2^53 from c = 35, and its sum of
+        # squares 9^c from c = 17: the dense blocks go to Python ints at 35
         with logged_tiers() as tiers:
             traces = power_traces(complete_bipartite(3, 3),
                                   np.zeros(6, dtype=np.int64), 41)
         assert tiers == ["bigint"]
         assert traces == [12] + [2 * 9 ** j for j in range(1, 42)]
         assert engine_records(caplog)[-1].args[6] == (
-            "U:" + "d" * 16 + "D" * 18 + "S" * 6 + "b")
+            "U:" + "d" * 16 + "D" * 18 + "b" * 7)
 
     def test_guard_diverts_to_bigint(self, monkeypatch):
         rng = random.Random(7)
