@@ -57,17 +57,21 @@ EXIT_CODES = ((ParseError, EXIT_IO), (NumericalError, EXIT_NUMERICAL),
               (RouteInapplicableError, EXIT_INAPPLICABLE))
 
 
-def load_graph(path: str, fmt: str) -> tuple[BipartiteGraph, str]:
+def input_format(path: str, fmt: str) -> str:
+    """The format ``path`` is read in: ``fmt``, auto by the extension."""
+    if fmt == "auto":
+        return "alist" if path.endswith(".alist") else "edgelist"
+    return fmt
+
+
+def load_graph(path: str, fmt: str) -> BipartiteGraph:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if fmt == "auto":
-        fmt = "alist" if path.endswith(".alist") else "edgelist"
-    if fmt == "alist":
-        return parse_alist(data), "alist"
-    return parse_edge_list(data), "edgelist"
+    alist = input_format(path, fmt) == "alist"
+    return (parse_alist if alist else parse_edge_list)(data)
 
 
 def _spectra_dict(adj_spec, edge_spec) -> dict:
@@ -161,12 +165,13 @@ def _timed(route: str, g: BipartiteGraph, args):
     return cc, spectra, {"name": route, "ms": (time.perf_counter() - t0) * 1e3}
 
 
-def _report(args, fmt: str, g: BipartiteGraph, timings: list[dict],
+def _report(args, g: BipartiteGraph, timings: list[dict],
             cc: CycleCounts, diffs: dict, extras: dict) -> dict:
     prof = profile(g)
     return {
         "schema": SCHEMA,
-        "input": {"path": args.input, "format": fmt},
+        "input": {"path": args.input,
+                  "format": input_format(args.input, args.format)},
         "profile": {
             "n": g.left_count,
             "m": g.right_count,
@@ -187,7 +192,7 @@ def _report(args, fmt: str, g: BipartiteGraph, timings: list[dict],
 
 
 def cmd_count(args) -> int:
-    g, fmt = load_graph(args.input, args.format)
+    g = load_graph(args.input, args.format)
     route = "transfer" if args.route == "auto" else args.route
     try:
         cc, spectra, timing = _timed(route, g, args)
@@ -195,7 +200,7 @@ def cmd_count(args) -> int:
         if args.route != "auto":
             raise
         cc, spectra, timing = _timed("trace", g, args)
-    report = _report(args, fmt, g, [timing], cc, {}, spectra)
+    report = _report(args, g, [timing], cc, {}, spectra)
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(spectra.get("adjacency"),
                                           spectra.get("edge"))
@@ -204,7 +209,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, fmt = load_graph(args.input, args.format)
+    g = load_graph(args.input, args.format)
     # up front, so that a refusal below is the route's own: brute has no
     # window and would otherwise count alone
     walked = girth(g)
@@ -241,7 +246,7 @@ def cmd_verify(args) -> int:
         diffs[str(walked + 4)] = {"tree_walk_cross_check": cross,
                                   "spectral": spectral}
 
-    report = _report(args, fmt, g, timings, reference, diffs, extras)
+    report = _report(args, g, timings, reference, diffs, extras)
     report["cross_check_g_plus_4"] = cross
     if args.emit_spectra:
         report["spectra"] = _spectra_dict(extras.get("adjacency"), None)
@@ -317,7 +322,8 @@ def _run(args) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_IO if code is None else code
     _emit({"schema": SCHEMA,
-           "input": {"path": args.input, "format": args.format},
+           "input": {"path": args.input,
+                     "format": input_format(args.input, args.format)},
            "error": {"code": code, "message": message}}, args.table)
     return code
 

@@ -1,11 +1,12 @@
 """The two graph file formats: one numpy tokenizer, the parsers, the writers.
 
-Both parsers read the raw bytes through ``_Tokens``, whose token and line
-boundaries are those of ``str.split`` and ``str.splitlines``, and check
-the line structure on its arrays; every error names the line, column or
-row that reading the file line by line in Python would. They hand the
-edge keys u * m + w to ``graph_core._from_keys``, so a parsed graph holds
-D only. Each parse logs one DEBUG record on the ``girthspec`` logger.
+Graph files are ASCII. Both parsers read the raw bytes through ``_Tokens``,
+whose token and line boundaries are those of ``str.split`` and
+``str.splitlines``, and check the line structure on its arrays; every
+error names the line, column or row that reading the file line by line in
+Python would. They hand the edge keys u * m + w to ``graph_core._from_keys``,
+so a parsed graph holds D only. Each parse logs one DEBUG record on the
+``girthspec`` logger.
 """
 
 from __future__ import annotations
@@ -24,27 +25,28 @@ log = logging.getLogger("girthspec")
 
 
 def _char_class(point: int) -> int:
-    """3 for a line break of str.splitlines (all are whitespace), 2 for
-    other whitespace of str.split, 1 for an ASCII digit, else 0."""
+    """For an ASCII code: 3 for a line break of str.splitlines (all are
+    whitespace), 2 for other whitespace of str.split, 1 for a digit, else 0."""
     char = chr(point)
     if len(f"a{char}b".splitlines()) == 2:
         return 3
     return 2 if char.isspace() else int("0" <= char <= "9")
 
 
-_CHAR_CLASS = np.array([_char_class(c) for c in range(256)], dtype=np.uint8)
+_CHAR_CLASS = np.array([_char_class(c) for c in range(128)], dtype=np.uint8)
 _INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
 _FAST_DIGITS = 18  # longest digit run the multiply-add passes read; int64
 
 
 class _Tokens:
-    """The whitespace-separated tokens of a graph file, read as integers.
+    """The whitespace-separated tokens of an ASCII graph file, as integers.
 
     Token and line boundaries are those of ``str.split`` and
     ``str.splitlines`` (``\\r\\n`` is one break). With ``comments``, each
-    ``#`` and the rest of its line are whitespace. ASCII input is read as
-    its bytes, other text as UTF-32 code points, so per-character arrays
-    stay uint8 or uint32, and bool. Tokens of the form ``[+-]?[0-9]+`` of
+    ``#`` and the rest of its line are whitespace. The input is read as its
+    bytes, a str UTF-8 encoded first, so per-character arrays stay uint8
+    and bool; a byte above 0x7f is a ParseError naming the line
+    ``str.splitlines`` puts it on. Tokens of the form ``[+-]?[0-9]+`` of
     at most 18 digits are read by vectorised multiply-add passes; ``int``
     reads every other token, so it accepts exactly what ``int`` accepts.
 
@@ -56,26 +58,14 @@ class _Tokens:
     """
 
     def __init__(self, data, comments: bool) -> None:
-        if isinstance(data, (bytes, bytearray)):
-            data = bytes(data)
-            if not data.isascii():
-                try:
-                    data = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-        elif data.isascii():
-            data = data.encode("ascii")
-        if isinstance(data, str):
-            codes = np.frombuffer(data.encode("utf-32-le", "surrogatepass"),
-                                  dtype=np.uint32)
-            classes = _CHAR_CLASS.take(np.minimum(codes, 255))
-            wide = np.flatnonzero(codes > 255)
-            points, inverse = np.unique(codes[wide], return_inverse=True)
-            classes[wide] = np.array([_char_class(p) for p in points.tolist()],
-                                     dtype=np.uint8)[inverse]
-        else:
-            codes = np.frombuffer(data, dtype=np.uint8)
-            classes = _CHAR_CLASS.take(codes)
+        data = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
+                else bytes(data))
+        codes = np.frombuffer(data, dtype=np.uint8)
+        if not data.isascii():
+            at = int(np.argmax(codes > 0x7f))
+            line = len((data[:at].decode() + "x").splitlines())
+            raise ParseError(f"line {line}: byte {data[at]:#04x} is not ASCII")
+        classes = _CHAR_CLASS.take(codes)
         self._source = data
         breaks = np.flatnonzero(classes == 3)
         if comments:
@@ -158,14 +148,11 @@ class _Tokens:
 
     def raw(self, row: int) -> str:
         """The text of non-blank line ``row``, comment included."""
-        text = self._source
-        if isinstance(text, bytes):
-            text = text.decode("ascii")
-        return text.splitlines()[self.lineno(row) - 1]
+        return self._source.decode().splitlines()[self.lineno(row) - 1]
 
 
 def parse_edge_list(text) -> BipartiteGraph:
-    """Parse the plain edge-list format, given as bytes or text.
+    """Parse the plain edge-list format, given as bytes or ASCII text.
 
     First meaningful line is ``n m``; each following line is ``u w`` with
     0-based indices. ``#`` starts a comment; blank lines are skipped.
@@ -218,7 +205,7 @@ def write_edge_list(g: BipartiteGraph) -> str:
 
 def parse_alist(text) -> BipartiteGraph:
     """Parse the alist interchange format (1-indexed, zero padding allowed),
-    given as bytes or text.
+    given as bytes or ASCII text.
 
     The alist's column (variable) side becomes the left side ``U``. Every
     edge must be listed on both sides. The graph holds D only.

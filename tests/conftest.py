@@ -395,18 +395,23 @@ def multiset_matching_distance(a: EdgeSpectrum, b: EdgeSpectrum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Line-by-line parsers: the readers the numpy tokenizer in graph_core
+# Line-by-line parsers: the readers the numpy tokenizer in graph_io
 # replaced, kept as test oracles. Each returns (n, m, edge set); every
 # ParseError message and duplicate warning must match the package's.
 # ---------------------------------------------------------------------------
 
 def _as_text(data) -> str:
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-    return data
+    """``data`` as ASCII text, a str UTF-8 encoded first; the first byte
+    above 0x7f is a ParseError naming the line str.splitlines puts it on."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    # latin-1 maps each byte to one character, so a line holds its bytes
+    lines = bytes(data).decode("latin-1").splitlines(keepends=True)
+    for lineno, line in enumerate(lines, start=1):
+        wide = [ch for ch in line if ord(ch) > 0x7f]
+        if wide:
+            raise ParseError(f"line {lineno}: byte {ord(wide[0]):#04x} is not ASCII")
+    return "".join(lines)
 
 
 def line_parse_edge_list(text) -> tuple[int, int, frozenset[tuple[int, int]]]:

@@ -173,14 +173,39 @@ class TestCount:
         assert code == 4
         assert report["error"]["code"] == 4
 
-    @pytest.mark.parametrize("name", ["bad.el", "bad.alist"])
-    def test_undecodable_input_exits_4(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("name, data, message", [
+        pytest.param("bad.el", b"\xff\xfe2 2\n0 0\n", "line 1: byte 0xff",
+                     id="bad.el"),
+        pytest.param("bad.alist", b"\xff\xfe2 2\n0 0\n", "line 1: byte 0xff",
+                     id="bad.alist"),
+        pytest.param("bom.el", b"\xef\xbb\xbf2 2\r\n0 0\r\n", "line 1: byte 0xef",
+                     id="bom.el"),
+        pytest.param("accent.alist", "1 1\n1 1\n1\n1\n1 # caf\xe9\n1\n".encode(),
+                     "line 5: byte 0xc3", id="accent.alist"),
+    ])
+    def test_undecodable_input_exits_4(self, capsys, tmp_path, name, data, message):
         bad = tmp_path / name
-        bad.write_bytes(b"\xff\xfe2 2\n0 0\n")
+        bad.write_bytes(data)
         code, report = run_json(capsys, ["count", "--input", str(bad)])
         assert code == 4
-        assert report["error"]["code"] == 4
-        assert "not UTF-8" in report["error"]["message"]
+        assert report["error"] == {"code": 4, "message": f"{message} is not ASCII"}
+
+    @pytest.mark.parametrize("name, text, fmt, code", [
+        ("tree.el", "2 1\n0 0\n1 0\n", "edgelist", 2),
+        ("bad.el", "2 1\n0 x\n", "edgelist", 4),
+        ("bad.alist", "1 1\n1 1\n1\n1\nx\n1\n", "alist", 4),
+        ("c4.el", "2 2\n0 0\n0 1\n1 0\n1 1\n", "edgelist", 0),
+        ("c4.alist", "2 2\n2 2\n2 2\n2 2\n1 2\n1 2\n1 2\n1 2\n", "alist", 0),
+    ])
+    def test_report_names_the_format_read(self, capsys, tmp_path, name, text, fmt,
+                                          code):
+        """auto is reported as the format the extension chose, on error too."""
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_json(capsys, ["count", "--input", str(path)])[0] == code
+        for argv in (["count"], ["verify"], ["count", "--format", fmt]):
+            _, report = run_json(capsys, [*argv, "--input", str(path)])
+            assert report["input"] == {"path": str(path), "format": fmt}
 
     def test_alist_row_side_leaving_out_edges_exits_4(self, capsys, tmp_path):
         path = tmp_path / "short.alist"
@@ -277,7 +302,7 @@ class TestCount:
         path.write_text(text)
         assert main(["count", "--input", str(path), "--table"]) == code
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"input: {path} (auto)"
+        assert lines[0] == f"input: {path} (edgelist)"
         assert lines[1].startswith("error: ") and message in lines[1]
         assert len(lines) == 2
 

@@ -111,7 +111,7 @@ class TestEdgeListParsing:
             parse_edge_list("   \n# only a comment\n")
 
     def test_undecodable_bytes(self):
-        with pytest.raises(ParseError, match="not UTF-8"):
+        with pytest.raises(ParseError, match="^line 1: byte 0xff is not ASCII$"):
             parse_edge_list(b"\xff\xfe2 2\n0 0\n")
 
     @given(edge_sets())
@@ -154,7 +154,7 @@ class TestAlistParsing:
             parse_alist("1 1\n1 1\n1\n1\n5\n1")
 
     def test_undecodable_bytes(self):
-        with pytest.raises(ParseError, match="not UTF-8"):
+        with pytest.raises(ParseError, match="^line 6: byte 0xff is not ASCII$"):
             parse_alist(b"1 1\n1 1\n1\n1\n1\n\xff\n")
 
     @given(edge_sets())
@@ -242,23 +242,23 @@ class TestBiadjacency:
 # The numpy tokenizer against the line-by-line readers in conftest
 # ---------------------------------------------------------------------------
 
-# whitespace to str.split that str.splitlines does not break on, and the
-# line breaks it does; int() digit sets; tokens int() refuses
-SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
-BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
-          "\x85", "\u2028", "\u2029"]
-DIGITS = ["0123456789"] * 4 + [
-    "".join(map(chr, range(0x660, 0x66A))),  # Arabic-Indic
-    "".join(map(chr, range(0xFF10, 0xFF1A))),  # fullwidth
-]
-BAD_TOKENS = ["x", "1.5", "0x1", "+", "-", "+-1", "1__2", "_1", "1_", "\u0663x",
-              "#", "1e3", "\ufeff1", "9" * 5000]
+# ASCII whitespace to str.split that str.splitlines does not break on,
+# and the ASCII line breaks it does; tokens int() refuses
+SPACES = [" ", "  ", "\t", "\x1f"]
+BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+BAD_TOKENS = ["x", "1.5", "0x1", "+", "-", "+-1", "1__2", "_1", "1_", "#", "1e3",
+              "9" * 5000]
+# what an ASCII file may meet: Unicode whitespace, line breaks and digits
+# that str.split, str.splitlines and int() would read, a byte order mark
+# and an accented comment; bytes gain a lone 0xff, text a lone surrogate
+NON_ASCII = ["\xa0", "\u2003", "\u3000", "\x85", "\u2028", "\u2029",
+             "\u0663", "\uff13", "\ufeff", "# caf\xe9"]
 HUGE = 10 ** 25
 
 
 @st.composite
 def spelled(draw, token):
-    """An int token in one of the spellings int() reads; a str as is."""
+    """An int token in one of the ASCII spellings int() reads; a str as is."""
     if isinstance(token, str):
         return token
     digits = str(abs(token))
@@ -267,18 +267,15 @@ def spelled(draw, token):
     if len(digits) > 1 and draw(st.integers(0, 5)) == 5:
         cut = draw(st.integers(1, len(digits) - 1))
         digits = digits[:cut] + "_" + digits[cut:]
-    digits = digits.translate(str.maketrans("0123456789",
-                                            draw(st.sampled_from(DIGITS))))
     return ("-" if token < 0 else draw(st.sampled_from(["", "", "", "+"]))) + digits
 
 
 @st.composite
 def rendered(draw, lines, comments):
-    """Lines of tokens as one file: drawn separators and line breaks,
-    blank lines, comments when the format has them; text or UTF-8 bytes,
-    now and then with a byte that is not UTF-8."""
+    """Lines of tokens as one ASCII file: drawn separators and line
+    breaks, blank lines, comments when the format has them; text or bytes."""
     blank = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
-    note = st.lists(st.sampled_from(["1", " ", "#", "x", "\t", "\u0663", "\xa0"]),
+    note = st.lists(st.sampled_from(["1", " ", "#", "x", "\t"]),
                     max_size=5).map(lambda chars: "#" + "".join(chars))
     parts = []
     for tokens in lines:
@@ -293,9 +290,19 @@ def rendered(draw, lines, comments):
         parts.append(line + draw(blank))
     text = "".join(p + draw(st.sampled_from(BREAKS)) for p in parts[:-1])
     text += "".join(parts[-1:]) + draw(st.sampled_from(["", "\n", "\r\n"]))
-    if draw(st.booleans()):
-        return text
-    return text.encode() + (b"\xff" if draw(st.integers(0, 19)) == 19 else b"")
+    return text if draw(st.booleans()) else text.encode()
+
+
+@st.composite
+def non_ascii(draw, files):
+    """An ASCII file from ``files`` with one item not ASCII put anywhere."""
+    data = draw(files)
+    if isinstance(data, str):
+        item = draw(st.sampled_from(NON_ASCII + ["\ud800"]))
+    else:
+        item = draw(st.sampled_from([s.encode() for s in NON_ASCII] + [b"\xff"]))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + item + data[at:]
 
 
 def pick(draw, items):
@@ -421,6 +428,20 @@ class TestParserAgreement:
     def test_alist(self, data):
         assert outcome(parse_alist, data) == outcome(line_parse_alist, data)
 
+    @given(non_ascii(edge_list_files()))
+    @settings(max_examples=100, deadline=None)
+    def test_edge_list_not_ascii(self, data):
+        got = outcome(parse_edge_list, data)
+        assert got == outcome(line_parse_edge_list, data)
+        assert re.fullmatch(r"line \d+: byte 0x[89a-f][0-9a-f] is not ASCII", got[1])
+
+    @given(non_ascii(alist_files()))
+    @settings(max_examples=100, deadline=None)
+    def test_alist_not_ascii(self, data):
+        got = outcome(parse_alist, data)
+        assert got == outcome(line_parse_alist, data)
+        assert re.fullmatch(r"line \d+: byte 0x[89a-f][0-9a-f] is not ASCII", got[1])
+
     @pytest.mark.parametrize("parse, oracle, data", [
         (parse_edge_list, line_parse_edge_list, "2 2\n0 1\n0 1\n\n1 1\n0 1\n"),
         (parse_edge_list, line_parse_edge_list, b"2 2\r\n0 0 # 1 x\r\n1 x\r\n"),
@@ -436,6 +457,19 @@ class TestParserAgreement:
     ])
     def test_examples(self, parse, oracle, data):
         assert outcome(parse, data) == outcome(oracle, data)
+
+    @pytest.mark.parametrize("parse, data, message", [
+        (parse_edge_list, "2\u20032\u20290\xa01\x851 2\n", "line 1: byte 0xe2"),
+        (parse_alist, "1 1\n1 1\n1\n1\n\u0661\n+01\n", "line 5: byte 0xd9"),
+        (parse_edge_list, "2 2\n0 0 # x\u20281 1\n", "line 2: byte 0xe2"),
+        (parse_edge_list, "2 2\r\n\ud800\n", "line 2: byte 0xed"),
+        (parse_edge_list, b"2 2\r\x85", "line 2: byte 0x85"),
+        (parse_edge_list, b"2 2\x1e0 0\v\xef\xbb\xbf1 1\n", "line 3: byte 0xef"),
+    ])
+    def test_not_ascii_names_the_line(self, parse, data, message):
+        """A line break before the byte is one of str.splitlines, \\r\\n
+        counted once; text is read as its UTF-8 bytes."""
+        assert outcome(parse, data) == ("error", f"{message} is not ASCII")
 
     @pytest.mark.parametrize("header", [f"{2 ** 31} 1", f"1 {10 ** 25}"])
     def test_node_counts_beyond_int32_are_refused(self, header):
