@@ -9,7 +9,8 @@ tr(A^(2a)) = 2 tr((D^T D)^a). M^a = [[P_a, P_(a-1) L], [P_(a-1), P_(a-2)
 L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
-with no transpose. A chain starts in the graph's start form, dense
+with no transpose; each level past 2 is one ``graph_core._step``, the
+girth walk's step. A chain starts in the graph's start form, dense
 float64 or scipy sparse int64, and one guard, on each level's product,
 moves it to dense Python ints; sums of squares that could pass the start
 form's limit run in Python ints. With L = 0 it runs one side alone.
@@ -37,7 +38,7 @@ from . import graph_core
 # profile stays bound though unused here: perfbench's traced pass wraps
 # each module's binding of it (perfbench/tracing.py)
 from .graph_core import (BipartiteGraph, _forms, _plus_diagonal, _rows,
-                         _scaled, _start_form, profile)
+                         _start_form, _step, profile)
 from .spectra import _cluster
 
 __all__ = [
@@ -136,17 +137,19 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     that side runs alone and counts twice; else the U side stops short of
     an odd top, as R_top^T has R_top's squares.
 
-    A chain starts in the graph's start form, dense float64 numpy (exact
-    below 2^53) or scipy sparse int64 (below INT64_LIMIT), and may leave
-    it once, for dense Python ints, which have no limit. Before each
-    product, every partial sum of X_c = s X_(c-1) + L X_(c-2) is at most
+    Levels 1 and 2 form in the start form, as no entry passes maxdeg +
+    max|L|, and each later one in one ``_step``. A chain starts in the
+    graph's start form, dense float64 numpy (exact below 2^53) or scipy
+    sparse int64 (below INT64_LIMIT), and may leave it once, for dense
+    Python ints, which have no limit. Before each product, every partial
+    sum of X_c = s X_(c-1) + L X_(c-2) is at most
     maxdeg max|X_(c-1)| + max|L| max|X_(c-2)|, the maxima taken from the
     recursive bound b_c = maxdeg b_(c-1) + max|L| b_(c-2), or from an
     abs-max pass over the blocks when that bound reaches the limit; a
     level whose guard reaches it moves its live blocks to Python ints.
     So a graph with both sides at most DENSE_MAX_SIZE never imports
     scipy, and a chain that takes it past 2^53 (transfer's does on an
-    even cycle of length 58 or more) runs on slower than int64 would.
+    even cycle of length 58 or more) runs on in row sums of Python ints.
     Each sum of squares of X_c, plain or weighted by one or two entries
     of L, is at most nnz max|X_c|^2 max(1, max|L|)^2 (tightened by an
     abs-max of X_c at the limit); from the limit on it runs in Python
@@ -197,7 +200,10 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             if top > 1:
                 traces[2] += int((lc * lc).sum())
         tier, letters = start, ""
-        x, xt = _forms(a, b, tier)
+        x, xt = _forms(a, b, form)
+        # each form's steps to X_c by the parity of c, over D^T and D
+        steps = {t: (_step(p, lc), _step(q, lr))
+                 for t, (p, q) in ((form, (xt, x)), ("bigint", (b, a)))}
         prev = cur = None  # X_(c-2), X_(c-1) once formed
         b_prev, b_cur = 0, 1  # bounds on their largest |entry|
         c = 0
@@ -211,19 +217,17 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
                 bound = maxdeg * b_cur + lmax * b_prev
             if checked(tier, bound) != tier:
                 tier = "bigint"
-                x, xt = _forms(a, b, tier)
                 prev, cur = _as_ints(prev), _as_ints(cur)
             rw = lr if c % 2 else lc  # L on the rows of block c
             if c == 1:
                 new, bound = x, 1
             elif c == 2:
-                new = (g.gram if side == gram_side and tier == form
-                       else xt @ x)
-                new = _plus_diagonal(new, lc)
+                new = _plus_diagonal(
+                    g.gram if side == gram_side else xt @ x, lc)
             else:
-                new = (x if c % 2 else xt) @ cur
-                if rw.any():
-                    new = new + _scaled(prev, rw)
+                new = steps[tier][c % 2](cur, prev)
+            if c < 3 and tier == "bigint":  # formed exactly in start form
+                new = _as_ints(new)
             dense = tier != "sparse"
             data = new if dense else new.data
             total = new.size * bound ** 2 * weights  # nnz, when sparse

@@ -16,7 +16,7 @@ the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
 pairs, is read only by the references the tests check the package
 against. ``gram``, the Gram block of the side ``_roots`` picks, is
 cached too. The walk-block tools the girth walk shares with the trace
-engine live here. ``profile`` reads the degrees from the row pointers of
+engine, its one walk step ``_step`` among them, live here. ``profile`` reads the degrees from the row pointers of
 D and D^T and the component count from labels set in numpy over the edge
 arrays; |E| = |V| - components marks a forest. ``girth`` walks, unless
 the graph is a forest, counts of non-backtracking walks (the walks A_e
@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -268,19 +268,20 @@ def _girth(g: BipartiteGraph) -> tuple[int, tuple]:
     The roots are the left side of r in (r, t) = ``g._roots()``, x = D_r
     and xt = D_t = x^T. W_l[v, root] counts the non-backtracking walks of
     length l between v and a root: W_1 = xt, W_2 = ``g.gram`` - diag(deg),
-    and W_(l+1) = s W_l + diag(1 - deg) W_(l-1), the trace engine's step
-    with L = I - deg on the rows and s alternating xt and x. Balls of
-    radius below g/2 are trees, so W_l is 0/1 for l < g/2, and a root on a
-    shortest cycle has two walks to its antipode at l = g/2: the girth is
-    2l for the first l with an entry >= 2. Every cycle meets both sides,
-    so these roots see them all. The blocks take the start form: dense
-    float64 (exact on these small counts) or scipy sparse int64.
+    and W_(l+1) = s W_l + diag(1 - deg) W_(l-1), the trace engine's
+    ``_step`` with L = I - deg on the rows and s alternating xt and x; the
+    two steps are built once. Balls of radius below g/2 are trees, so W_l
+    is 0/1 for l < g/2, and a root on a shortest cycle has two walks to
+    its antipode at l = g/2: the girth is 2l for the first l with an
+    entry >= 2. Every cycle meets both sides, so these roots see them all.
+    The blocks take the start form: dense float64 (exact on these small
+    counts) or scipy sparse int64.
     """
     r, t = g._roots()
     tier = _start_form(g)
     x, xt = _forms(r, t, tier)
     deg = np.diff(r.indptr)  # the roots'
-    steps = ((x, 1 - deg), (xt, 1 - np.diff(t.indptr)))
+    steps = (_step(x, 1 - deg), _step(xt, 1 - np.diff(t.indptr)))
     prev, cur = xt, _plus_diagonal(g.gram, -deg)
     level, peak = 2, g.edge_count  # W_1 has |E| entries
     while True:
@@ -288,8 +289,8 @@ def _girth(g: BipartiteGraph) -> tuple[int, tuple]:
         peak = max(peak, np.count_nonzero(values))
         if values.max() >= 2:
             return 2 * level, (tier, r.left_count, level, peak)
-        s, w = steps[(level + 1) % 2]  # W_(l+1) has W_(l-1)'s rows
-        prev, cur = cur, s @ cur + _scaled(prev, w)
+        # W_(l+1) has W_(l-1)'s rows
+        prev, cur = cur, steps[(level + 1) % 2](cur, prev)
         level += 1
 
 
@@ -300,13 +301,55 @@ def _start_form(g: BipartiteGraph) -> str:
 
 
 def _forms(a: BipartiteGraph, b: BipartiteGraph, tier: str):
-    """D_a and D_a^T = D_b in the form of ``tier``: scipy int64, or dense
-    float64 or Python ints, read-only, so no chain scales D in place."""
+    """D_a and D_a^T = D_b in the start form ``tier``: scipy int64, or
+    dense float64, read-only, so no chain scales D in place."""
     if tier == "sparse":
         return a.biadjacency, b.biadjacency
-    x = a.dense(np.float64 if tier == "dense" else object)
+    x = a.dense()
     x.flags.writeable = False
     return x, x.T
+
+
+def _step(s, w: np.ndarray):
+    """The walk step (X_(c-1), X_(c-2)) -> s X_(c-1) + diag(w) X_(c-2) of
+    the trace engine and the girth walk, for s = D_a in the blocks' form:
+    - scipy: one product [s | diag(w)] [X_(c-1); X_(c-2)], the operator
+      ``_appended`` to s on first use, as a walk may stop short of it,
+      and the stacked block joined from the two blocks' arrays. So no
+      sparse add runs, and each partial sum of a row is one of
+      s X_(c-1) + diag(w) X_(c-2)'s;
+    - dense Python ints, for s the graph a itself: row i sums the rows of
+      X_(c-1) at a's column indices of row i, nnz(D) k additions where an
+      object product makes n m k;
+    - dense float64: s X_(c-1) by BLAS, plus the scaled block.
+    """
+    scaled = w.any()
+    if isinstance(s, BipartiteGraph):
+        def product(cur):
+            rows = np.flatnonzero(np.diff(s.indptr))  # reduceat: non-empty
+            new = np.zeros((s.left_count, cur.shape[1]), dtype=object)
+            new[rows] = np.add.reduceat(cur[s.indices], s.indptr[rows])
+            return new
+    elif isinstance(s, np.ndarray) or not scaled:
+        product = s.__matmul__
+    else:
+        n, m = s.shape
+        op = cache(lambda: _appended(s, s.data, m + np.arange(n), w, (n, m + n)))
+
+        def stacked(cur, prev):
+            # int32 indices while they fit: one int64 array takes a whole
+            # scipy product, and the copies it makes, to int64
+            indptr = np.concatenate((cur.indptr, prev.indptr[1:]), dtype=(
+                np.int32 if cur.nnz + prev.nnz < 2 ** 31 else np.int64))
+            indptr[len(cur.indptr):] += cur.nnz
+            return op() @ type(cur)((
+                np.concatenate((cur.data, prev.data)),
+                np.concatenate((cur.indices, prev.indices)), indptr),
+                shape=(m + n, cur.shape[1]))
+        return stacked
+    if not scaled:
+        return lambda cur, prev: product(cur)
+    return lambda cur, prev: product(cur) + w[:, None] * prev
 
 
 def _rows(block, w: np.ndarray):
@@ -316,24 +359,11 @@ def _rows(block, w: np.ndarray):
     return np.repeat(w, np.diff(block.indptr))
 
 
-def _scaled(block, w: np.ndarray):
-    """diag(w) block; in place when the block's values are writable."""
-    values = block if isinstance(block, np.ndarray) else block.data
-    if values.flags.writeable:
-        values *= _rows(block, w)
-        return block
-    if isinstance(block, np.ndarray):
-        return block * w[:, None]
-    return type(block)((values * _rows(block, w), block.indices,
-                        block.indptr), shape=block.shape)
-
-
 def _plus_diagonal(block, w: np.ndarray):
     """block + diag(w) for a square dense or scipy block; a new block
-    unless w is 0. A Gram block stores every diagonal entry but those of
-    nodes with no edge, so a sparse one takes w on a copy of its values;
-    the general add, which cost as much as a product, runs only when such
-    a node needs a nonzero entry."""
+    unless w is 0. A sparse one takes w on a copy of its stored diagonal,
+    and a Gram block stores all of it but the entries of nodes with no
+    edge, which ``_appended`` puts at the ends of their rows."""
     if not w.any():
         return block
     k = len(w)
@@ -342,16 +372,27 @@ def _plus_diagonal(block, w: np.ndarray):
         block.flat[::k + 1] += w
         return block
     rows = np.repeat(np.arange(k), np.diff(block.indptr))
-    on = block.indices == rows
-    stored = np.zeros(k, dtype=bool)
-    stored[rows[on]] = True
-    if w[~stored].any():
-        return block + type(block)((w, np.arange(k, dtype=np.int32),
-                                    np.arange(k + 1, dtype=np.int32)),
-                                   shape=(k, k))
-    data = block.data.copy()
+    on = np.flatnonzero(block.indices == rows)
+    data, missing = block.data.copy(), w.copy()
     data[on] += w[rows[on]]
-    return type(block)((data, block.indices, block.indptr), shape=block.shape)
+    missing[rows[on]] = 0
+    return _appended(block, data, np.arange(k), missing, block.shape)
+
+
+def _appended(block, data: np.ndarray, columns: np.ndarray, w: np.ndarray,
+              shape: tuple[int, int]):
+    """The scipy block of the given shape with ``data`` on block's
+    pattern, and entry w_i at column columns[i] after the entries of each
+    row i where w_i != 0; so no sparse add runs."""
+    live = np.flatnonzero(w)
+    if not live.size:  # as np.insert would copy the arrays
+        return type(block)((data, block.indices, block.indptr), shape=shape)
+    ends = block.indptr[live + 1]
+    return type(block)((np.insert(data, ends, w[live]),
+                        np.insert(block.indices, ends, columns[live]),
+                        block.indptr + np.cumsum(np.r_[0, w != 0],
+                                                 dtype=block.indptr.dtype)),
+                       shape=shape)
 
 
 def profile(g: BipartiteGraph) -> GraphProfile:

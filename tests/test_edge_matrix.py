@@ -210,6 +210,44 @@ class TestPowerTraces:
                 mock.patch.multiple(module, **values):
             assert_rule_runs_its_top(g, told, told + extra)
 
+    @given(bipartite_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dense_and_sparse_start_forms_agree(self, g, data):
+        # L = I - deg or a random L, past level 2, where the steps run
+        degrees = np.concatenate([np.diff(g.indptr),
+                                  np.diff(g.transpose.indptr)])
+        loss = data.draw(st.sampled_from([1 - degrees, np.array(data.draw(
+            st.lists(st.integers(-3, 3), min_size=g.node_count,
+                     max_size=g.node_count)), dtype=np.int64)]))
+        traces = []
+        for start in ("dense", "sparse"):
+            module, values = FORCE[start]
+            # a fresh graph per form: the Gram block is cached in its form
+            with mock.patch.multiple(module, **values), \
+                    logged_tiers() as tiers:
+                traces.append(power_traces(BipartiteGraph(
+                    g.left_count, g.right_count, g.indptr, g.indices),
+                    loss, 9))
+            assert tiers == [start]
+        assert traces[0] == traces[1]
+
+    def test_python_ints_take_over_after_stacked_levels(self, caplog,
+                                                        monkeypatch):
+        # started sparse with L = I - deg, levels 3 to 5 run as stacked
+        # products; level 6's guard passes the limit and moves the chain
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 0)
+        monkeypatch.setattr(edge_matrix, "INT64_LIMIT", 1000)
+        g = configuration_model(30, 2)
+        loss = 1 - np.concatenate([np.diff(g.indptr),
+                                   np.diff(g.transpose.indptr)])
+        mat = reference_matrix(g.dense(np.int64), loss)
+        expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
+                  for j in range(9)]
+        assert power_traces(g, loss, 8) == expect
+        [record] = engine_records(caplog)
+        assert record.args[6] == "W:SSSSSbbb U:SSSSSbbb"
+
     def test_a_rule_needs_l_zero(self):
         # with L != 0 the two sides' traces are complete only at the end
         with pytest.raises(ValueError, match="needs L = 0"):
@@ -296,6 +334,80 @@ class TestPowerTraces:
             "peak=673 ")
         assert records[0].getMessage().endswith(
             " sides=UW levels=W:ddddd U:dddd limits=dense:9.007e+15 girth=-")
+
+
+@st.composite
+def step_inputs(draw):
+    """A graph, an integer w over D's rows with zeros and negatives, and
+    blocks X_(c-1) (D's columns x k) and X_(c-2) (D's rows x k)."""
+    g = draw(bipartite_graphs())
+    (n, m), k = g.shape, draw(st.integers(1, 4))
+
+    def ints(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.integers(-4, 4), min_size=size,
+                               max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+    return g, ints(n), ints(m, k), ints(n, k)
+
+
+def unsorted(block):
+    """block in CSR with each row's entries in descending column order, as
+    a scipy product may leave them."""
+    b = sp.csr_array(block)
+    order = np.lexsort((-b.indices, np.repeat(np.arange(b.shape[0]),
+                                              np.diff(b.indptr))))
+    return sp.csr_array((b.data[order], b.indices[order], b.indptr),
+                        shape=b.shape)
+
+
+class TestStep:
+    """``graph_core._step``, the walk step of the engine and the girth
+    walk, in each form against s X_(c-1) + diag(w) X_(c-2)."""
+
+    @given(step_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_form_is_the_product_plus_the_scaled_block(self, inputs):
+        g, w, cur, prev = inputs
+        expect = g.dense(np.int64) @ cur + w[:, None] * prev
+        with mock.patch.object(graph_core, "DENSE_MAX_SIZE", 0):
+            x, _ = graph_core._forms(g, g.transpose,
+                                     graph_core._start_form(g))
+        assert sp.issparse(x)
+        for blocks in ((sp.csr_array(cur), sp.csr_array(prev)),
+                       (unsorted(cur), unsorted(prev))):
+            new = graph_core._step(x, w)(*blocks)
+            assert new.dtype == np.int64 and new.indices.dtype == np.int32
+            assert np.array_equal(new.toarray(), expect)
+        ints = graph_core._step(g, w)(cur.astype(object), prev.astype(object))
+        assert ints.dtype == object
+        assert all(type(v) is int for v in ints.flat)
+        assert np.array_equal(ints, expect)
+        dense = graph_core._step(g.dense(), w)(cur.astype(float),
+                                               prev.astype(float))
+        assert np.array_equal(dense, expect)
+
+    def test_sparse_forms_run_no_add_and_keep_int32_indices(self,
+                                                             monkeypatch):
+        # left node 240 has no edge: its Gram row stores no diagonal entry
+        h = configuration_model(240, 0)
+        g = BipartiteGraph.from_edges(241, h.right_count, h.edges)
+        x, xt = g.biadjacency, g.transpose.biadjacency
+        gram, wl, wr = x @ xt, 1 - np.diff(g.indptr), 1 - np.diff(xt.indptr)
+        expect = (xt @ gram).toarray() + wr[:, None] * xt.toarray()
+        calls = []
+        for name in ("__add__", "__matmul__"):
+            real = getattr(sp.csr_array, name)
+            monkeypatch.setattr(sp.csr_array, name, lambda a, b, real=real,
+                                name=name: calls.append(name) or real(a, b))
+        new = graph_core._step(xt, wr)(gram, xt)
+        plus = graph_core._plus_diagonal(gram, wl)
+        assert calls == ["__matmul__"]
+        assert np.array_equal(new.toarray(), expect)
+        assert np.array_equal(plus.toarray(), gram.toarray() + np.diag(wl))
+        assert plus.nnz == gram.nnz + 1
+        for block in (new, plus):
+            assert block.indptr.dtype == block.indices.dtype == np.int32
 
 
 class TestTracePowers:
@@ -407,6 +519,18 @@ class TestTracePowerCounts:
     def test_tesseract(self):
         cc = trace_power_counts(tesseract(), max_k=4)
         assert cc.counts == {4: 24}
+
+    def test_200_cycle_on_both_exact_routes(self, caplog):
+        # transfer's L = 0 chain passes 2^53 near level 57 and runs on in
+        # Python ints, row sums over D's two nonzeros a row; trace's stays
+        # in float64
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        g = even_cycle(200)
+        expect = {200: 1} | {k: 0 for k in range(202, 399, 2)}
+        assert transfer_counts(g).counts == expect
+        assert trace_power_counts(g).counts == expect
+        assert [r.args[0] for r in engine_records(caplog)] == [
+            "bigint", "dense"]
 
     def test_refuses_beyond_window(self):
         with pytest.raises(RouteInapplicableError, match="2g"):

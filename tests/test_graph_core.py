@@ -743,6 +743,18 @@ class TestProfileEquivalence:
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", GIRTH_TIERS[tier])
         assert_reference(tesseract())
 
+    @pytest.mark.parametrize("g", [
+        even_cycle(402), even_cycle(440),
+        disjoint_union(even_cycle(402), even_cycle(410)),
+        disjoint_union(even_cycle(20), complete_bipartite(3, 3)),
+        disjoint_union(tesseract(), even_cycle(6), path(9)),
+    ], ids=["C402", "C440", "C402 + C410", "C20 + K33", "Q4 + C6 + path"])
+    def test_sparse_walk_steps(self, monkeypatch, g):
+        # the walk's two stacked steps, built once, carry W_(l-1) with
+        # L = I - deg, leaves' zeros included, into every level past 2
+        monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 0)
+        assert girth(g) == reference_girth(g)
+
     # large inputs, checked against their known profiles
     def test_cycle_2000(self):
         g = even_cycle(2000)
