@@ -135,9 +135,9 @@ def _run_brute(g, args):
 
 # name -> run(g, args) -> (CycleCounts, spectra). A route that cannot
 # take a graph raises RouteInapplicableError before any work, bar an
-# invalid window on transfer: transfer reads the girth off its own traces
-# and refuses at level g/2, while the other routes read girth(g), the
-# walk. Table order is the order verify runs the routes in; the first
+# invalid window on transfer and trace: they read the girth off their own
+# chains and refuse at level g/2, while direct and brute read girth(g),
+# the walk. Table order is the order verify runs the routes in; the first
 # route that runs is its reference.
 ROUTES = {"transfer": _run_transfer, "trace": _run_trace,
           "direct": _run_direct, "brute": _run_brute}
@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
 
     ks = sorted(set().union(*(cc.counts for cc in results.values())))
     diffs: dict[str, dict[str, int]] = {}
-    # transfer reads its girth off its own traces, the others take the walk's
+    # transfer and trace read their girth off their chains, the rest the walk's
     girths = {r: cc.girth for r, cc in results.items()}
     if set(girths.values()) != {walked}:
         diffs["girth"] = {"walk": walked, **girths}

@@ -40,10 +40,13 @@ def cycle_window_end(girth: int | None, max_k: int | None) -> int:
     return max_k
 
 
-def counts_from_traces(girth: int, traces: dict[int, int]) -> CycleCounts:
-    """N_k = tr(A_e^k) / 2k from a map k -> tr(A_e^k) over the window; a
+def counts_from_traces(traces: dict[int, int]) -> CycleCounts:
+    """The girth g, the first k where tr(A_e^k) = 2g N_g is not 0, and N_k
+    = tr(A_e^k) / 2k from g on, from a map k -> tr(A_e^k) over even k; a
     trace that 2k does not divide means the arithmetic went wrong."""
-    for k, t in traces.items():
+    girth = min(k for k, t in traces.items() if t)
+    window = {k: t for k, t in traces.items() if k >= girth}
+    for k, t in window.items():
         if t % (2 * k):
             raise NumericalError(f"tr(A_e^{k}) = {t} is not divisible by 2k")
-    return CycleCounts(girth, {k: t // (2 * k) for k, t in traces.items()})
+    return CycleCounts(girth, {k: t // (2 * k) for k, t in window.items()})

@@ -10,10 +10,8 @@ L]] with P_0 = I, P_1 = A and P_c = A P_(c-1) + L P_(c-2), all symmetric,
 so tr(M^(2a)) = sum_ij (P_a)_ij^2 + 2 L_j (P_(a-1))_ij^2 + L_i L_j
 (P_(a-2))_ij^2, P_(-1) = 0: sums of squares of |V|-sized walk matrices,
 with no transpose; each level past 2 is one ``graph_core._step``, the
-girth walk's step. A chain starts in the graph's start form, dense
-float64 or scipy sparse int64, and one guard, on each level's product,
-moves it to dense Python ints; sums of squares that could pass the start
-form's limit run in Python ints. With L = 0 it runs one side alone.
+girth walk's step. Neither route walks: each reads the girth off its own
+chain, which one rule, ``_girth_rule``, ends at the window's end.
 
 ``build_edge_matrix`` constructs A_e itself; no route calls it, and the
 tests read it as the reference they compare against. Arcs are numbered
@@ -32,11 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CycleCounts, counts_from_traces, cycle_window_end
-from .errors import NumericalError, SizeCapError
-from . import graph_core
-# profile stays bound though unused here: perfbench's traced pass wraps
-# each module's binding of it (perfbench/tracing.py)
+from .counts import FOREST, CycleCounts, counts_from_traces, cycle_window_end
+from .errors import NumericalError, RouteInapplicableError, SizeCapError
 from .graph_core import (BipartiteGraph, _forms, _plus_diagonal, _rows,
                          _start_form, _step, profile)
 from .spectra import _cluster
@@ -117,25 +112,25 @@ def build_edge_matrix(g: BipartiteGraph) -> DirectedEdgeMatrix:
 
 
 def power_traces(g: BipartiteGraph, loss: np.ndarray,
-                 top: int | Callable[[list[int]], int | None]) -> list[int]:
+                 top: int | Callable[..., int | None]) -> list[int]:
     """[tr(M^0), tr(M^2), ..., tr(M^(2 top))], exactly, for the n x m
     biadjacency block D of a graph and L = diag(loss); tr(M^k) = 0 for odd
     k, as M is bipartite as a digraph.
 
-    ``top`` is the last level, or, with L = 0 only, a rule: after each
-    level c it is given the traces to tr(M^(2c)), all complete, as one
-    side runs, and returns the last level, at least c, or None while it
-    cannot tell yet. It is not called again once it has told.
+    ``top`` is the last level, or a rule: after each level c of the first
+    side, until it tells, rule(c, traces, X_c) returns the last level, at
+    least c, or None. The traces, complete to c only with L = 0, where one
+    side runs, reach c + 2, as level c's L-weighted sums do.
 
     P_c is off-diagonal for odd c (block R_c, n x m), block diagonal for
     even c (S_c, T_c). Its W columns follow from T_0 = I, R_1 = D, T_2 =
     D^T D + L_W, R_c = D T_(c-1) + L_U R_(c-2) and T_c = D^T R_(c-1) +
     L_W T_(c-2), its U columns from the same chain with D^T for D; each
     side adds its columns' terms of the sum of squares, and T_0 = I adds
-    only its L-weighted ones. The side ``g._roots()`` picks takes its Gram
-    block from ``g.gram``. With L = 0 both sides give the same sums, so
-    that side runs alone and counts twice; else the U side stops short of
-    an odd top, as R_top^T has R_top's squares.
+    only its L-weighted ones. With L = 0 both sides give the same sums, so
+    the side ``g._roots()`` picks runs alone and counts twice. Else W runs
+    first, U second; as R_top^T has R_top's squares, where the top is odd
+    W counts its top sum once more and U stops short of it.
 
     Levels 1 and 2 form in the start form, as no entry passes maxdeg +
     max|L|, and each later one in one ``_step``. A chain starts in the
@@ -158,7 +153,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
     form's initial, upper case where the sums left it, the limit of each
     form that ran, as ``peak=`` the largest product guard, and as
     ``girth=`` the level at which a rule told the last level (g/2 for
-    ``transfer_counts``), or - for an integer top. Where the recursive
+    both exact routes), or - for an integer top. Where the recursive
     bound passed, ``peak=`` is the bound, which can sit 10-50 times
     above the largest number formed (W(11)); the headroom under a limit
     needs the tight value.
@@ -170,9 +165,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
               else INT64_LIMIT}
     maxdeg = int(max(np.diff(g.indptr).max(), np.diff(g.transpose.indptr).max()))
     lmax = int(np.abs(loss).max())
-    rule = None if isinstance(top, int) else top
-    if rule is not None and lmax:
-        raise ValueError("a rule for the last level needs L = 0")
+    rule, top = (None, top) if isinstance(top, int) else (top, None)
     weights = max(1, lmax) ** 2
     peak = 2 * (n + m)  # tr(M^0)
 
@@ -185,19 +178,19 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
         return "bigint" if value >= limits[tier] else tier
 
     start = checked(form, peak)
-    gram_side = "U" if g._roots()[0] is g else "W"  # the side of g.gram
     sides = {"W": (g, g.transpose, loss[:n], loss[n:]),
              "U": (g.transpose, g, loss[n:], loss[:n])}
     if not lmax:
-        sides = {gram_side: sides[gram_side]}
-    traces = [2 * (n + m)] + [0] * (0 if rule else top)
-    short = len(sides) == 2 and top % 2 == 1
+        side = "U" if g._roots()[0] is g else "W"
+        sides = {side: sides[side]}
+    traces = [2 * (n + m)] + [0] * (2 if top is None else top)
     told = None  # the level at which the rule told the last one
+    short = sq = 0  # the second side's shortfall; the last sum of squares
     ran, levels = {start}, []
     for side, (a, b, lr, lc) in sides.items():  # on a's right side's columns
-        if top and lc.any():  # T_0 = I: squares weighted by L_j, then L_i
+        if len(traces) > 1 and lc.any():  # T_0 = I: weighted by L_j, then L_i
             traces[1] += 2 * int(lc.sum())
-            if top > 1:
+            if len(traces) > 2:
                 traces[2] += int((lc * lc).sum())
         tier, letters = start, ""
         x, xt = _forms(a, b, form)
@@ -207,9 +200,9 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
         prev = cur = None  # X_(c-2), X_(c-1) once formed
         b_prev, b_cur = 0, 1  # bounds on their largest |entry|
         c = 0
-        while (rule and told is None) or c < top - (short and side == "U"):
+        while top is None or c < top - short:
             c += 1
-            if c == len(traces):  # a rule's chain grows level by level
+            if top is None:
                 traces.append(0)
             bound = maxdeg * b_cur + lmax * b_prev
             if c > 2 and tier in limits and bound >= limits[tier]:
@@ -222,8 +215,7 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             if c == 1:
                 new, bound = x, 1
             elif c == 2:
-                new = _plus_diagonal(
-                    g.gram if side == gram_side else xt @ x, lc)
+                new = _plus_diagonal(xt @ x, lc)
             else:
                 new = steps[tier][c % 2](cur, prev)
             if c < 3 and tier == "bigint":  # formed exactly in start form
@@ -237,18 +229,21 @@ def power_traces(g: BipartiteGraph, loss: np.ndarray,
             big = tier in limits and total >= limits[tier]
             if big:  # the sums, not the block, leave the tier
                 data = _as_ints(data)
-            traces[c] += int(np.vdot(data, data)) * (
-                1 + (len(sides) == 1 or short and c == top))
-            if lc.any() and c < top:  # squares weighted by L_j, then by L_i
+            sq = int(np.dot(data.ravel(), data.ravel()))
+            traces[c] += sq * (1 + (len(sides) == 1))
+            if lc.any() and c + 1 < len(traces):  # weighted by L_j, then L_i
                 t = data * data * (lc if dense else lc[new.indices])
                 traces[c + 1] += 2 * int(t.sum())
-                if c < top - 1:
+                if c + 2 < len(traces):
                     traces[c + 2] += int((t * _rows(new, rw)).sum())
             letters += tier[0].upper() if big else tier[0]
             ran.add(tier)
             prev, cur, b_prev, b_cur = cur, new, b_cur, bound
-            if rule and told is None and (last := rule(traces)) is not None:
+            if top is None and (last := rule(c, traces, new)) is not None:
                 told, top = c, last
+                traces = (traces + [0] * top)[:top + 1]
+        if len(sides) == 2 and top % 2 and not short:
+            short, traces[top] = 1, traces[top] + sq
         levels.append(f"{side}:{letters}")
     ran = [t for t in (form, "bigint") if t in ran]
     log.debug("power_traces tier=%s form=%s shape=%s top=%d peak=%.3g "
@@ -277,28 +272,49 @@ def _absmax(block) -> int:
     return int(abs(values).max()) if values.size else 0
 
 
-def trace_powers(g: BipartiteGraph, max_k: int) -> dict[int, int]:
-    """Exact tr(A_e^k) for k = 1 .. max_k, without building A_e: Ihara-Bass,
-    tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k) for M with L = I - deg."""
+def trace_powers(g: BipartiteGraph, top) -> dict[int, int]:
+    """Exact tr(A_e^k) for even k = 2 .. 2 top, top a level or a
+    ``power_traces`` rule, without building A_e (odd k give 0): Ihara-Bass,
+    tr(A_e^k) = tr(M^k) + (|E| - |V|)(1 + (-1)^k) for L = I - deg."""
     degrees = np.concatenate([np.diff(g.indptr), np.diff(g.transpose.indptr)])
-    traces = power_traces(g, 1 - degrees, max_k // 2)
     shift = 2 * (g.edge_count - g.node_count)
-    return {k: 0 if k % 2 else traces[k // 2] + shift
-            for k in range(1, max_k + 1)}
+    return {2 * c: t + shift
+            for c, t in enumerate(power_traces(g, 1 - degrees, top)) if c}
 
 
 def trace_power_counts(g: BipartiteGraph,
                        max_k: int | None = None) -> CycleCounts:
-    """Exact N_k = tr(A_e^k) / 2k for even k in [g, max_k].
+    """Exact N_k = tr(A_e^k) / 2k for even k in [g, max_k], and the girth
+    g, read off the same chain, of any bipartite graph (irregular
+    included); the window is capped at 2g - 2 because TBC walks and
+    cycles part ways at length 2g."""
+    return counts_from_traces(trace_powers(g, _girth_rule(g, max_k,
+                                                          _two_walks)))
 
-    Valid for any bipartite graph (irregular included); the window is
-    capped at 2g - 2 because TBC walks and cycles part ways at length 2g.
-    """
-    girth = graph_core.girth(g)
-    max_k = cycle_window_end(girth, max_k)
-    traces = trace_powers(g, max_k)
-    return counts_from_traces(girth, {k: traces[k]
-                                      for k in range(girth, max_k + 1, 2)})
+
+def _girth_rule(g: BipartiteGraph, max_k: int | None, met):
+    """The ``power_traces`` rule of both exact routes, which refuse a
+    forest before any work: once ``met(c, traces, block)``, the route's
+    own test, tells that level c is g/2, the window [g, max_k] gives the
+    last level. A girth is at most 2 min(n, m): no cycle met by then fails."""
+    if profile(g).is_forest:
+        raise RouteInapplicableError(FOREST)
+
+    def rule(c: int, traces: list[int], block) -> int | None:
+        if met(c, traces, block):
+            return cycle_window_end(2 * c, max_k) // 2
+        if c >= min(g.shape):
+            raise NumericalError(f"no cycle met by level {c} = min(n, m), "
+                                 "where every girth is met")
+    return rule
+
+
+def _two_walks(c: int, traces: list[int], block) -> bool:
+    """The trace route's girth test on its first side's block of P_c =
+    sum_j W_(c-2j) >= 0, W_l the girth walk's counts (``graph_core._girth``):
+    0/1 below g/2, where balls are trees, with an entry >= 2 at g/2 (the
+    antipodes of a shortest cycle, met on both sides at even c)."""
+    return _absmax(block) >= 2
 
 
 def edge_spectrum_direct(g: BipartiteGraph,

@@ -14,16 +14,17 @@ array over the stored arrays. Only the sparse form reads
 at most DENSE_MAX_SIZE is counted by numpy alone; the other layers read
 the arrays, ``dense()`` or ``neighbor_lists``. ``edges``, the (u, w)
 pairs, is read only by the references the tests check the package
-against. ``gram``, the Gram block of the side ``_roots`` picks, is
-cached too. The walk-block tools the girth walk shares with the trace
-engine, its one walk step ``_step`` among them, live here. ``profile`` reads the degrees from the row pointers of
-D and D^T and the component count from labels set in numpy over the edge
-arrays; |E| = |V| - components marks a forest. ``girth`` walks, unless
-the graph is a forest, counts of non-backtracking walks (the walks A_e
-counts) rooted on the smaller side, one engine step per level, to depth
-g/2. Both are cached on the graph as plain values that hold no
-reference back to it, so every layer calls them and a graph is freed
-without the cyclic collector.
+against. The walk-block tools the girth walk shares with the trace
+engine, its one walk step ``_step`` among them, live here. ``profile``
+reads the degrees from the row pointers of D and D^T and the component
+count from labels set in numpy over the edge arrays; |E| = |V| -
+components marks a forest. ``girth`` walks, unless the graph is a
+forest, counts of non-backtracking walks (the walks A_e counts) rooted
+on the smaller side, one engine step per level, to depth g/2, for
+direct, brute, verify's window and the N_(g+4) check. Both are cached
+on the graph as plain values that hold no reference back to it, so
+every layer calls them and a graph is freed without the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -137,21 +138,10 @@ class BipartiteGraph:
     def _roots(self) -> tuple["BipartiteGraph", "BipartiteGraph"]:
         """(r, r^T) for r the graph whose left side is this graph's smaller
         side, the left on a tie: the one side rule of the girth walk's
-        roots, ``gram``, the engine's Gram side and the rank audit's rows."""
+        roots, the engine's lone side with L = 0 and the rank audit's rows."""
         if self.left_count <= self.right_count:
             return self, self.transpose
         return self.transpose, self
-
-    @cached_property
-    def gram(self):
-        """D_r D_r^T for (r, r^T) = ``_roots()``, read-only, in the start
-        form: dense float64 or scipy int64."""
-        x, xt = _forms(*self._roots(), _start_form(self))
-        gram = x @ xt
-        for array in ((gram,) if isinstance(gram, np.ndarray)
-                      else (gram.data, gram.indices, gram.indptr)):
-            array.flags.writeable = False
-        return gram
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -267,7 +257,7 @@ def _girth(g: BipartiteGraph) -> tuple[int, tuple]:
 
     The roots are the left side of r in (r, t) = ``g._roots()``, x = D_r
     and xt = D_t = x^T. W_l[v, root] counts the non-backtracking walks of
-    length l between v and a root: W_1 = xt, W_2 = ``g.gram`` - diag(deg),
+    length l between v and a root: W_1 = xt, W_2 = x xt - diag(deg),
     and W_(l+1) = s W_l + diag(1 - deg) W_(l-1), the trace engine's
     ``_step`` with L = I - deg on the rows and s alternating xt and x; the
     two steps are built once. Balls of radius below g/2 are trees, so W_l
@@ -282,7 +272,7 @@ def _girth(g: BipartiteGraph) -> tuple[int, tuple]:
     x, xt = _forms(r, t, tier)
     deg = np.diff(r.indptr)  # the roots'
     steps = (_step(x, 1 - deg), _step(xt, 1 - np.diff(t.indptr)))
-    prev, cur = xt, _plus_diagonal(g.gram, -deg)
+    prev, cur = xt, _plus_diagonal(x @ xt, -deg)
     level, peak = 2, g.edge_count  # W_1 has |E| entries
     while True:
         values = cur if tier == "dense" else cur.data
@@ -360,20 +350,19 @@ def _rows(block, w: np.ndarray):
 
 
 def _plus_diagonal(block, w: np.ndarray):
-    """block + diag(w) for a square dense or scipy block; a new block
-    unless w is 0. A sparse one takes w on a copy of its stored diagonal,
-    and a Gram block stores all of it but the entries of nodes with no
-    edge, which ``_appended`` puts at the ends of their rows."""
+    """block + diag(w) for a square dense or scipy block, a fresh product
+    whose values it adds w to in place. A sparse one takes w on its stored
+    diagonal, and a Gram block stores all of it but the entries of nodes
+    with no edge, which ``_appended`` puts at the ends of their rows."""
     if not w.any():
         return block
     k = len(w)
     if isinstance(block, np.ndarray):
-        block = block.copy()
         block.flat[::k + 1] += w
         return block
     rows = np.repeat(np.arange(k), np.diff(block.indptr))
     on = np.flatnonzero(block.indices == rows)
-    data, missing = block.data.copy(), w.copy()
+    data, missing = block.data, w.copy()
     data[on] += w[rows[on]]
     missing[rows[on]] = 0
     return _appended(block, data, np.arange(k), missing, block.shape)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import FOREST, CycleCounts, counts_from_traces, cycle_window_end
-from .edge_matrix import EdgeSpectrum, power_traces
+from .counts import CycleCounts, counts_from_traces
+from .edge_matrix import EdgeSpectrum, _girth_rule, power_traces
 from .errors import NumericalError, RouteInapplicableError
 from .graph_core import BipartiteGraph, profile
 from .spectra import AdjacencySpectrum, _cluster
@@ -197,14 +197,9 @@ def transfer_counts(g: BipartiteGraph,
     with a_t = tr(A^{2t}) = 2 tr((D^T D)^t) for t >= 1 and a_0 = 2m. The
     a_t come from ``power_traces`` with L = 0, which runs the smaller side,
     the d_c side, alone. tr(A_e^{2j}) counts closed non-backtracking walks,
-    so it is 0 for 2j < g and 2g N_g at 2j = g: the chain's rule stops it
-    at the first level c with a nonzero edge trace, g = 2c, and runs it on
-    to the window's end. A girth is at most 2 min(n, m), so a chain that
-    finds none by level min(n, m) has gone wrong and fails."""
+    so it is 0 for 2j < g and 2g N_g at 2j = g: ``_girth_rule`` meets the
+    girth at the first level c with a nonzero edge trace, g = 2c."""
     d_v, d_c, n, m = _sorted_sides(g)
-    if profile(g).is_forest:
-        raise RouteInapplicableError(FOREST)
-
     q1, q2, shift = d_v - 1, d_c - 1, g.edge_count - g.node_count
     s, r = q1 + q2, q1 * q2
     polys = [[2], [-s, 1]]  # p_0 and p_1, lowest coefficient first
@@ -217,17 +212,7 @@ def transfer_counts(g: BipartiteGraph,
         return _edge_trace(polys[j], [2 * m, *traces[1:j + 1]],
                            2 * ((n - m) * (-q1) ** j + shift))
 
-    def last_level(traces: list[int]) -> int | None:
-        c = len(traces) - 1
-        if edge_trace(traces, c):
-            return cycle_window_end(2 * c, max_k) // 2
-        if c >= min(n, m):
-            raise NumericalError(f"no nonzero edge trace by level {c} = "
-                                 "min(n, m), where every girth is met")
-        return None
-
-    traces = power_traces(g, np.zeros(n + m, dtype=np.int64), last_level)
-    edge_traces = {2 * j: edge_trace(traces, j) for j in range(1, len(traces))}
-    girth = min(k for k, t in edge_traces.items() if t)
-    return counts_from_traces(girth, {k: t for k, t in edge_traces.items()
-                                      if k >= girth})
+    traces = power_traces(g, np.zeros(n + m, dtype=np.int64), _girth_rule(
+        g, max_k, lambda c, traces, block: edge_trace(traces, c)))
+    return counts_from_traces({2 * j: edge_trace(traces, j)
+                               for j in range(1, len(traces))})

@@ -22,7 +22,7 @@ from girthspec import (
     write_alist,
     write_edge_list,
 )
-from girthspec import cli, edge_matrix, spectra, spectral_transfer
+from girthspec import cli, edge_matrix, graph_core, spectra, spectral_transfer
 from girthspec.cli import main
 from girthspec.graph_core import DENSE_MAX_SIZE
 
@@ -256,7 +256,7 @@ class TestCount:
         (["count"], 0), (["count", "--emit-spectra"], 0),
         (["count", "--route", "transfer"], 0),
         (["count", "--route", "transfer", "--emit-spectra"], 0),
-        (["count", "--route", "trace"], 1), (["count", "--route", "direct"], 1),
+        (["count", "--route", "trace"], 0), (["count", "--route", "direct"], 1),
         (["count", "--route", "brute"], 1), (["verify"], 1)])
     def test_girth_walks_per_route(self, capsys, caplog, q4_el, argv, walks):
         caplog.set_level(logging.DEBUG, logger="girthspec")
@@ -264,11 +264,17 @@ class TestCount:
         assert code == 0 and report["profile"]["girth"] == 4
         messages = [r.getMessage() for r in caplog.records]
         assert sum(m.startswith("girth tier=") for m in messages) == walks
-        # transfer's chain, in every run but trace, direct and brute, names
-        # the level where it met the girth
-        chains = [m for m in messages if " form=adjacency " in m]
-        assert [m.endswith(" girth=2") for m in chains] == [True] * (
-            walks == 0 or argv[0] == "verify")
+        # transfer's chain, in every run but trace, direct and brute, and
+        # trace's Ihara-Bass chain, in trace and verify, name the level
+        # where they met the girth
+        route = "verify" if argv[0] == "verify" else (
+            argv[argv.index("--route") + 1] if "--route" in argv
+            else "transfer")
+        for form, runs in (("adjacency", ("transfer", "verify")),
+                           ("ihara-bass", ("trace", "verify"))):
+            chains = [m for m in messages if f" form={form} " in m]
+            assert [m.endswith(" girth=2") for m in chains] == [True] * (
+                route in runs)
 
     def test_emit_spectra(self, capsys, q4_el):
         code, report = run_json(capsys, ["count", "--input", q4_el,
@@ -558,6 +564,20 @@ class TestVerify:
         assert report["agreement"]["diffs"] == {"girth": {
             "walk": 8, "transfer": 6, "trace": 8, "direct": 8, "brute": 8}}
         assert report["counts"] == {"8": 1, "10": 0, "12": 0, "14": 0}
+
+    def test_exact_routes_carry_their_own_girth(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the walk patched to read 6 on C8: transfer and trace read the
+        # true girth off their own chains, the routes that take the walk's
+        # carry its value
+        path = tmp_path / "c8.el"
+        path.write_text(write_edge_list(even_cycle(8)))
+        monkeypatch.setattr(graph_core, "_girth",
+                            lambda g: (6, ("dense", 4, 3, 8)))
+        code, report = run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 1
+        assert report["agreement"]["diffs"]["girth"] == {
+            "walk": 6, "transfer": 8, "trace": 8, "direct": 6, "brute": 6}
 
     def test_corrupted_input_fixture(self, capsys, tmp_path):
         # edge list whose declared shape cannot parse

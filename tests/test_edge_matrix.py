@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from girthspec import (
     BipartiteGraph,
+    NumericalError,
     RouteInapplicableError,
     SizeCapError,
     build_edge_matrix,
@@ -34,6 +35,7 @@ from conftest import (
     configuration_model,
     logged_tiers,
     random_bipartite,
+    reference_girth,
 )
 
 # the 8x8 directed edge matrix of the 4-cycle as printed for the
@@ -133,12 +135,16 @@ def adjacency_chain(g, top):
 def assert_rule_runs_its_top(g, told, last):
     """A rule that tells the last level at level ``told`` gives the traces
     and the DEBUG record of the integer top ``last``, bar ``girth=``; at
-    each level it is given the traces so far, complete."""
+    each level c it is given c, the traces so far, complete to c and two
+    levels ahead, and the lone side's block X_c, whose squares, counted
+    twice, are tr(M^(2c))."""
     fixed, fixed_args = adjacency_chain(g, last)
 
-    def rule(traces):
-        assert traces == fixed[:len(traces)]
-        return last if len(traces) - 1 == told else None
+    def rule(c, traces, block):
+        assert traces[:c + 1] == fixed[:c + 1] and len(traces) == c + 3
+        values = block if isinstance(block, np.ndarray) else block.data
+        assert 2 * sum(int(v) ** 2 for v in values.flat) == fixed[c]
+        return last if c == told else None
 
     ruled, ruled_args = adjacency_chain(g, rule)
     assert ruled == fixed
@@ -174,13 +180,13 @@ class TestPowerTraces:
            st.sampled_from(["dense", "sparse"]))
     # level 1's squares, 9 * 3^2 = 81, move it up: past X_0, before X_1
     @example((complete_bipartite(3, 3), np.full(6, -3)), 2, 50, "dense")
-    # level 2's guard, 56 * 4^2, takes an abs-max of the Gram block itself
+    # level 2's guard, 56 * 4^2, takes an abs-max of the level-2 block
     @example((tesseract(), np.zeros(16, dtype=np.int64)), 3, 100, "sparse")
     @settings(max_examples=150, deadline=None)
     def test_levels_climb_mid_chain_exactly(self, inputs, top, limit, start):
         # a limit this small moves the chain up at any level, from either
-        # start; started sparse, the guards also read the cached Gram block
-        # in its scipy form, read-only and with unsorted indices
+        # start; started sparse, the guards also read D's read-only cached
+        # form and product blocks with unsorted indices
         g, loss = inputs
         mat = reference_matrix(g.dense(np.int64), loss)
         expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
@@ -222,12 +228,9 @@ class TestPowerTraces:
         traces = []
         for start in ("dense", "sparse"):
             module, values = FORCE[start]
-            # a fresh graph per form: the Gram block is cached in its form
             with mock.patch.multiple(module, **values), \
                     logged_tiers() as tiers:
-                traces.append(power_traces(BipartiteGraph(
-                    g.left_count, g.right_count, g.indptr, g.indices),
-                    loss, 9))
+                traces.append(power_traces(g, loss, 9))
             assert tiers == [start]
         assert traces[0] == traces[1]
 
@@ -248,10 +251,29 @@ class TestPowerTraces:
         [record] = engine_records(caplog)
         assert record.args[6] == "W:SSSSSbbb U:SSSSSbbb"
 
-    def test_a_rule_needs_l_zero(self):
-        # with L != 0 the two sides' traces are complete only at the end
-        with pytest.raises(ValueError, match="needs L = 0"):
-            power_traces(tesseract(), np.full(16, -3), lambda traces: 3)
+    @pytest.mark.parametrize("tier", FORCE)
+    @given(engine_inputs(), st.integers(1, 4), st.integers(0, 2))
+    @example((even_cycle(6), np.full(6, -1)), 3, 0)  # an odd top, told at it
+    @settings(max_examples=80, deadline=None)
+    def test_a_rule_with_any_l_gives_its_tops_traces(self, tier, inputs,
+                                                     told, extra):
+        # with L != 0 both sides run: the rule, told at level ``told`` of
+        # the first, ends the second at the same top as the integer one
+        g, loss = inputs
+        top = told + extra
+        mat = reference_matrix(g.dense(np.int64), loss)
+        expect = [int(np.trace(np.linalg.matrix_power(mat, 2 * j)))
+                  for j in range(top + 1)]
+        levels = []
+
+        def rule(c, traces, block):
+            levels.append(c)
+            return top if c == told else None
+        module, values = FORCE[tier]
+        with mock.patch.multiple(module, **values):
+            assert power_traces(g, loss, rule) == expect
+            assert power_traces(g, loss, top) == expect
+        assert levels == list(range(1, told + 1))
 
     def test_dense_tier_stops_at_2_53(self, caplog):
         # K_{3,3} and L = 0 give tr(M^(2j)) = tr(A^(2j)) = 2 * 9^j for j >= 1;
@@ -299,8 +321,7 @@ class TestPowerTraces:
 
     def test_logs_tier_size_top_and_bound(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="girthspec")
-        # D is 8 x 8, every degree 4; a fresh graph per cap, as the Gram
-        # block is cached on the graph in the form it was built in
+        # D is 8 x 8, every degree 4
         ihara_bass = np.full(16, -3)
         power_traces(tesseract(), ihara_bass, 5)
         monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", 7)
@@ -401,13 +422,19 @@ class TestStep:
             monkeypatch.setattr(sp.csr_array, name, lambda a, b, real=real,
                                 name=name: calls.append(name) or real(a, b))
         new = graph_core._step(xt, wr)(gram, xt)
-        plus = graph_core._plus_diagonal(gram, wl)
+        plus = graph_core._plus_diagonal(gram.copy(), wl)  # writes in place
         assert calls == ["__matmul__"]
         assert np.array_equal(new.toarray(), expect)
         assert np.array_equal(plus.toarray(), gram.toarray() + np.diag(wl))
         assert plus.nnz == gram.nnz + 1
         for block in (new, plus):
             assert block.indptr.dtype == block.indices.dtype == np.int32
+
+
+def edge_traces(g, max_k):
+    """tr(A_e^k) for k = 1 .. max_k: trace_powers' even k, 0 at odd k."""
+    traces = trace_powers(g, max_k // 2)
+    return {k: traces.get(k, 0) for k in range(1, max_k + 1)}
 
 
 class TestTracePowers:
@@ -422,18 +449,21 @@ class TestTracePowers:
         a = build_edge_matrix(g).to_dense().astype(np.int64)
         expect = {k: int(np.trace(np.linalg.matrix_power(a, k)))
                   for k in range(1, 11)}
-        assert trace_powers(g, 10) == expect
+        assert edge_traces(g, 10) == expect
 
     def test_low_traces_vanish(self):
         rng = random.Random(4)
         for _ in range(10):
             g = random_bipartite(rng)
-            traces = trace_powers(g, 3)
+            traces = edge_traces(g, 3)
             assert traces[1] == 0 and traces[2] == 0
             assert traces[3] == 0  # odd, bipartite
 
     def test_odd_traces_vanish(self):
-        traces = trace_powers(tesseract(), 7)
+        # trace_powers gives even k only, as A_e's odd powers have trace 0
+        assert list(trace_powers(tesseract(), 3)) == [2, 4, 6]
+        a = build_edge_matrix(tesseract()).to_dense().astype(np.int64)
+        traces = {k: np.trace(np.linalg.matrix_power(a, k)) for k in (3, 5, 7)}
         assert traces[3] == traces[5] == traces[7] == 0
 
     def test_bigint_matches_int64(self, caplog):
@@ -475,6 +505,69 @@ class TestTracePowers:
         path.write_text(write_edge_list(complete_bipartite(3, 4)))
         assert main(["count", "--input", str(path), "--route", "trace"]) == 0
         assert '"4": 18' in capsys.readouterr().out
+
+
+class TestTraceGirth:
+    """``trace_power_counts`` reads the girth off its own chain: the first
+    level whose block has an entry >= 2 is g/2, and no girth walk runs."""
+
+    @given(bipartite_graphs(), st.sampled_from(["dense", "sparse"]),
+           st.sampled_from([None, 1, 100]))
+    @example(BipartiteGraph.from_edges(  # two 4-cycles, a leaf, isolated nodes
+        5, 6, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+               (3, 4)]), "sparse", 1)
+    @example(even_cycle(12), "dense", None)  # the 6 + 6 graph of most girth
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_walk_and_the_edge_matrix(self, g, start, limit):
+        # a limit of 1 or 100 takes the blocks to Python ints at some level
+        module, values = FORCE[start]
+        limit = limit or edge_matrix.INT64_LIMIT
+        with mock.patch.multiple(module, **values), \
+                mock.patch.object(edge_matrix, "INT64_LIMIT", limit), \
+                mock.patch.object(graph_core, "_girth",
+                                  side_effect=AssertionError("walked")):
+            if reference_girth(g) is None:
+                with pytest.raises(RouteInapplicableError,
+                                   match="^forest input: no cycles to count$"):
+                    trace_power_counts(g)
+                return
+            cc = trace_power_counts(g)
+        assert cc.girth == girth(g) == reference_girth(g)
+        a = build_edge_matrix(g).to_dense().astype(np.int64)
+        assert cc.counts == {
+            k: int(np.trace(np.linalg.matrix_power(a, k))) // (2 * k)
+            for k in range(cc.girth, 2 * cc.girth - 1, 2)}
+
+    @pytest.mark.parametrize("length", [6, 10])
+    def test_an_odd_top_told_at_the_top(self, caplog, length):
+        # max_k = g: the rule tells the top, g/2 and odd, at the top itself;
+        # W counts its top sum twice, and U stops a level short of it
+        caplog.set_level(logging.DEBUG, logger="girthspec")
+        cc = trace_power_counts(even_cycle(length), length)
+        assert (cc.girth, cc.counts) == (length, {length: 1})
+        c = length // 2
+        [record] = engine_records(caplog)
+        assert (record.args[3], record.args[-1]) == (c, c)
+        assert record.args[6] == f"W:{'d' * c} U:{'d' * (c - 1)}"
+
+    def test_no_cycle_met_by_min_side_fails_loudly(self, monkeypatch):
+        # with the block test patched never to meet, the chain stops at
+        # level min(n, m) = 3 of K_{3,4}, not past it
+        levels = []
+        monkeypatch.setattr(edge_matrix, "_two_walks",
+                            lambda c, traces, block: levels.append(c))
+        with pytest.raises(NumericalError, match="by level 3 = min"):
+            trace_power_counts(complete_bipartite(3, 4))
+        assert levels == [1, 2, 3]
+
+    def test_refuses_an_invalid_window_at_level_g_over_2(self, monkeypatch):
+        levels = []
+        real = edge_matrix._two_walks
+        monkeypatch.setattr(edge_matrix, "_two_walks", lambda *args: (
+            levels.append(args[0]) or real(*args)))
+        with pytest.raises(RouteInapplicableError, match="max_k=8 must be"):
+            trace_power_counts(complete_bipartite(3, 4), max_k=8)
+        assert levels == [1, 2]
 
 
 class TestSparseTier:
@@ -571,7 +664,7 @@ class TestEdgeSpectrumDirect:
         for _ in range(20):
             g = random_bipartite(rng, require_cycle=False)
             es = edge_spectrum_direct(g)
-            for k, t in trace_powers(g, 8).items():
+            for k, t in edge_traces(g, 8).items():
                 assert abs(es.power_sum(k) - t) < 1e-6 * max(1, abs(t))
 
     def test_conjugation_closed(self):

@@ -598,7 +598,7 @@ class TestProfile:
         # nothing cached on a graph refers back to it, so reference counts
         # alone free it
         g = make()
-        profile(g), girth(g), transfer_counts(g), g.gram, g.biadjacency
+        profile(g), girth(g), transfer_counts(g), g.biadjacency
         ref = weakref.ref(g)
         gc.disable()
         try:

@@ -216,7 +216,7 @@ def trace_counts(g):
     """N_k = tr(A_e^k) / 2k at every even k in [g, 2g - 2], from the
     Ihara-Bass traces of the trace route."""
     gi = girth(g)
-    traces = trace_powers(g, 2 * gi - 2)
+    traces = trace_powers(g, gi - 1)
     assert all(traces[k] % (2 * k) == 0 for k in range(gi, 2 * gi - 1, 2))
     return {k: traces[k] // (2 * k) for k in range(gi, 2 * gi - 1, 2)}
 
@@ -225,8 +225,8 @@ def levels_told(levels):
     """power_traces, whose rule appends to ``levels`` each level it is
     given."""
     def run(g, loss, rule):
-        return power_traces(g, loss, lambda traces: levels.append(
-            len(traces) - 1) or rule(traces))
+        return power_traces(g, loss, lambda c, traces, block: levels.append(
+            c) or rule(c, traces, block))
     return run
 
 
@@ -393,7 +393,7 @@ class TestTransferCounts:
         tiers = {}
         for cap in (0, 10 ** 9):
             monkeypatch.setattr(graph_core, "DENSE_MAX_SIZE", cap)
-            # a fresh graph per cap: the Gram block is cached in its form
+            # a fresh graph per cap, so that its girth walk runs in each form
             h = BipartiteGraph(g.left_count, g.right_count, g.indptr,
                                g.indices)
             tiers[cap] = power_traces(h, np.zeros(h.node_count, dtype=np.int64),
