@@ -30,10 +30,10 @@ collector.
 from __future__ import annotations
 
 import logging
+import operator
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -92,15 +92,19 @@ class BipartiteGraph:
     @classmethod
     def from_edges(cls, left_count: int, right_count: int,
                    edges) -> "BipartiteGraph":
-        """The graph on the (u, w) pairs of ``edges``; repeats collapse."""
-        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        u, w = ends[::2], ends[1::2]
-        out = np.flatnonzero((u < 0) | (u >= left_count)
-                             | (w < 0) | (w >= right_count))
-        if out.size:
-            raise ParseError(f"edge ({u[out[0]]}, {w[out[0]]}) out of range "
-                             f"({left_count} x {right_count})")
-        return _from_keys(left_count, right_count, u * right_count + w)
+        """The graph on the (u, w) pairs of ``edges``; repeats collapse.
+        Each pair is two ints (``operator.index`` reads them) in range."""
+        keys = []
+        for pair in edges:
+            try:
+                u, w = map(operator.index, pair)
+            except (TypeError, ValueError):
+                raise ParseError(f"edge {pair!r} is not a pair of ints") from None
+            if not (0 <= u < left_count and 0 <= w < right_count):
+                raise ParseError(f"edge ({u}, {w}) out of range "
+                                 f"({left_count} x {right_count})")
+            keys.append(u * right_count + w)
+        return _from_keys(left_count, right_count, np.array(keys, dtype=np.int64))
 
     def _rows(self) -> np.ndarray:
         """The left end of each stored edge, in storage order."""

@@ -1,7 +1,8 @@
 """The two graph file formats: one numpy tokenizer, the parsers, the writers.
 
-Graph files are ASCII. Both parsers read the raw bytes through ``_Tokens``,
-whose token and line boundaries are those of ``str.split`` and
+Graph files are ASCII, and each number in them is 1 to 18 decimal
+digits: no sign, no underscore. Both parsers read the raw bytes through
+``_Tokens``, whose token and line boundaries are those of ``str.split`` and
 ``str.splitlines``, and check the line structure on its arrays; every
 error names the line, column or row that reading the file line by line in
 Python would. They hand the edge keys u * m + w to ``graph_core._from_keys``,
@@ -34,8 +35,8 @@ def _char_class(point: int) -> int:
 
 
 _CHAR_CLASS = np.array([_char_class(c) for c in range(128)], dtype=np.uint8)
-_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
-_FAST_DIGITS = 18  # longest digit run the multiply-add passes read; int64
+_INT32 = np.iinfo(np.int32)
+_DIGITS = 18  # the longest number: any run of 18 digits fits int64
 
 
 class _Tokens:
@@ -46,15 +47,13 @@ class _Tokens:
     ``#`` and the rest of its line are whitespace. The input is read as its
     bytes, a str UTF-8 encoded first, so per-character arrays stay uint8
     and bool; a byte above 0x7f is a ParseError naming the line
-    ``str.splitlines`` puts it on. Tokens of the form ``[+-]?[0-9]+`` of
-    at most 18 digits are read by vectorised multiply-add passes; ``int``
-    reads every other token, so it accepts exactly what ``int`` accepts.
+    ``str.splitlines`` puts it on. A token is 1 to 18 ASCII digits, read
+    by vectorised multiply-add passes into the int64 ``values``.
 
-    ``values`` are int64, those beyond its range saturated (``value(i)``
-    is exact). ``first`` and ``sizes`` give the first token and the token
-    count of each non-blank line, ``lines`` the 0-based physical line of
-    each token. ``bad`` is the first token ``int`` refuses, ``error`` its
-    ValueError, both None when there is none.
+    ``bad`` is the first token that is not, None when there is none; the
+    values of such tokens mean nothing. ``first`` and ``sizes`` give the
+    first token and the token count of each non-blank line, ``lines`` the
+    0-based physical line of each token.
     """
 
     def __init__(self, data, comments: bool) -> None:
@@ -94,53 +93,22 @@ class _Tokens:
         self.first = np.flatnonzero(gaps)
         self.sizes = np.diff(np.append(self.first, len(starts)))
 
-        # digits per token; a lone leading sign is read, any other
-        # character in a token leaves it to int()
+        # a token is 1 to 18 digits; the first that is not is `bad`
         length = ends - starts
-        digits = length.copy()
-        slow = np.zeros(len(starts), dtype=bool)
-        minus = np.zeros(0, dtype=np.intp)
-        odd = np.flatnonzero(classes == 0)
-        if odd.size:
-            owner = np.searchsorted(starts, odd, side="right") - 1
-            char = codes[odd]
-            signed = ((odd == starts[owner]) & (length[owner] > 1)
-                      & ((char == ord("+")) | (char == ord("-"))))
-            slow[owner[~signed]] = True
-            digits[owner[signed]] -= 1
-            minus = owner[signed & (char == ord("-"))]
-        slow |= digits > _FAST_DIGITS
+        wrong = length > _DIGITS
+        wrong[np.searchsorted(starts, np.flatnonzero(classes == 0), "right") - 1] = True
+        self.bad = int(np.argmax(wrong)) if wrong.any() else None
         # row k of `place` holds each token's digit k places before its
         # last, 0 before its first; Horner's rule sums the rows
-        width = int(digits[~slow].max(initial=1))
+        width = int(length[~wrong].max(initial=1))
         at = ends - np.arange(width, 0, -1)[:, None]
         place = codes.take(at, mode="clip")
         place -= ord("0")
-        place[at < ends - digits] = 0
-        values = place[0].astype(np.int64)
+        place[at < starts] = 0
+        self.values = place[0].astype(np.int64)
         for row in place[1:]:
-            values *= 10
-            values += row
-        values[minus] *= -1
-
-        self.bad: int | None = None
-        self.error: ValueError | None = None
-        self._wide: dict[int, int] = {}
-        for i in np.flatnonzero(slow).tolist():
-            try:
-                value = int(data[starts[i]:ends[i]])
-            except ValueError as exc:
-                if self.bad is None:
-                    self.bad, self.error = i, exc
-                continue
-            values[i] = min(max(value, _INT64.min), _INT64.max)
-            if values[i] != value:
-                self._wide[i] = value
-        self.values = values
-
-    def value(self, i: int) -> int:
-        """Token ``i`` as an exact Python integer."""
-        return self._wide.get(i, int(self.values[i]))
+            self.values *= 10
+            self.values += row
 
     def lineno(self, row: int) -> int:
         """The 1-based physical line number of non-blank line ``row``."""
@@ -169,24 +137,24 @@ def parse_edge_list(text) -> BipartiteGraph:
     if toks.bad is not None:
         stop = min(stop, int(np.searchsorted(toks.first, toks.bad, "right")) - 1)
     if stop:
-        n, m = toks.value(0), toks.value(1)
+        n, m = int(toks.values[0]), int(toks.values[1])
         if n <= 0 or m <= 0:
             raise ParseError(f"line {toks.lineno(0)}: node counts must be positive")
         if max(n, m) > _INT32.max:
             raise ParseError(f"line {toks.lineno(0)}: node counts above "
                              f"{_INT32.max} do not fit the int32 indices of D")
         u, w = toks.values[2:2 * stop:2], toks.values[3:2 * stop:2]
-        out = np.flatnonzero((u < 0) | (u >= n) | (w < 0) | (w >= m))
+        out = np.flatnonzero((u >= n) | (w >= m))
         if out.size:
             row = int(out[0]) + 1
-            raise ParseError(f"line {toks.lineno(row)}: edge ({toks.value(2 * row)}, "
-                             f"{toks.value(2 * row + 1)}) out of range")
+            raise ParseError(f"line {toks.lineno(row)}: edge ({toks.values[2 * row]}, "
+                             f"{toks.values[2 * row + 1]}) out of range")
     if stop < rows:
         lineno, raw = toks.lineno(stop), toks.raw(stop)
         if miscounted.size and miscounted[0] == stop:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        raise ParseError(f"line {lineno}: non-integer token in {raw!r}") \
-            from toks.error
+        raise ParseError(f"line {lineno}: tokens must be 1 to 18 decimal digits, "
+                         f"got {raw!r}")
     g = _from_keys(n, m, u * m + w)
     dup = len(u) - g.edge_count
     if dup:
@@ -212,16 +180,16 @@ def parse_alist(text) -> BipartiteGraph:
     """
     toks = _Tokens(text, comments=False)
     if toks.bad is not None:
-        raise ParseError("alist contains a non-integer token") from toks.error
+        raise ParseError("alist tokens must be 1 to 18 decimal digits")
     sizes = toks.sizes
     if len(sizes) < 4:
         raise ParseError("alist too short: need header, max-degrees, two degree rows")
     if sizes[0] != 2 or sizes[1] != 2:
         raise ParseError("alist header lines must contain exactly two integers")
-    n, m = toks.value(0), toks.value(1)
+    n, m = int(toks.values[0]), int(toks.values[1])
     if n <= 0 or m <= 0:
         raise ParseError("alist node counts must be positive")
-    max_col, max_row = toks.value(2), toks.value(3)
+    max_col, max_row = toks.values[2], toks.values[3]
     if len(sizes) != 4 + n + m:
         raise ParseError(f"alist should have {4 + n + m} lines, found {len(sizes)}")
     if sizes[2] != n or sizes[3] != m:
@@ -232,13 +200,13 @@ def parse_alist(text) -> BipartiteGraph:
 
     # the listed neighbours, zero padding dropped: `side` is the column u
     # for u < n and the row side - n above, so the columns come first
-    entries = np.flatnonzero(toks.values[toks.first[4]:])
+    listed = toks.values[toks.first[4]:]
+    entries = np.flatnonzero(listed)
     side = np.repeat(np.arange(n + m), sizes[4:])[entries]
-    at = toks.first[4] + entries  # token index of each neighbour
-    nbr = toks.values[at]
+    nbr = listed[entries]
     counted = np.bincount(side, minlength=n + m)
     miscounted = np.flatnonzero(counted != degree)
-    outside = (nbr < 1) | (nbr > np.where(side < n, m, n))
+    outside = nbr > np.where(side < n, m, n)
     cols = int(np.searchsorted(side, n))
 
     bad = np.flatnonzero(outside[:cols])
@@ -247,9 +215,9 @@ def parse_alist(text) -> BipartiteGraph:
     if min(u_count, u_range) < n:
         if u_count <= u_range:
             raise ParseError(f"column {u_count + 1}: {counted[u_count]} neighbors "
-                             f"listed, degree header says {toks.value(4 + u_count)}")
+                             f"listed, degree header says {degree[u_count]}")
         raise ParseError(f"column {u_range + 1}: row index "
-                         f"{toks.value(int(at[bad[0]]))} out of range")
+                         f"{nbr[bad[0]]} out of range")
 
     # the reverse lookup, in transposed keys w * n + u: the row side lists
     # them in row order, nearly ascending, which searchsorted walks fast
@@ -265,8 +233,8 @@ def parse_alist(text) -> BipartiteGraph:
         w = min(w_count, w_bad)
         if w_count <= w_bad:
             raise ParseError(f"row {w - n + 1}: {counted[w]} neighbors listed, "
-                             f"degree header says {toks.value(4 + w)}")
-        u = toks.value(int(at[bad[0]]))
+                             f"degree header says {degree[w]}")
+        u = nbr[bad[0]]
         if outside[bad[0]]:
             raise ParseError(f"row {w - n + 1}: column index {u} out of range")
         raise ParseError(f"row {w - n + 1} lists column {u} but the column "

@@ -414,6 +414,13 @@ def _as_text(data) -> str:
     return "".join(lines)
 
 
+def _number(token: str) -> int:
+    """A graph-file number: 1 to 18 ASCII digits, else a ValueError."""
+    if not (token.isascii() and token.isdigit() and len(token) <= 18):
+        raise ValueError(f"not 1 to 18 decimal digits: {token!r}")
+    return int(token)
+
+
 def line_parse_edge_list(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """Parse the plain edge-list format.
 
@@ -433,9 +440,10 @@ def line_parse_edge_list(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _number(parts[0]), _number(parts[1])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer token in {raw!r}") from exc
+            raise ParseError(f"line {lineno}: tokens must be 1 to 18 decimal digits, "
+                             f"got {raw!r}") from exc
         if header is None:
             if a <= 0 or b <= 0:
                 raise ParseError(f"line {lineno}: node counts must be positive")
@@ -462,9 +470,9 @@ def line_parse_alist(text) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """
     rows = [ln.split() for ln in _as_text(text).splitlines() if ln.strip()]
     try:
-        toks = [[int(t) for t in row] for row in rows]
+        toks = [[_number(t) for t in row] for row in rows]
     except ValueError as exc:
-        raise ParseError("alist contains a non-integer token") from exc
+        raise ParseError("alist tokens must be 1 to 18 decimal digits") from exc
     if len(toks) < 4:
         raise ParseError("alist too short: need header, max-degrees, two degree rows")
     if len(toks[0]) != 2 or len(toks[1]) != 2:

@@ -174,21 +174,30 @@ class TestCount:
         assert report["error"]["code"] == 4
 
     @pytest.mark.parametrize("name, data, message", [
-        pytest.param("bad.el", b"\xff\xfe2 2\n0 0\n", "line 1: byte 0xff",
+        pytest.param("bad.el", b"\xff\xfe2 2\n0 0\n", "line 1: byte 0xff is not ASCII",
                      id="bad.el"),
-        pytest.param("bad.alist", b"\xff\xfe2 2\n0 0\n", "line 1: byte 0xff",
-                     id="bad.alist"),
-        pytest.param("bom.el", b"\xef\xbb\xbf2 2\r\n0 0\r\n", "line 1: byte 0xef",
-                     id="bom.el"),
+        pytest.param("bad.alist", b"\xff\xfe2 2\n0 0\n",
+                     "line 1: byte 0xff is not ASCII", id="bad.alist"),
+        pytest.param("bom.el", b"\xef\xbb\xbf2 2\r\n0 0\r\n",
+                     "line 1: byte 0xef is not ASCII", id="bom.el"),
         pytest.param("accent.alist", "1 1\n1 1\n1\n1\n1 # caf\xe9\n1\n".encode(),
-                     "line 5: byte 0xc3", id="accent.alist"),
+                     "line 5: byte 0xc3 is not ASCII", id="accent.alist"),
+        # a sign, an underscore or a 19th digit, whatever int() would read
+        pytest.param("plus.el", b"2 2\n0 +1\n", "line 2: tokens must be 1 to 18 "
+                     "decimal digits, got '0 +1'", id="plus.el"),
+        pytest.param("long.el", b"2 2\n0 0\n0000000000000000001 1\n",
+                     "line 3: tokens must be 1 to 18 decimal digits, got "
+                     "'0000000000000000001 1'", id="long.el"),
+        pytest.param("underscore.alist", b"1 1\n1 1\n1\n1\n1_0\n1\n",
+                     "alist tokens must be 1 to 18 decimal digits",
+                     id="underscore.alist"),
     ])
     def test_undecodable_input_exits_4(self, capsys, tmp_path, name, data, message):
         bad = tmp_path / name
         bad.write_bytes(data)
         code, report = run_json(capsys, ["count", "--input", str(bad)])
         assert code == 4
-        assert report["error"] == {"code": 4, "message": f"{message} is not ASCII"}
+        assert report["error"] == {"code": 4, "message": message}
 
     @pytest.mark.parametrize("name, text, fmt, code", [
         ("tree.el", "2 1\n0 0\n1 0\n", "edgelist", 2),
@@ -301,7 +310,7 @@ class TestCount:
 
     @pytest.mark.parametrize("text,code,message", [
         ("2 1\n0 0\n1 0\n", 2, "forest input: no cycles to count"),
-        ("2 1\n0 x\n", 4, "line 2: non-integer token in '0 x'")])
+        ("2 1\n0 x\n", 4, "line 2: tokens must be 1 to 18 decimal digits, got '0 x'")])
     def test_table_mode_prints_the_error(self, capsys, tmp_path, text, code,
                                          message):
         path = tmp_path / "bad.el"

@@ -226,6 +226,19 @@ class TestBiadjacency:
         with pytest.raises(ParseError, match="at least one node"):
             BipartiteGraph.from_edges(0, 3, [])
 
+    @pytest.mark.parametrize("pair, message", [
+        ((0,), r"edge \(0,\) is not a pair of ints"),
+        ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of ints"),
+        ((0.9, 0.9), r"edge \(0.9, 0.9\) is not a pair of ints"),
+        (("1", 0), r"edge \('1', 0\) is not a pair of ints"),
+        (7, "edge 7 is not a pair of ints"),
+        ((2 ** 70, 0), rf"edge \({2 ** 70}, 0\) out of range"),
+        ((0, -1), r"edge \(0, -1\) out of range"),
+    ], ids=["short", "long", "floats", "str", "int", "beyond-int64", "negative"])
+    def test_malformed_pairs_are_refused(self, pair, message):
+        with pytest.raises(ParseError, match=f"^{message}"):
+            BipartiteGraph.from_edges(2, 2, [pair, (1, 1)])
+
     @pytest.mark.parametrize("g, edges", [
         (complete_bipartite(2, 3), [(u, w) for u in range(2) for w in range(3)]),
         (even_cycle(6), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]),
@@ -243,7 +256,7 @@ class TestBiadjacency:
 # ---------------------------------------------------------------------------
 
 # ASCII whitespace to str.split that str.splitlines does not break on,
-# and the ASCII line breaks it does; tokens int() refuses
+# and the ASCII line breaks it does; tokens that are not 1 to 18 digits
 SPACES = [" ", "  ", "\t", "\x1f"]
 BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 BAD_TOKENS = ["x", "1.5", "0x1", "+", "-", "+-1", "1__2", "_1", "1_", "#", "1e3",
@@ -257,23 +270,29 @@ HUGE = 10 ** 25
 
 
 @st.composite
-def spelled(draw, token):
-    """An int token in one of the ASCII spellings int() reads; a str as is."""
+def spelled(draw, token, odd):
+    """An int token in decimal digits, at times zero padded up to 18; with
+    ``odd``, also in the other ASCII spellings int() reads, which graph
+    files refuse: a plus sign, an underscore, 19 digits. A str as is."""
     if isinstance(token, str):
         return token
     digits = str(abs(token))
     if draw(st.integers(0, 3)) == 3:
-        digits = "0" * draw(st.integers(1, 2)) + digits
-    if len(digits) > 1 and draw(st.integers(0, 5)) == 5:
+        digits = digits.zfill(draw(st.sampled_from(
+            [len(digits) + 1, len(digits) + 2, 18] + [19] * odd)))
+    if odd and len(digits) > 1 and draw(st.integers(0, 5)) == 5:
         cut = draw(st.integers(1, len(digits) - 1))
         digits = digits[:cut] + "_" + digits[cut:]
-    return ("-" if token < 0 else draw(st.sampled_from(["", "", "", "+"]))) + digits
+    sign = draw(st.sampled_from(["", "", "", "+"])) if odd else ""
+    return ("-" if token < 0 else sign) + digits
 
 
 @st.composite
 def rendered(draw, lines, comments):
     """Lines of tokens as one ASCII file: drawn separators and line
-    breaks, blank lines, comments when the format has them; text or bytes."""
+    breaks, blank lines, comments when the format has them; text or bytes.
+    One file in four spells its numbers in the ways graph files refuse."""
+    odd = draw(st.integers(0, 3)) == 3
     blank = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
     note = st.lists(st.sampled_from(["1", " ", "#", "x", "\t"]),
                     max_size=5).map(lambda chars: "#" + "".join(chars))
@@ -282,7 +301,7 @@ def rendered(draw, lines, comments):
         for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
             parts.append(draw(blank) + (draw(note) if comments and draw(st.booleans())
                                         else ""))
-        words = [draw(spelled(t)) for t in tokens]
+        words = [draw(spelled(t, odd)) for t in tokens]
         line = draw(blank) + "".join(
             w + draw(st.sampled_from(SPACES)) for w in words[:-1]) + "".join(words[-1:])
         if comments and draw(st.integers(0, 3)) == 3:
@@ -471,25 +490,27 @@ class TestParserAgreement:
         counted once; text is read as its UTF-8 bytes."""
         assert outcome(parse, data) == ("error", f"{message} is not ASCII")
 
-    @pytest.mark.parametrize("header", [f"{2 ** 31} 1", f"1 {10 ** 25}"])
-    def test_node_counts_beyond_int32_are_refused(self, header):
-        """An input class where the two differ: the line-by-line reader
-        took any positive header, and D's int32 indices failed later."""
+    @pytest.mark.parametrize("header, oracle, message", [
+        pytest.param(f"{2 ** 31} 1", "graph", "line 1: node counts above 2147483647 "
+                     "do not fit the int32 indices of D", id=f"{2 ** 31} 1"),
+        pytest.param(f"1 {10 ** 25}", "error", "line 1: tokens must be 1 to 18 "
+                     f"decimal digits, got '1 {10 ** 25}'", id=f"1 {10 ** 25}"),
+    ])
+    def test_node_counts_beyond_int32_are_refused(self, header, oracle, message):
+        """A header above int32 of at most 18 digits is where the two
+        differ: the line-by-line reader takes it, and D's int32 indices
+        fail later. A longer one is a bad token to both."""
         data = f"{header}\n0 0\n"
-        assert outcome(line_parse_edge_list, data)[0] == "graph"
-        assert outcome(parse_edge_list, data) == ("error", (
-            "line 1: node counts above 2147483647 do not fit the int32 "
-            "indices of D"))
+        assert outcome(line_parse_edge_list, data)[0] == oracle
+        assert outcome(parse_edge_list, data) == ("error", message)
 
-    def test_degrees_beyond_int64_compare_saturated(self):
-        """An input class where the two differ: numbers outside int64
-        are compared as its bounds, so a degree row and a declared maximum
-        both beyond it pass the maximum check and fail at the column."""
-        data = f"1 1\n{2 ** 70} 1\n{2 ** 71}\n1\n1\n1\n"
-        assert outcome(line_parse_alist, data) == (
-            "error", "declared maximum degree exceeded in a degree row")
-        assert outcome(parse_alist, data) == (
-            "error", f"column 1: 1 neighbors listed, degree header says {2 ** 71}")
+    def test_degrees_of_19_digits_are_refused(self):
+        """A declared maximum or a degree of 19 digits is a bad token,
+        though its value, 1, would fit."""
+        long = "0" * 18 + "1"
+        for data in (f"1 1\n{long} 1\n1\n1\n1\n1\n", f"1 1\n1 1\n{long}\n1\n1\n1\n"):
+            assert outcome(parse_alist, data) == outcome(line_parse_alist, data) == (
+                "error", "alist tokens must be 1 to 18 decimal digits")
 
 
 @pytest.mark.parametrize("g", [array_code(293, 6), configuration_model(1600, 0)],
